@@ -26,7 +26,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use effpi::{Name, Strategy, TypeEnv, TypeLabel, TypeLts};
+use effpi::{ExploreConfig, Name, Strategy, TypeEnv, TypeLabel, TypeLts};
 use lambdapi::{TyRef, Type};
 
 use crate::json::Json;
@@ -172,13 +172,12 @@ pub fn scenario(needle_depth: usize, hay_chains: usize, hay_depth: usize) -> (Ty
 /// offering an output on `leak`, within `max_states`.
 fn hunt(env: &TypeEnv, ty: &Type, strategy: Strategy, max_states: usize) -> (usize, bool, f64) {
     let leak = Name::new("leak");
-    let builder = TypeLts::new(env.clone())
-        .with_strategy(strategy)
-        .with_priority_targets(vec![leak.clone()]);
+    let builder = TypeLts::new(env.clone()).with_priority_targets(vec![leak.clone()]);
+    let config = ExploreConfig::serial(max_states).with_strategy(strategy);
     let start = Instant::now();
     let found = std::sync::atomic::AtomicBool::new(false);
     let exploration =
-        builder.build_exploration_until(ty, max_states, |_: &TyRef, out: &[(TypeLabel, usize)]| {
+        builder.build_exploration_until(ty, &config, |_: &TyRef, out: &[(TypeLabel, usize)]| {
             let hit = out.iter().any(|(l, _)| l.is_output_on(&leak));
             if hit {
                 found.store(true, std::sync::atomic::Ordering::Relaxed);

@@ -66,8 +66,7 @@ pub struct InternRecord {
 /// timing is the best of `repeat` passes (de-noising on shared machines);
 /// the deterministic fields are asserted identical across passes.
 pub fn run(scale: usize, max_states: usize, repeat: usize) -> InternRecord {
-    let mut verifier = Verifier::new();
-    verifier.max_states = max_states;
+    let verifier = Verifier::with_max_states(max_states);
     let mut cases = Vec::new();
     for scenario in fig9_scenarios(scale) {
         let mut scoped = verifier.clone();

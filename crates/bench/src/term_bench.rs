@@ -24,7 +24,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use effpi::TermLts;
+use effpi::{ExploreConfig, TermLts};
 
 use crate::json::Json;
 
@@ -78,14 +78,15 @@ pub struct TermRecord {
 pub fn run(jobs: usize, repeat: usize) -> TermRecord {
     let mut cases = Vec::new();
     for scenario in corpus() {
+        let config = ExploreConfig::new(jobs, scenario.max_states);
         let mut cold_wall = f64::MAX;
         let mut states = 0usize;
         let mut transitions = 0usize;
         let mut warm_builder = None;
         for pass in 0..repeat.max(1) {
-            let builder = TermLts::new(scenario.env.clone()).with_parallelism(jobs);
+            let builder = TermLts::new(scenario.env.clone());
             let start = Instant::now();
-            let cold = builder.build(&scenario.term, scenario.max_states);
+            let cold = builder.build_exploration(&scenario.term, &config).lts;
             cold_wall = cold_wall.min(start.elapsed().as_secs_f64());
             assert!(
                 !cold.is_truncated(),
@@ -110,7 +111,7 @@ pub fn run(jobs: usize, repeat: usize) -> TermRecord {
         let mut warm_wall = f64::MAX;
         for _ in 0..repeat.max(1) {
             let start = Instant::now();
-            let rebuilt = builder.build(&scenario.term, scenario.max_states);
+            let rebuilt = builder.build_exploration(&scenario.term, &config).lts;
             warm_wall = warm_wall.min(start.elapsed().as_secs_f64());
             assert_eq!(
                 rebuilt.num_states(),

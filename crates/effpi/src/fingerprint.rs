@@ -21,11 +21,10 @@
 //! * [`SessionConfig::parallelism`] is deliberately **excluded**: the
 //!   exploration engine guarantees reports identical for every worker count
 //!   (see `lts::explore`), so a verdict computed with 8 workers is a valid
-//!   hit for a serial request. [`SessionConfig::memory_budget`],
-//!   [`SessionConfig::spill_dir`] and [`SessionConfig::seen_set`] are
-//!   excluded for the same reason: the id-indexed memory layer
-//!   (`lts::memory`) guarantees byte-identical reports with or without a
-//!   budget, whatever the seen-set structure — they only trade RAM for disk.
+//!   hit for a serial request. [`SessionConfig::memory_budget`] and
+//!   [`SessionConfig::spill_dir`] are excluded for the same reason: the
+//!   engine guarantees byte-identical reports with or without a budget —
+//!   they only trade RAM for disk.
 //!   [`SessionConfig::visible`] is likewise excluded, because spec runs
 //!   always use the spec's own `visible` list.
 //!
@@ -291,9 +290,9 @@ mod tests {
 
     #[test]
     fn memory_layer_knobs_are_not_part_of_the_key() {
-        // A budgeted, spilling, hash-seen-set run produces the same report
-        // as a default run (the lts::memory determinism guarantee), so it
-        // must share the cache entry — operational knobs never split keys.
+        // A budgeted, spilling run produces the same report as a default run
+        // (the lts::explore determinism guarantee), so it must share the
+        // cache entry — operational knobs never split keys.
         let spec = parse_spec("env x : cio[int]\ntype i[x, Pi(v: int) nil]").unwrap();
         let default = Session::builder().build().cache_key(&spec);
         let budgeted = Session::builder()
@@ -301,12 +300,7 @@ mod tests {
             .spill_dir(std::env::temp_dir())
             .build()
             .cache_key(&spec);
-        let hashed = Session::builder()
-            .seen_set(lts::SeenSet::Hash)
-            .build()
-            .cache_key(&spec);
         assert_eq!(default, budgeted);
-        assert_eq!(default, hashed);
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub use lambdapi::intern::{stats as intern_stats, InternStats};
 pub use lambdapi::{
     BaseRule, EvalResult, Name, Reducer, Term, TermId, TermRef, TyRef, Type, TypeId, Value,
 };
-pub use lts::{CancelToken, SeenSet, Strategy, TermLabel, TermLts, TypeLabel, TypeLts};
+pub use lts::{CancelToken, ExploreConfig, Strategy, TermLabel, TermLts, TypeLabel, TypeLts};
 pub use mucalc::{
     Formula, LabelSet, Property, Trace, TraceStep, VerificationOutcome, Verifier, VerifyError,
 };

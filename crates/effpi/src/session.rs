@@ -38,7 +38,7 @@ use std::time::Duration;
 
 use dbt_types::{Checker, TypeEnv, TypeError};
 use lambdapi::{Name, Term, TyRef, Type};
-use lts::{CancelToken, Lts, SeenSet, Strategy, TypeLabel};
+use lts::{CancelToken, ExploreConfig, Lts, Strategy, TypeLabel};
 use mucalc::{Property, VerificationOutcome, Verifier, VerifyError};
 
 use crate::protocols::Scenario;
@@ -164,11 +164,6 @@ pub struct SessionConfig {
     /// dir). Each run uses its own subdirectory and removes it when done.
     /// Excluded from [`Session::cache_key`] for the same reason.
     pub spill_dir: Option<std::path::PathBuf>,
-    /// The seen-set structure used by the exploration (default the
-    /// id-indexed bitmap of `lts::memory`). Results are identical either
-    /// way — the knob exists so the determinism suite can compare the two
-    /// engines — so it, too, is excluded from [`Session::cache_key`].
-    pub seen_set: SeenSet,
 }
 
 impl Default for SessionConfig {
@@ -185,7 +180,6 @@ impl Default for SessionConfig {
             strategy: Strategy::default(),
             memory_budget: None,
             spill_dir: None,
-            seen_set: SeenSet::default(),
         }
     }
 }
@@ -298,28 +292,22 @@ impl SessionBuilder {
         self
     }
 
-    /// Selects the seen-set structure for state-space exploration (default
-    /// [`SeenSet::Bitmap`], the id-indexed memory layer). Reports are
-    /// identical either way; [`SeenSet::Hash`] pins the generic hash engine
-    /// so the determinism suite can compare the two.
-    pub fn seen_set(mut self, seen_set: SeenSet) -> Self {
-        self.config.seen_set = seen_set;
-        self
-    }
-
     /// Builds the session, constructing and caching its checker and verifier.
     pub fn build(self) -> Session {
         let checker = Checker::with_limits(self.config.max_depth, self.config.max_unfold);
         let mut verifier = Verifier::with_checker(checker);
-        verifier.max_states = self.config.max_states;
         verifier.auto_probe = self.config.auto_probe;
         verifier.visible = self.config.visible.clone();
-        verifier.parallelism = self.config.parallelism;
-        verifier.cancel = self.config.cancel.clone();
-        verifier.strategy = self.config.strategy;
-        verifier.memory_budget = self.config.memory_budget;
-        verifier.spill_dir = self.config.spill_dir.clone();
-        verifier.seen_set = self.config.seen_set;
+        // The engine's settings, gathered once: every exploration of the
+        // session (type side and term side) runs as this says.
+        verifier.explore = ExploreConfig {
+            parallelism: self.config.parallelism,
+            max_states: self.config.max_states,
+            strategy: self.config.strategy,
+            cancel: self.config.cancel.clone(),
+            memory_budget: self.config.memory_budget,
+            spill_dir: self.config.spill_dir.clone(),
+        };
         Session {
             config: self.config,
             verifier,
@@ -458,10 +446,10 @@ impl Session {
     }
 
     /// Builds the *open-term* LTS of Def. 4.1 (Fig. 5) for a term in an
-    /// environment, on the same exploration engine and with the session's
-    /// worker count, state bound and cancellation hook — the term-side
-    /// counterpart of [`Session::build_lts`], used by the conformance and
-    /// determinism suites.
+    /// environment, on the same exploration engine and with the same engine
+    /// settings as the session's verifier — the term-side counterpart of
+    /// [`Session::build_lts`], used by the conformance and determinism
+    /// suites.
     ///
     /// # Errors
     ///
@@ -472,17 +460,8 @@ impl Session {
         env: &TypeEnv,
         term: &Term,
     ) -> Result<Lts<lambdapi::TermRef, lts::TermLabel>, Error> {
-        let mut builder = lts::TermLts::with_checker(env.clone(), self.checker().clone())
-            .with_parallelism(self.config.parallelism)
-            .with_memory_budget(self.config.memory_budget)
-            .with_seen_set(self.config.seen_set);
-        if let Some(dir) = &self.config.spill_dir {
-            builder = builder.with_spill_dir(dir.clone());
-        }
-        if let Some(cancel) = &self.config.cancel {
-            builder = builder.with_cancel(cancel.clone());
-        }
-        let exploration = builder.build_exploration(term, self.config.max_states);
+        let exploration = lts::TermLts::with_checker(env.clone(), self.checker().clone())
+            .build_exploration(term, &self.verifier.explore);
         if exploration.status == lts::ExploreStatus::Aborted {
             return Err(Error::Verify(VerifyError::Cancelled));
         }

@@ -1,64 +1,82 @@
-//! Parallel state-space exploration: the engine behind [`TypeLts::build`]
-//! (and any other exhaustive reachability pass over a successor function).
+//! State-space exploration: the one engine behind [`TypeLts::build`],
+//! [`TermLts::build`] and any other exhaustive reachability pass over a
+//! successor function.
 //!
-//! [`Lts::build`](crate::Lts::build) is a single-threaded BFS — fine for
-//! tests, but the paper's headline claim (§5, Fig. 9) is that type-level
-//! model checking is fast enough to run inside a compiler, and LTS
-//! construction is the dominant cost of every verification. This module
-//! explores the same graph with a pool of worker threads:
+//! The paper's headline claim (§5, Fig. 9) is that type-level model checking
+//! is fast enough to run inside a compiler, and LTS construction is the
+//! dominant cost of every verification. There is exactly **one serial driver
+//! and one parallel driver** here, generic over two small seams:
 //!
-//! * **Sharded seen-set** — discovered states live in hash-partitioned
-//!   shards, each guarded by its own [`runtime::sync::Mutex`], so workers
-//!   registering distinct states rarely contend on the same lock. A state's
-//!   shard is a pure function of its hash; its *provisional id* is drawn from
-//!   one global atomic counter, which also enforces the state bound.
-//! * **Work-stealing frontier** — each worker owns a deque of unexpanded
-//!   states; it pushes and pops freshly discovered states at the back of its
-//!   own deque (LIFO, for cache warmth) and steals the *oldest* state from
-//!   the front of a sibling's deque when its own runs dry. Only `std`
-//!   threads are used; the workspace stays dependency-free.
-//! * **Id-indexed memory layer** — states whose identity is a dense 32-bit
-//!   interner id (`TyRef`/`TermRef`) get a bitmap seen-set (~1 bit per state
-//!   instead of a hash-map entry) and, under an [`ExploreConfig::memory_budget`],
-//!   disk-spilled frontier segments — out-of-core exploration. See
-//!   [`crate::memory`]; the generic entry points below keep the hash engine.
-//! * **Cooperative early exit** — a shared stop flag ends the run as soon as
-//!   the state bound trips, as soon as an optional *monitor* decides the
-//!   question being asked on-the-fly (see [`explore_until`]), or as soon as
-//!   an external [`CancelToken`] is flipped (the abort hook behind
-//!   `effpi-serve`'s `cancel` request); workers check it between expansions
-//!   instead of draining their queues.
-//! * **Canonical renumbering** — discovery order under concurrency is
-//!   nondeterministic, so after exploration the states are renumbered by a
-//!   deterministic BFS over the recorded (deterministically ordered)
-//!   transition lists. A complete parallel run therefore yields an [`Lts`]
-//!   **identical** — states, indices, transitions — to the serial
-//!   [`Lts::build`] of the same successor function.
-//! * **Pluggable frontier disciplines** — the order in which pending states
-//!   are expanded is a [`Strategy`]: breadth-first (the default), depth-first,
-//!   heuristic-guided beam search ([`explore_guided`]) or a seeded random
-//!   walk. The same canonical renumbering makes every *complete* run
-//!   byte-identical to BFS regardless of the discipline, so a strategy can
-//!   only be observed on runs that end early — which is the point: a directed
-//!   order can hit a violating state after exploring a fraction of the space
-//!   (see [`explore_until`]'s monitor).
+//! * **The state table** (`StateTable`) — the seen-set, which also resolves a
+//!   32-bit key back to its state. Two implementations: the *hash* table
+//!   (any `S: Eq + Hash`; hash-partitioned shards, each under its own
+//!   [`runtime::sync::Mutex`], keys drawn densely from the run's state
+//!   counter) and the *bitmap* table (states whose identity is a dense
+//!   interner id — `TyRef`/`TermRef`; ~1 bit per state in lazily allocated
+//!   pages, the key is the id itself). See the `memory` module.
+//! * **The frontier** — registered-but-unexpanded `(key, depth)` entries.
+//!   Serially it is a [`Strategy`]: the FIFO that may spill to disk
+//!   (breadth-first) or an in-RAM discipline (depth-first, beam, random
+//!   walk). Under the workers it is one work-stealing deque per worker —
+//!   owners push and pop the back (LIFO, for cache warmth), thieves steal the
+//!   *oldest* entry from the front of a sibling — with the same spilling FIFO
+//!   as the overflow for batches discovered over budget.
+//!
+//! **Selection is by what the code can observe, never by an option.** The
+//! table follows the state type: the [`explore`] family below takes any
+//! hashable state and uses the hash table; the `TypeLts` / `TermLts`
+//! builders, whose states carry interner ids, run the same drivers on the
+//! bitmap table. The driver follows [`ExploreConfig::parallelism`] (and the
+//! strategy: beam and random walk *are* their expansion order, so they always
+//! run serially). The frontier follows [`ExploreConfig::strategy`] and
+//! [`ExploreConfig::memory_budget`]: only a FIFO can spill — a spilled
+//! segment cannot be reordered — so breadth-first runs spill past the budget
+//! and the in-RAM disciplines ignore it; parallel runs spill under every
+//! strategy they accept, since work stealing decides their order anyway.
+//!
+//! What every run guarantees, whatever was selected:
+//!
+//! * **Cooperative early exit** — the run ends as soon as the state bound
+//!   trips (parallel; a serial run keeps expanding what it registered), as
+//!   soon as an optional *monitor* decides the question being asked
+//!   on-the-fly (see [`explore_until`]), or as soon as an external
+//!   [`CancelToken`] is flipped (the abort hook behind `effpi-serve`'s
+//!   `cancel` request); workers check between expansions instead of draining
+//!   their queues.
+//! * **Canonical renumbering** — discovery order under concurrency (or under
+//!   a non-FIFO discipline) is not the breadth-first order, so after
+//!   exploration the states are renumbered by a deterministic BFS over the
+//!   recorded (deterministically ordered) transition lists. A complete run
+//!   therefore yields an [`Lts`] **identical** — states, indices, transitions
+//!   — for every worker count, strategy, table and memory budget. Serial BFS
+//!   discovers in canonical order already and skips the pass.
 //! * **Predecessor edges** — every exploration records, per state, the edge
 //!   that first discovered it ([`Exploration::parents`], in canonical
 //!   numbering), so a state of interest can be turned into a replayable
 //!   witness path from the initial state ([`Exploration::trace_to`]).
+//! * **Progress** — every 8192 expansions a driver publishes the run's vital
+//!   signs to the process `obs` registry (see [`ExploreStats`] for the memory
+//!   figures).
+//!
+//! A strategy can only be observed on runs that end early — which is the
+//! point: a directed order can hit a violating state after exploring a
+//! fraction of the space.
 //!
 //! [`TypeLts::build`]: crate::TypeLts::build
+//! [`TermLts::build`]: crate::TermLts::build
 
 use std::cmp::Reverse;
 use std::collections::hash_map::RandomState;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
 use std::hash::{BuildHasher, Hash};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use runtime::sync::{Condvar, Mutex};
 
 use crate::generic::Lts;
+use crate::memory::{Entry, SpillFrontier, ENTRY_BYTES};
 
 /// A shareable cooperative-cancellation flag for in-flight explorations.
 ///
@@ -185,10 +203,16 @@ impl Strategy {
         }
     }
 
-    /// Builds a fresh frontier implementing this discipline.
-    pub fn frontier(self) -> Box<dyn FrontierDiscipline> {
+    /// Builds the serial frontier implementing this discipline: the FIFO
+    /// that spills past `memory_budget` for breadth-first, an in-RAM
+    /// discipline (which ignores the budget) for everything else.
+    pub(crate) fn frontier(
+        self,
+        memory_budget: Option<usize>,
+        spill_dir: Option<PathBuf>,
+    ) -> Box<dyn FrontierDiscipline> {
         match self {
-            Strategy::Bfs => Box::new(BfsFrontier::default()),
+            Strategy::Bfs => Box::new(SpillFrontier::new(memory_budget, spill_dir)),
             Strategy::Dfs => Box::new(DfsFrontier::default()),
             Strategy::Beam { width } => Box::new(BeamFrontier::new(width)),
             Strategy::RandomWalk { seed } => Box::new(RandomWalkFrontier::new(seed)),
@@ -198,10 +222,10 @@ impl Strategy {
     /// Disciplines whose expansion *order* is the product (beam priorities,
     /// the random walk's seeded schedule) run serially even when the config
     /// asks for workers: a work-stealing pool would reorder them
-    /// nondeterministically. BFS and DFS keep the parallel engine — their
+    /// nondeterministically. BFS and DFS keep the parallel driver — their
     /// complete runs are canonically renumbered anyway, and their early exits
     /// are explicitly scheduling-dependent.
-    pub(crate) fn forces_serial(self) -> bool {
+    fn forces_serial(self) -> bool {
         matches!(self, Strategy::Beam { .. } | Strategy::RandomWalk { .. })
     }
 }
@@ -225,53 +249,49 @@ impl std::str::FromStr for Strategy {
     }
 }
 
-/// A mutable exploration frontier: the queue of registered-but-unexpanded
-/// state ids. [`Strategy::frontier`] builds one; the serial engine pushes
-/// every freshly discovered state with its heuristic `priority` (lower =
-/// expanded sooner; only [`Strategy::Beam`] looks at it) and pops the next
-/// state to expand.
+/// The serial driver's frontier: registered-but-unexpanded `(key, depth)`
+/// entries. [`Strategy::frontier`] builds one; the driver pushes every
+/// freshly discovered state with its heuristic `priority` (lower = expanded
+/// sooner; only [`Strategy::Beam`] looks at it) and pops the next entry to
+/// expand.
 ///
-/// Implementations must be **lossless** — every pushed id is eventually
+/// Implementations must be **lossless** — every pushed entry is eventually
 /// popped — so that completeness never depends on the discipline; a
-/// discipline is free to reorder, never to drop.
-pub trait FrontierDiscipline {
-    /// Enqueues a discovered state id with its heuristic priority.
-    fn push(&mut self, id: usize, priority: u64);
+/// discipline is free to reorder, never to drop. Their order must be a pure
+/// function of the push *sequence*, never of the keys: the same search then
+/// expands in the same order on either state table.
+pub(crate) trait FrontierDiscipline {
+    /// Enqueues a discovered state with its heuristic priority.
+    fn push(&mut self, entry: Entry, priority: u64);
     /// Dequeues the next state to expand, or `None` when drained.
-    fn pop(&mut self) -> Option<usize>;
-    /// The number of pending states.
+    fn pop(&mut self) -> Option<Entry>;
+    /// Registered, not yet expanded — wherever the entry lives (a spilled
+    /// entry is still pending).
     fn len(&self) -> usize;
-    /// `true` when nothing is pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Bytes of frontier entries held in RAM.
+    fn resident_bytes(&self) -> usize {
+        self.len() * ENTRY_BYTES
     }
-}
-
-/// FIFO — plain breadth-first order.
-#[derive(Default)]
-struct BfsFrontier(VecDeque<usize>);
-
-impl FrontierDiscipline for BfsFrontier {
-    fn push(&mut self, id: usize, _priority: u64) {
-        self.0.push_back(id);
-    }
-    fn pop(&mut self) -> Option<usize> {
-        self.0.pop_front()
-    }
-    fn len(&self) -> usize {
-        self.0.len()
+    /// Called after each expansion with the state table's resident size, so
+    /// a budgeted FIFO can spill its cold tail. The in-RAM disciplines order
+    /// their whole pending set, which a spilled segment cannot do: they stay
+    /// resident whatever the budget.
+    fn relieve(&mut self, _table_resident: usize) {}
+    /// Spill accounting so far (zeros for the in-RAM disciplines).
+    fn spill_stats(&self) -> ExploreStats {
+        ExploreStats::default()
     }
 }
 
 /// LIFO — depth-first order.
 #[derive(Default)]
-struct DfsFrontier(Vec<usize>);
+struct DfsFrontier(Vec<Entry>);
 
 impl FrontierDiscipline for DfsFrontier {
-    fn push(&mut self, id: usize, _priority: u64) {
-        self.0.push(id);
+    fn push(&mut self, entry: Entry, _priority: u64) {
+        self.0.push(entry);
     }
-    fn pop(&mut self) -> Option<usize> {
+    fn pop(&mut self) -> Option<Entry> {
         self.0.pop()
     }
     fn len(&self) -> usize {
@@ -280,21 +300,23 @@ impl FrontierDiscipline for DfsFrontier {
 }
 
 /// Best-first with a hot beam and a cold backlog. Pops always take the
-/// lowest `(priority, id)` pending in the hot heap; when the heap outgrows
-/// `4 × width`, everything but the `width` best is parked on the backlog, and
-/// a drained heap refills from it — the beam narrows *attention*, it never
-/// discards reachability. Ties break on the id, so the order is a pure
-/// function of the push sequence.
+/// lowest `(priority, push number)` pending in the hot heap; when the heap
+/// outgrows `4 × width`, everything but the `width` best is parked on the
+/// backlog, and a drained heap refills from it — the beam narrows
+/// *attention*, it never discards reachability. Ties break on the push
+/// number, so the order is a pure function of the push sequence.
 struct BeamFrontier {
     width: usize,
-    hot: BinaryHeap<Reverse<(u64, usize)>>,
-    cold: VecDeque<(u64, usize)>,
+    pushed: u64,
+    hot: BinaryHeap<Reverse<(u64, u64, Entry)>>,
+    cold: VecDeque<(u64, u64, Entry)>,
 }
 
 impl BeamFrontier {
     fn new(width: usize) -> Self {
         BeamFrontier {
             width: width.max(1),
+            pushed: 0,
             hot: BinaryHeap::new(),
             cold: VecDeque::new(),
         }
@@ -302,20 +324,21 @@ impl BeamFrontier {
 }
 
 impl FrontierDiscipline for BeamFrontier {
-    fn push(&mut self, id: usize, priority: u64) {
-        self.hot.push(Reverse((priority, id)));
+    fn push(&mut self, entry: Entry, priority: u64) {
+        self.hot.push(Reverse((priority, self.pushed, entry)));
+        self.pushed += 1;
         if self.hot.len() > 4 * self.width {
             let keep: Vec<_> = (0..self.width).filter_map(|_| self.hot.pop()).collect();
             self.cold
-                .extend(self.hot.drain().map(|Reverse(entry)| entry));
+                .extend(self.hot.drain().map(|Reverse(ranked)| ranked));
             self.hot.extend(keep);
         }
     }
-    fn pop(&mut self) -> Option<usize> {
+    fn pop(&mut self) -> Option<Entry> {
         if self.hot.is_empty() {
             self.hot.extend(self.cold.drain(..).map(Reverse));
         }
-        self.hot.pop().map(|Reverse((_, id))| id)
+        self.hot.pop().map(|Reverse((_, _, entry))| entry)
     }
     fn len(&self) -> usize {
         self.hot.len() + self.cold.len()
@@ -326,7 +349,7 @@ impl FrontierDiscipline for BeamFrontier {
 /// stream — tiny, seedable and dependency-free. Equal seeds reproduce equal
 /// pop sequences exactly.
 struct RandomWalkFrontier {
-    pool: Vec<usize>,
+    pool: Vec<Entry>,
     rng: u64,
 }
 
@@ -348,10 +371,10 @@ impl RandomWalkFrontier {
 }
 
 impl FrontierDiscipline for RandomWalkFrontier {
-    fn push(&mut self, id: usize, _priority: u64) {
-        self.pool.push(id);
+    fn push(&mut self, entry: Entry, _priority: u64) {
+        self.pool.push(entry);
     }
-    fn pop(&mut self) -> Option<usize> {
+    fn pop(&mut self) -> Option<Entry> {
         if self.pool.is_empty() {
             return None;
         }
@@ -363,33 +386,20 @@ impl FrontierDiscipline for RandomWalkFrontier {
     }
 }
 
-/// Which seen-set structure an exploration registers discovered states in.
-///
-/// Only consulted by the *id-indexed* engine entry points (the `TypeLts` /
-/// `TermLts` builds, whose states carry dense interner ids — see
-/// [`crate::memory`]); the generic [`explore`] family always uses the hash
-/// engine, since arbitrary state types have no id to index by.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum SeenSet {
-    /// The id-indexed two-level bitmap (see [`crate::memory::IdSeenSet`]):
-    /// membership is one shift+mask into a lazily allocated 8 KiB page,
-    /// ~1.03 bits per state on dense id ranges. The default.
-    #[default]
-    Bitmap,
-    /// The generic hash-sharded map — kept for arbitrary state types, for
-    /// the serial non-BFS disciplines, and as the reference implementation
-    /// the determinism suite compares the bitmap against.
-    Hash,
-}
+// ---------------------------------------------------------------------------
+// Configuration and results
+// ---------------------------------------------------------------------------
 
 /// How an exploration is run: worker count, state bound, frontier discipline,
-/// memory budget, and an optional external cancellation hook.
+/// memory budget, and an optional external cancellation hook. Declared here
+/// and nowhere else — the `TypeLts` / `TermLts` builders take one by
+/// reference, and `mucalc::Verifier` / `effpi::Session` hand theirs down.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ExploreConfig {
     /// Number of worker threads. `1` (the default) explores serially on the
-    /// calling thread — no pool, no locks. Strategies whose expansion order
-    /// *is* the product ([`Strategy::Beam`], [`Strategy::RandomWalk`]) always
-    /// run serially, whatever this says.
+    /// calling thread — no pool. Strategies whose expansion order *is* the
+    /// product ([`Strategy::Beam`], [`Strategy::RandomWalk`]) always run
+    /// serially, whatever this says.
     pub parallelism: usize,
     /// Maximum number of states registered before the run is truncated.
     pub max_states: usize,
@@ -398,36 +408,19 @@ pub struct ExploreConfig {
     /// When set, workers poll this flag between state expansions and abort
     /// the run ([`ExploreStatus::Aborted`]) as soon as it flips.
     pub cancel: Option<CancelToken>,
-    /// How many expansions (per worker) between progress samples published
-    /// to the process `obs` registry — the `explore_states` /
-    /// `explore_frontier` / `explore_depth` / `explore_states_per_sec` /
-    /// `explore_resident_bytes` gauges and the `explore.progress` heartbeat
-    /// trace event, so a 10⁸-state run is observable while it happens. `0`
-    /// disables sampling; the default ([`DEFAULT_PROGRESS_EVERY`]) keeps the
-    /// per-expansion cost to one decrement-and-branch.
-    pub progress_every: usize,
     /// Resident-memory budget in bytes for the exploration's frontier +
-    /// seen-set working set. `None` (the default) keeps everything in RAM;
-    /// `Some(bytes)` makes the id-indexed BFS engine spill cold frontier
-    /// segments to disk once the working set trips the budget (see
-    /// [`crate::memory`]). Ignored by the generic hash engine and by the
-    /// serial non-BFS disciplines, whose frontiers stay resident.
+    /// state-table working set. `None` (the default) keeps everything in
+    /// RAM; `Some(bytes)` makes a breadth-first or parallel run spill cold
+    /// frontier segments to disk once the working set trips the budget.
+    /// Ignored by the serial non-BFS disciplines, whose frontiers order
+    /// their whole pending set and therefore stay resident.
     pub memory_budget: Option<usize>,
     /// Where spilled frontier segments live. `None` (the default) uses a
     /// fresh per-run directory under [`std::env::temp_dir`]; either way the
     /// segments are transient and removed as they stream back (and the run
     /// directory is removed when the exploration finishes).
-    pub spill_dir: Option<std::path::PathBuf>,
-    /// The seen-set structure (default [`SeenSet::Bitmap`]); only observable
-    /// through memory use — complete runs are byte-identical either way.
-    pub seen_set: SeenSet,
+    pub spill_dir: Option<PathBuf>,
 }
-
-/// The default [`ExploreConfig::progress_every`] sampling stride: rare
-/// enough that the gauge stores and clock reads vanish against the cost of
-/// expanding 8192 states, frequent enough that a stuck run is visible
-/// within seconds.
-pub const DEFAULT_PROGRESS_EVERY: usize = 8192;
 
 impl ExploreConfig {
     /// A serial exploration with the given state bound.
@@ -442,10 +435,8 @@ impl ExploreConfig {
             max_states,
             strategy: Strategy::default(),
             cancel: None,
-            progress_every: DEFAULT_PROGRESS_EVERY,
             memory_budget: None,
             spill_dir: None,
-            seen_set: SeenSet::default(),
         }
     }
 
@@ -461,12 +452,6 @@ impl ExploreConfig {
         self
     }
 
-    /// Sets the progress sampling stride (`0` disables sampling).
-    pub fn with_progress_every(mut self, every: usize) -> Self {
-        self.progress_every = every;
-        self
-    }
-
     /// Sets the resident-memory budget in bytes (`None` keeps everything in
     /// RAM; see [`ExploreConfig::memory_budget`]).
     pub fn with_memory_budget(mut self, budget: Option<usize>) -> Self {
@@ -476,25 +461,26 @@ impl ExploreConfig {
 
     /// Sets where spilled frontier segments are written (default: a per-run
     /// directory under [`std::env::temp_dir`]).
-    pub fn with_spill_dir(mut self, dir: std::path::PathBuf) -> Self {
+    pub fn with_spill_dir(mut self, dir: PathBuf) -> Self {
         self.spill_dir = Some(dir);
-        self
-    }
-
-    /// Selects the seen-set structure (see [`SeenSet`]).
-    pub fn with_seen_set(mut self, seen_set: SeenSet) -> Self {
-        self.seen_set = seen_set;
         self
     }
 }
 
-/// The sampled progress reporter: every `every` expansions it publishes the
-/// run's vital signs as process-wide gauges and (when a trace sink is
-/// installed) one `explore.progress` heartbeat event. Off the sampling
-/// points the whole mechanism costs one decrement-and-branch per expansion —
-/// nothing on the hot path allocates, locks or reads a clock.
-pub(crate) struct Progress {
-    every: usize,
+/// Expansions (per worker) between progress samples: rare enough that the
+/// gauge stores and clock reads vanish against the cost of expanding 8192
+/// states, frequent enough that a stuck run is visible within seconds.
+const PROGRESS_EVERY: usize = 8192;
+
+/// A driver's sampled progress reporter: every [`PROGRESS_EVERY`] expansions
+/// it publishes the run's vital signs as process-wide gauges — `explore_states`
+/// / `explore_frontier` / `explore_depth` / `explore_states_per_sec` /
+/// `explore_resident_bytes` — and (when a trace sink is installed) one
+/// `explore.progress` heartbeat event, so a 10⁸-state run is observable while
+/// it happens. Off the sampling points the whole mechanism costs one
+/// decrement-and-branch per expansion — nothing on the hot path allocates,
+/// locks or reads a clock.
+struct Progress {
     countdown: usize,
     last_us: u64,
     last_states: usize,
@@ -507,14 +493,10 @@ pub(crate) struct Progress {
 }
 
 impl Progress {
-    pub(crate) fn new(every: usize) -> Option<Progress> {
-        if every == 0 {
-            return None;
-        }
+    fn new() -> Progress {
         let registry = obs::global();
-        Some(Progress {
-            every,
-            countdown: every,
+        Progress {
+            countdown: PROGRESS_EVERY,
             last_us: registry.now_us(),
             last_states: 0,
             states: registry.gauge("explore_states"),
@@ -523,33 +505,28 @@ impl Progress {
             rate: registry.gauge("explore_states_per_sec"),
             resident: registry.gauge("explore_resident_bytes"),
             expansions: registry.counter("explore_expansions_total"),
-        })
-    }
-
-    /// Publishes the run's current frontier + seen-set working-set size (the
-    /// `explore_resident_bytes` gauge; only the id-indexed engine measures
-    /// it, see [`crate::memory`]).
-    pub(crate) fn set_resident(&self, bytes: u64) {
-        self.resident.set(bytes);
+        }
     }
 
     /// Counts one expansion; `true` when a sample is due.
     #[inline]
-    pub(crate) fn due(&mut self) -> bool {
+    fn due(&mut self) -> bool {
         self.countdown -= 1;
         if self.countdown == 0 {
-            self.countdown = self.every;
+            self.countdown = PROGRESS_EVERY;
             true
         } else {
             false
         }
     }
 
-    /// Publishes one sample. The states/sec figure is measured over the
+    /// Publishes one sample: registered states, pending frontier entries
+    /// (resident or spilled), the depth of the state just expanded, and the
+    /// resident working set. The states/sec figure is measured over the
     /// window since this reporter's previous sample (workers report the
     /// global registered-state count, so the rate approximates the whole
     /// run's, not one worker's share).
-    pub(crate) fn report(&mut self, states: usize, frontier: usize, depth: u32) {
+    fn report(&mut self, states: usize, frontier: usize, depth: u32, resident: usize) {
         let registry = obs::global();
         let now = registry.now_us();
         let window_us = now.saturating_sub(self.last_us).max(1);
@@ -559,7 +536,8 @@ impl Progress {
         self.frontier.set(frontier as u64);
         self.depth.set(u64::from(depth));
         self.rate.set(rate);
-        self.expansions.add(self.every as u64);
+        self.resident.set(resident as u64);
+        self.expansions.add(PROGRESS_EVERY as u64);
         registry.trace_event(
             "explore.progress",
             &[
@@ -571,6 +549,13 @@ impl Progress {
         );
         self.last_us = now;
         self.last_states = states;
+    }
+
+    /// Flushes the expansions counted since the last sample, so
+    /// `explore_expansions_total` is exact for runs of any length.
+    fn finish(self) {
+        self.expansions
+            .add((PROGRESS_EVERY - self.countdown) as u64);
     }
 }
 
@@ -592,15 +577,16 @@ pub enum ExploreStatus {
 /// label)` edge that first reached it, or `None` for the root / orphans.
 pub type DiscoveryTree<L> = Vec<Option<(usize, L)>>;
 
-/// Memory-layer accounting for one exploration (see [`crate::memory`]).
+/// Memory accounting for one exploration.
 ///
-/// Only the id-indexed engine measures these; the generic hash engine
-/// reports all zeros. The same figures are published process-wide as the
+/// The same figures are published process-wide as the
 /// `explore_resident_bytes` gauge and the `spill_segments` / `spill_bytes` /
 /// `spill_reloads` counters of the `obs` registry.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ExploreStats {
-    /// Peak resident bytes of the frontier + seen-set working set.
+    /// Peak resident bytes of the frontier + state-table working set (the
+    /// bitmap table counts its pages; the hash table estimates from its
+    /// entry count).
     pub resident_peak_bytes: u64,
     /// Frontier segments spilled to disk.
     pub spill_segments: u64,
@@ -629,7 +615,7 @@ pub struct Exploration<S, L> {
     /// How the run ended. Cancellation wins over truncation when both
     /// happened; check [`Lts::is_truncated`] for the bound.
     pub status: ExploreStatus,
-    /// Memory-layer accounting (zeros under the generic hash engine).
+    /// Memory accounting.
     pub stats: ExploreStats,
 }
 
@@ -662,17 +648,20 @@ where
     }
 }
 
+// ---------------------------------------------------------------------------
+// Entry points
+// ---------------------------------------------------------------------------
+
 /// Explores the LTS reachable from `initial`, using `config.parallelism`
 /// worker threads and registering at most `config.max_states` states.
 ///
 /// The successor function must be deterministic (same state, same transition
 /// list in the same order); under that assumption a **complete** run returns
-/// an [`Lts`] identical to the one [`Lts::build`](crate::Lts::build)
-/// produces, regardless of the worker count. Truncated runs carry no such
-/// guarantee: which prefix got explored depends on worker scheduling (serial
-/// exploration keeps expanding every registered state, parallel workers quit
-/// as soon as the bound trips), so only the bound itself — never more than
-/// `max_states` registered states — is engine-independent.
+/// the same [`Lts`] regardless of the worker count. Truncated runs carry no
+/// such guarantee: which prefix got explored depends on worker scheduling
+/// (serial exploration keeps expanding every registered state, parallel
+/// workers quit as soon as the bound trips), so only the bound itself — never
+/// more than `max_states` registered states — is engine-independent.
 pub fn explore<S, L, F>(initial: S, succ: F, config: &ExploreConfig) -> Exploration<S, L>
 where
     S: Clone + Eq + Hash + Send + Sync,
@@ -688,7 +677,7 @@ where
 /// ([`ExploreStatus::Cancelled`]).
 ///
 /// The monitor sees the expanded state and its outgoing transitions (targets
-/// as provisional ids — useful for counting, not for indexing). Because
+/// as provisional keys — useful for counting, not for indexing). Because
 /// workers race, a cancelled run's state *set* is nondeterministic; only
 /// complete runs carry the determinism guarantee.
 ///
@@ -752,185 +741,387 @@ where
     M: Fn(&S, &[(L, usize)]) -> bool + Sync,
     H: Fn(&S) -> u64 + Sync,
 {
-    // The initial state is always admitted, whatever the bound (the serial
-    // engine behaves the same way).
-    let max_states = config.max_states.max(1);
-    let cancel = config.cancel.as_ref();
+    run::<HashTable<S>, _, _, _, _, _>(initial, succ, config, monitor, heuristic)
+}
+
+/// [`explore_guided`] on the state table `T` — the one way into the drivers.
+/// The public family above fixes `T` to the hash table, the `TypeLts` /
+/// `TermLts` builders to the bitmap table of the `memory` module.
+pub(crate) fn run<T, S, L, F, M, H>(
+    initial: S,
+    succ: F,
+    config: &ExploreConfig,
+    monitor: M,
+    heuristic: H,
+) -> Exploration<S, L>
+where
+    T: StateTable<State = S>,
+    S: Clone + Eq + Hash + Send + Sync,
+    L: Clone + Send,
+    F: Fn(&S) -> Vec<(L, S)> + Sync,
+    M: Fn(&S, &[(L, usize)]) -> bool + Sync,
+    H: Fn(&S) -> u64 + Sync,
+{
+    let ctl = Control {
+        // The initial state is always admitted, whatever the bound; keys are
+        // 32 bits wide, so no run registers more than `u32::MAX` states.
+        max_states: config.max_states.clamp(1, u32::MAX as usize),
+        cancel: config.cancel.as_ref(),
+        count: AtomicUsize::new(0),
+        truncated: AtomicBool::new(false),
+        decided: AtomicBool::new(false),
+        aborted: AtomicBool::new(false),
+    };
     if config.parallelism <= 1 || config.strategy.forces_serial() {
-        return explore_serial(
-            initial,
-            &succ,
-            config.strategy,
-            max_states,
-            &monitor,
-            &heuristic,
-            cancel,
-            config.progress_every,
-        );
+        explore_serial::<T, _, _, _, _, _>(initial, &succ, config, &ctl, &monitor, &heuristic)
+    } else {
+        explore_parallel::<T, _, _, _, _>(initial, &succ, config, &ctl, &monitor)
     }
-    explore_parallel(
-        initial,
-        &succ,
-        config.parallelism,
-        max_states,
-        &monitor,
-        cancel,
-        config.progress_every,
-    )
 }
 
 // ---------------------------------------------------------------------------
-// Serial path: one thread, frontier order decided by the strategy.
+// The state-table seam
 // ---------------------------------------------------------------------------
 
-#[allow(clippy::too_many_arguments)] // internal: mirrors ExploreConfig field-for-field
-fn explore_serial<S, L, F, M, H>(
-    initial: S,
-    succ: &F,
-    strategy: Strategy,
+/// The seen-set of an exploration, which also resolves keys back to states —
+/// the seam both drivers are generic over. A *key* is the 32-bit name a
+/// frontier entry (in RAM or in a spilled segment) carries for its state.
+///
+/// Two implementations: [`HashTable`] for any hashable state, and the
+/// `memory` module's bitmap `IdTable` for states that carry a dense interner
+/// id. All methods take `&self`: the parallel driver shares one table among
+/// its workers, and the serial driver pays an uncontended lock per call.
+pub(crate) trait StateTable: Sync {
+    /// The states this table registers.
+    type State;
+    /// An empty table sharded for `workers` concurrent registrars.
+    fn new(workers: usize) -> Self;
+    /// Looks `state` up, registering it when absent: its key, and whether
+    /// this call discovered it. A state is only registered once `admit`
+    /// grants it a slot under the state bound — called at most once, under
+    /// the lock that makes lookup-then-insert atomic, and only for an absent
+    /// state; `None` means `admit` refused (the caller drops the edge).
+    fn register(
+        &self,
+        state: &Self::State,
+        admit: impl FnOnce() -> Option<usize>,
+    ) -> Option<(u32, bool)>;
+    /// The state registered under `key`.
+    fn state(&self, key: u32) -> Self::State;
+    /// Bytes the table holds resident (for the memory budget).
+    fn resident_bytes(&self) -> usize;
+}
+
+/// The hash implementation of [`StateTable`]: works for any `S: Eq + Hash`,
+/// and is the reference the bitmap table is differentially tested against.
+/// Keys are the dense numbers `admit` draws from the run's state counter.
+pub(crate) struct HashTable<S> {
+    /// `state -> key`, hash-partitioned. Shard count is a power of two
+    /// several times the worker count, so concurrent registrations of
+    /// distinct states rarely collide on a lock.
+    shards: Vec<Mutex<HashMap<S, u32>>>,
+    /// All shards hash with this one state, so a state's shard and its map
+    /// slot agree across workers.
+    hasher: RandomState,
+    /// `key -> state`, striped by the key's low bits (`stripe = key & mask`,
+    /// `slot = key / stripes`).
+    stripes: Vec<Mutex<Vec<Option<S>>>>,
+    registered: AtomicUsize,
+}
+
+impl<S> StateTable for HashTable<S>
+where
+    S: Clone + Eq + Hash + Send,
+{
+    type State = S;
+
+    fn new(workers: usize) -> Self {
+        let shard_count = (workers * 8).next_power_of_two();
+        HashTable {
+            shards: (0..shard_count)
+                .map(|_| Mutex::new(HashMap::new()))
+                .collect(),
+            hasher: RandomState::new(),
+            stripes: (0..shard_count).map(|_| Mutex::new(Vec::new())).collect(),
+            registered: AtomicUsize::new(0),
+        }
+    }
+
+    fn register(&self, state: &S, admit: impl FnOnce() -> Option<usize>) -> Option<(u32, bool)> {
+        let hash = self.hasher.hash_one(state) as usize;
+        let mut shard = self.shards[hash & (self.shards.len() - 1)].lock();
+        if let Some(&key) = shard.get(state) {
+            return Some((key, false));
+        }
+        let key = u32::try_from(admit()?).expect("the state bound is clamped to u32::MAX");
+        shard.insert(state.clone(), key);
+        let mut stripe = self.stripes[key as usize & (self.stripes.len() - 1)].lock();
+        let slot = key as usize / self.stripes.len();
+        if stripe.len() <= slot {
+            stripe.resize_with(slot + 1, || None);
+        }
+        stripe[slot] = Some(state.clone());
+        self.registered.fetch_add(1, Ordering::Relaxed);
+        Some((key, true))
+    }
+
+    fn state(&self, key: u32) -> S {
+        self.stripes[key as usize & (self.stripes.len() - 1)].lock()
+            [key as usize / self.stripes.len()]
+        .clone()
+        .expect("every frontier key names a registered state")
+    }
+
+    fn resident_bytes(&self) -> usize {
+        // An estimate: each state is held twice (map key, stripe slot).
+        self.registered.load(Ordering::Relaxed)
+            * (2 * std::mem::size_of::<S>() + std::mem::size_of::<u32>())
+    }
+}
+
+// ---------------------------------------------------------------------------
+// What both drivers share: the bound, the outcome, the final assembly
+// ---------------------------------------------------------------------------
+
+/// The run-wide state bound and outcome flags. Both drivers register through
+/// [`Control::admit`] and report through [`Control::status`], so the bound
+/// check and the status precedence exist once.
+struct Control<'a> {
     max_states: usize,
-    monitor: &M,
-    heuristic: &H,
-    cancel: Option<&CancelToken>,
-    progress_every: usize,
+    cancel: Option<&'a CancelToken>,
+    /// Number of registered states. Never exceeds `max_states`.
+    count: AtomicUsize,
+    /// Whether the bound tripped somewhere.
+    truncated: AtomicBool,
+    /// Whether a monitor decided the run early.
+    decided: AtomicBool,
+    /// Whether the external [`CancelToken`] aborted the run.
+    aborted: AtomicBool,
+}
+
+impl Control<'_> {
+    /// Draws the next dense registration number, or records the truncation
+    /// and returns `None` when the bound is exhausted. CAS so `count` never
+    /// exceeds the bound even under races between table shards.
+    fn admit(&self) -> Option<usize> {
+        loop {
+            let n = self.count.load(Ordering::Relaxed);
+            if n >= self.max_states {
+                self.truncated.store(true, Ordering::Relaxed);
+                return None;
+            }
+            if self
+                .count
+                .compare_exchange(n, n + 1, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok()
+            {
+                return Some(n);
+            }
+        }
+    }
+
+    /// Polls the external cancel token, recording an abort when it flipped.
+    fn abort_requested(&self) -> bool {
+        let requested = self.cancel.is_some_and(CancelToken::is_cancelled);
+        if requested {
+            self.aborted.store(true, Ordering::Relaxed);
+        }
+        requested
+    }
+
+    /// External abort wins the status, then monitor cancellation; a bound
+    /// trip that already happened stays visible through the LTS's truncated
+    /// flag.
+    fn status(&self) -> ExploreStatus {
+        if self.aborted.load(Ordering::Relaxed) {
+            ExploreStatus::Aborted
+        } else if self.decided.load(Ordering::Relaxed) {
+            ExploreStatus::Cancelled
+        } else if self.truncated.load(Ordering::Relaxed) {
+            ExploreStatus::Truncated
+        } else {
+            ExploreStatus::Complete
+        }
+    }
+}
+
+/// One expanded state, as recorded by the driver that expanded it: its key
+/// and its transitions (targets as keys in `usize` dress, for the monitor).
+type Record<L> = (u32, Vec<(L, usize)>);
+
+/// Turns a finished run into its [`Exploration`]: numbers the registered
+/// states densely — `records` first, in expansion order, then the `leftover`
+/// keys still pending at an early exit (which keep an empty transition list)
+/// — resolves them through the table, and remaps transition targets from
+/// keys. Every registered key is in exactly one of the two: registering and
+/// enqueueing are never separated by an exit point in either driver.
+///
+/// `fifo_parents` is the serial breadth-first driver's discovery tree: under
+/// FIFO, expansion order *is* discovery order *is* the canonical numbering,
+/// so the dense numbering above is final. Every other run passes `None` and
+/// is renumbered.
+fn assemble<T, S, L>(
+    table: &T,
+    root: u32,
+    records: Vec<Record<L>>,
+    leftover: Vec<u32>,
+    fifo_parents: Option<DiscoveryTree<L>>,
+    ctl: &Control,
+    stats: ExploreStats,
 ) -> Exploration<S, L>
 where
+    T: StateTable<State = S>,
+    S: Clone + Eq + Hash,
+    L: Clone,
+{
+    let mut dense: HashMap<u32, usize> = HashMap::with_capacity(records.len() + leftover.len());
+    let mut states: Vec<S> = Vec::with_capacity(records.len() + leftover.len());
+    for key in records.iter().map(|(key, _)| *key).chain(leftover) {
+        let expanded_or_pending_twice = dense.insert(key, states.len()).is_some();
+        assert!(
+            !expanded_or_pending_twice,
+            "state key {key} left the run twice"
+        );
+        states.push(table.state(key));
+    }
+    let mut transitions: Vec<Vec<(L, usize)>> = records
+        .into_iter()
+        .map(|(_, out)| {
+            out.into_iter()
+                .map(|(label, target)| (label, dense[&(target as u32)]))
+                .collect()
+        })
+        .collect();
+    transitions.resize_with(states.len(), Vec::new);
+
+    // The truncated flag is reported faithfully even when a monitor
+    // cancellation won the status race.
+    let truncated = ctl.truncated.load(Ordering::Relaxed);
+    let (lts, parents) = match fifo_parents {
+        Some(parents) => (Lts::from_parts(states, transitions, truncated), parents),
+        None => renumber(states, transitions, dense[&root], truncated),
+    };
+    Exploration {
+        lts,
+        parents,
+        status: ctl.status(),
+        stats,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The serial driver: one thread, frontier order decided by the strategy.
+// ---------------------------------------------------------------------------
+
+fn explore_serial<T, S, L, F, M, H>(
+    initial: S,
+    succ: &F,
+    config: &ExploreConfig,
+    ctl: &Control,
+    monitor: &M,
+    heuristic: &H,
+) -> Exploration<S, L>
+where
+    T: StateTable<State = S>,
     S: Clone + Eq + Hash,
     L: Clone,
     F: Fn(&S) -> Vec<(L, S)>,
     M: Fn(&S, &[(L, usize)]) -> bool,
     H: Fn(&S) -> u64,
 {
-    let mut states: Vec<S> = Vec::new();
-    let mut index: HashMap<S, usize> = HashMap::new();
-    let mut transitions: Vec<Vec<(L, usize)>> = Vec::new();
-    let mut parents: Vec<Option<(usize, L)>> = Vec::new();
-    // Discovery depth per state (root = 0), kept for progress samples.
-    let mut depths: Vec<u32> = Vec::new();
-    let mut frontier = strategy.frontier();
-    let mut progress = Progress::new(progress_every);
-    let mut truncated = false;
-    let mut cancelled = false;
-    let mut aborted = false;
+    let table = T::new(1);
+    let mut frontier = config
+        .strategy
+        .frontier(config.memory_budget, config.spill_dir.clone());
+    let mut records: Vec<Record<L>> = Vec::new();
+    // FIFO pops make discovery order canonical already (and these parents
+    // the BFS tree), so a breadth-first run skips the renumbering pass; any
+    // other discipline gets its shortest-path parents from `renumber`.
+    let mut fifo_parents: Option<DiscoveryTree<L>> =
+        (config.strategy == Strategy::Bfs).then(|| vec![None]);
+    let mut progress = Progress::new();
+    let mut resident_peak = 0usize;
 
-    frontier.push(0, heuristic(&initial));
-    states.push(initial.clone());
-    index.insert(initial, 0);
-    transitions.push(Vec::new());
-    parents.push(None);
-    depths.push(0);
+    let (root, _) = table
+        .register(&initial, || ctl.admit())
+        .expect("max_states >= 1 admits the initial state");
+    frontier.push((root, 0), heuristic(&initial));
 
-    while let Some(i) = frontier.pop() {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            aborted = true;
+    while !ctl.abort_requested() {
+        let Some((key, depth)) = frontier.pop() else {
             break;
-        }
-        let state = states[i].clone();
-        let mut out = Vec::new();
+        };
+        let state = table.state(key);
+        let mut out: Vec<(L, usize)> = Vec::new();
         for (label, next) in succ(&state) {
-            let j = match index.get(&next) {
-                Some(&j) => j,
-                None => {
-                    if states.len() >= max_states {
-                        // Edge to an unregistered state beyond the bound:
-                        // dropped, exactly as in `Lts::build`.
-                        truncated = true;
-                        continue;
+            // A refused registration is an edge to an unregistered state
+            // beyond the bound: dropped. The serial driver keeps expanding
+            // what it did register.
+            if let Some((target, fresh)) = table.register(&next, || ctl.admit()) {
+                if fresh {
+                    if let Some(parents) = fifo_parents.as_mut() {
+                        parents.push(Some((records.len(), label.clone())));
                     }
-                    let j = states.len();
-                    frontier.push(j, heuristic(&next));
-                    states.push(next.clone());
-                    index.insert(next, j);
-                    transitions.push(Vec::new());
-                    parents.push(Some((i, label.clone())));
-                    depths.push(depths[i] + 1);
-                    j
+                    frontier.push((target, depth + 1), heuristic(&next));
                 }
-            };
-            out.push((label, j));
-        }
-        let decided = monitor(&state, &out);
-        transitions[i] = out;
-        if let Some(progress) = progress.as_mut() {
-            if progress.due() {
-                progress.report(states.len(), frontier.len(), depths[i]);
+                out.push((label, target as usize));
             }
         }
+        let decided = monitor(&state, &out);
+        records.push((key, out));
+        let table_resident = table.resident_bytes();
+        frontier.relieve(table_resident);
+        let resident = table_resident + frontier.resident_bytes();
+        resident_peak = resident_peak.max(resident);
+        if progress.due() {
+            let states = ctl.count.load(Ordering::Relaxed);
+            progress.report(states, frontier.len(), depth, resident);
+        }
         if decided {
-            cancelled = true;
+            ctl.decided.store(true, Ordering::Relaxed);
             break;
         }
     }
+    progress.finish();
 
-    // External abort wins the status, then monitor cancellation; a bound
-    // trip that already happened stays visible through the truncated flag.
-    let status = if aborted {
-        ExploreStatus::Aborted
-    } else if cancelled {
-        ExploreStatus::Cancelled
-    } else if truncated {
-        ExploreStatus::Truncated
-    } else {
-        ExploreStatus::Complete
+    let leftover = std::iter::from_fn(|| frontier.pop())
+        .map(|(key, _)| key)
+        .collect();
+    let stats = ExploreStats {
+        resident_peak_bytes: resident_peak as u64,
+        ..frontier.spill_stats()
     };
-    if strategy == Strategy::Bfs {
-        // FIFO pops make discovery ids canonical already (and `parents` is
-        // the BFS tree): skip the renumbering pass.
-        return Exploration {
-            lts: Lts::from_parts(states, transitions, truncated),
-            parents,
-            status,
-            stats: ExploreStats::default(),
-        };
-    }
-    // Any other discipline discovers in its own order: renumber into the
-    // canonical BFS numbering — a complete run thereby becomes byte-identical
-    // to BFS — and recompute shortest-path parents along the way.
-    let state_of = states.into_iter().map(Some).collect();
-    let (lts, parents) = renumber(state_of, transitions, 0, truncated);
-    Exploration {
-        lts,
-        parents,
-        status,
-        stats: ExploreStats::default(),
-    }
+    assemble(&table, root, records, leftover, fifo_parents, ctl, stats)
 }
 
 // ---------------------------------------------------------------------------
-// Parallel path
+// The parallel driver: work-stealing deques over a shared table.
 // ---------------------------------------------------------------------------
 
-/// One expanded state, as recorded by the worker that expanded it: its
-/// provisional id, the state itself, and its transitions (targets as
-/// provisional ids).
-type Record<S, L> = (usize, S, Vec<(L, usize)>);
-
-/// The sharded seen-set plus the run-wide coordination state.
-struct Shared<S> {
-    /// `state -> provisional id`, hash-partitioned. Shard count is a power of
-    /// two several times the worker count, so concurrent registrations of
-    /// distinct states rarely collide on a lock.
-    shards: Vec<Mutex<HashMap<S, usize>>>,
-    /// All shards hash with this one state, so a state's shard and its map
-    /// slot agree across workers.
-    hasher: RandomState,
-    /// Number of registered states; also the source of provisional ids. Never
-    /// exceeds `max_states`.
-    count: AtomicUsize,
-    /// States registered but not yet expanded (or in flight on a worker).
-    /// Zero means the frontier is globally exhausted.
+/// What the workers of one parallel run share: the table, the work-stealing
+/// frontier with its spill overflow, and the parking lot.
+struct Shared<'a, T> {
+    table: T,
+    ctl: &'a Control<'a>,
+    /// States registered but not yet expanded (in a deque, in the overflow —
+    /// resident or spilled — or in flight on a worker). Zero means the
+    /// frontier is globally exhausted.
     pending: AtomicUsize,
-    /// Cooperative early-exit flag: set on bound trip or monitor decision.
+    /// Cooperative early-exit flag: set on bound trip, monitor decision or
+    /// external abort.
     stop: AtomicBool,
-    /// Whether the bound tripped somewhere.
-    truncated: AtomicBool,
-    /// Whether a monitor decided the run early.
-    cancelled: AtomicBool,
-    /// Whether an external [`CancelToken`] aborted the run.
-    aborted: AtomicBool,
-    /// One work deque per worker — `(provisional id, state, depth)`; owners
-    /// push/pop the back, thieves the front.
-    queues: Vec<Mutex<VecDeque<(usize, S, u32)>>>,
+    /// One work deque per worker; owners push/pop the back, thieves the
+    /// front.
+    queues: Vec<Mutex<VecDeque<Entry>>>,
+    /// Where batches discovered over budget go instead of a deque; dry
+    /// workers stream it back a segment at a time.
+    overflow: Mutex<SpillFrontier>,
+    budget: Option<usize>,
+    /// Frontier entries in RAM (worker deques + the overflow's unspilled
+    /// part).
+    resident_entries: AtomicUsize,
+    /// High-water mark of the resident working set.
+    resident_peak: AtomicUsize,
     /// Parking lot for workers that found no work after a short spin: the
     /// mutex only guards the right to wait, and every state change that can
     /// unblock a waiter (a push, the frontier draining, stop) notifies under
@@ -942,82 +1133,63 @@ struct Shared<S> {
     sleepers: AtomicUsize,
 }
 
-impl<S> Shared<S>
-where
-    S: Clone + Eq + Hash,
-{
-    fn new(workers: usize) -> Self {
-        let shard_count = (workers * 8).next_power_of_two();
-        Shared {
-            shards: (0..shard_count)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            hasher: RandomState::new(),
-            count: AtomicUsize::new(0),
-            pending: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
-            truncated: AtomicBool::new(false),
-            cancelled: AtomicBool::new(false),
-            aborted: AtomicBool::new(false),
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            idle: Mutex::new(()),
-            idle_cv: Condvar::new(),
-            sleepers: AtomicUsize::new(0),
-        }
+impl<T: StateTable> Shared<'_, T> {
+    fn resident_bytes(&self) -> usize {
+        self.table.resident_bytes() + self.resident_entries.load(Ordering::Relaxed) * ENTRY_BYTES
     }
 
-    fn shard_of(&self, state: &S) -> usize {
-        (self.hasher.hash_one(state) as usize) & (self.shards.len() - 1)
-    }
-
-    /// Registers a state, returning its provisional id and whether this call
-    /// discovered it. `None` means the state bound is exhausted (the caller
-    /// drops the edge, mirroring the serial engine).
-    fn register(&self, state: &S, max_states: usize) -> Option<(usize, bool)> {
-        let mut shard = self.shards[self.shard_of(state)].lock();
-        if let Some(&id) = shard.get(state) {
-            return Some((id, false));
+    /// Publishes a batch of freshly registered entries: onto the worker's
+    /// own deque, or — when that would put the working set over budget —
+    /// onto the overflow, which spills full chunks to disk.
+    fn enqueue(&self, me: usize, batch: Vec<Entry>) {
+        let n = batch.len();
+        self.pending.fetch_add(n, Ordering::SeqCst);
+        self.resident_entries.fetch_add(n, Ordering::Relaxed);
+        if self.budget.is_some_and(|b| self.resident_bytes() > b) {
+            let spilled = self.overflow.lock().push_batch(batch);
+            self.resident_entries.fetch_sub(spilled, Ordering::Relaxed);
+        } else {
+            self.queues[me].lock().extend(batch);
         }
-        // Draw a dense id; CAS so `count` never exceeds the bound even under
-        // races between shards.
-        loop {
-            let n = self.count.load(Ordering::Relaxed);
-            if n >= max_states {
-                self.truncated.store(true, Ordering::Relaxed);
-                // SeqCst pairs with the SeqCst re-checks in `park`: a parking
-                // worker either sees this store or its sleepers registration
-                // is seen by `wake_sleepers` — never neither.
-                self.stop.store(true, Ordering::SeqCst);
-                self.wake_sleepers();
-                return None;
-            }
-            if self
-                .count
-                .compare_exchange(n, n + 1, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-            {
-                shard.insert(state.clone(), n);
-                return Some((n, true));
-            }
-        }
+        self.resident_peak
+            .fetch_max(self.resident_bytes(), Ordering::Relaxed);
+        self.wake_sleepers();
     }
 
     /// Pops work: the worker's own deque first (LIFO — newest task from the
-    /// back, where `worker` pushes), then a sweep stealing the *oldest* task
+    /// back, where `enqueue` pushes), then a sweep stealing the *oldest* task
     /// from the front of every sibling — the standard work-stealing
     /// discipline (owners stay cache-warm, thieves take the work most likely
-    /// to fan out).
-    fn find_work(&self, me: usize) -> Option<(usize, S, u32)> {
-        if let Some(task) = self.queues[me].lock().pop_back() {
-            return Some(task);
-        }
-        for offset in 1..self.queues.len() {
-            let victim = (me + offset) % self.queues.len();
-            if let Some(task) = self.queues[victim].lock().pop_front() {
-                return Some(task);
-            }
-        }
-        None
+    /// to fan out) — then the overflow's oldest batch.
+    fn find_work(&self, me: usize) -> Option<Entry> {
+        let own = self.queues[me].lock().pop_back();
+        let task = own
+            .or_else(|| {
+                let n = self.queues.len();
+                (1..n).find_map(|offset| self.queues[(me + offset) % n].lock().pop_front())
+            })
+            .or_else(|| {
+                let (entries, from_disk) = self.overflow.lock().take_batch()?;
+                // Unspilled entries were already counted resident; reloaded
+                // ones re-enter RAM now. One stays out of the deque as our
+                // task.
+                self.resident_entries
+                    .fetch_add(from_disk, Ordering::Relaxed);
+                let mut queue = self.queues[me].lock();
+                queue.extend(entries);
+                queue.pop_back()
+            })?;
+        self.resident_entries.fetch_sub(1, Ordering::Relaxed);
+        Some(task)
+    }
+
+    /// Ends the run early: every worker stops at its next loop head.
+    fn halt(&self) {
+        // SeqCst pairs with the SeqCst re-checks in `park`: a parking worker
+        // either sees this store or its sleepers registration is seen by
+        // `wake_sleepers` — never neither.
+        self.stop.store(true, Ordering::SeqCst);
+        self.wake_sleepers();
     }
 
     /// Wakes parked workers after a state change that could unblock them.
@@ -1037,7 +1209,7 @@ where
     /// sleeper, and every producer either notifies under the same lock or
     /// published its change before reading `sleepers == 0`, so a wakeup
     /// cannot slip through between the check and the wait.
-    fn park(&self, me: usize) -> Option<(usize, S, u32)> {
+    fn park(&self, me: usize) -> Option<Entry> {
         let mut guard = self.idle.lock();
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         let found = loop {
@@ -1054,106 +1226,74 @@ where
     }
 }
 
-fn explore_parallel<S, L, F, M>(
+fn explore_parallel<T, S, L, F, M>(
     initial: S,
     succ: &F,
-    workers: usize,
-    max_states: usize,
+    config: &ExploreConfig,
+    ctl: &Control,
     monitor: &M,
-    cancel: Option<&CancelToken>,
-    progress_every: usize,
 ) -> Exploration<S, L>
 where
+    T: StateTable<State = S>,
     S: Clone + Eq + Hash + Send + Sync,
     L: Clone + Send,
     F: Fn(&S) -> Vec<(L, S)> + Sync,
     M: Fn(&S, &[(L, usize)]) -> bool + Sync,
 {
-    let shared: Shared<S> = Shared::new(workers);
-
+    let workers = config.parallelism;
+    let shared = Shared {
+        table: T::new(workers),
+        ctl,
+        pending: AtomicUsize::new(1),
+        stop: AtomicBool::new(false),
+        queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+        // The workers decide when a batch is over budget; the overflow has
+        // no budget of its own.
+        overflow: Mutex::new(SpillFrontier::new(None, config.spill_dir.clone())),
+        budget: config.memory_budget,
+        resident_entries: AtomicUsize::new(1),
+        resident_peak: AtomicUsize::new(0),
+        idle: Mutex::new(()),
+        idle_cv: Condvar::new(),
+        sleepers: AtomicUsize::new(0),
+    };
     let (root, _) = shared
-        .register(&initial, max_states)
+        .table
+        .register(&initial, || ctl.admit())
         .expect("max_states >= 1 admits the initial state");
-    shared.pending.store(1, Ordering::Relaxed);
-    shared.queues[0].lock().push_back((root, initial, 0));
+    shared.queues[0].lock().push_back((root, 0));
 
-    let mut records: Vec<Record<S, L>> = Vec::new();
+    let mut records: Vec<Record<L>> = Vec::new();
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for me in 0..workers {
-            let shared = &shared;
-            handles.push(scope.spawn(move || {
-                worker(
-                    me,
-                    shared,
-                    succ,
-                    monitor,
-                    max_states,
-                    cancel,
-                    progress_every,
-                )
-            }));
-        }
+        let shared = &shared;
+        let handles: Vec<_> = (0..workers)
+            .map(|me| scope.spawn(move || worker(me, shared, succ, monitor)))
+            .collect();
         for handle in handles {
             records.extend(handle.join().expect("exploration worker panicked"));
         }
     });
 
-    let status = if shared.aborted.load(Ordering::Relaxed) {
-        ExploreStatus::Aborted
-    } else if shared.cancelled.load(Ordering::Relaxed) {
-        ExploreStatus::Cancelled
-    } else if shared.truncated.load(Ordering::Relaxed) {
-        ExploreStatus::Truncated
-    } else {
-        ExploreStatus::Complete
+    // Registered states still pending at the exit: whatever remains on the
+    // worker deques and in the overflow (in RAM or on disk).
+    let mut leftover: Vec<u32> = Vec::new();
+    for queue in &shared.queues {
+        leftover.extend(queue.lock().drain(..).map(|(key, _)| key));
+    }
+    let mut overflow = shared.overflow.lock();
+    leftover.extend(std::iter::from_fn(|| overflow.pop()).map(|(key, _)| key));
+    let stats = ExploreStats {
+        resident_peak_bytes: shared.resident_peak.load(Ordering::Relaxed) as u64,
+        ..overflow.spill_stats()
     };
-
-    let count = shared.count.load(Ordering::Relaxed);
-    // Reunite each registered state with its expansion record (unexpanded
-    // frontier states keep an empty transition list, as in the serial engine).
-    let mut state_of: Vec<Option<S>> = vec![None; count];
-    let mut trans_of: Vec<Vec<(L, usize)>> = (0..count).map(|_| Vec::new()).collect();
-    for (pid, state, trans) in records {
-        state_of[pid] = Some(state);
-        trans_of[pid] = trans;
-    }
-    for shard in &shared.shards {
-        for (state, &pid) in shard.lock().iter() {
-            if state_of[pid].is_none() {
-                state_of[pid] = Some(state.clone());
-            }
-        }
-    }
-
-    // The truncated flag is reported faithfully even when a monitor
-    // cancellation won the status race.
-    let (lts, parents) = renumber(
-        state_of,
-        trans_of,
-        root,
-        shared.truncated.load(Ordering::Relaxed),
-    );
-    Exploration {
-        lts,
-        parents,
-        status,
-        stats: ExploreStats::default(),
-    }
+    // Work stealing discovers in a scheduling-dependent order: canonical
+    // renumbering erases it entirely.
+    assemble(&shared.table, root, records, leftover, None, ctl, stats)
 }
 
-#[allow(clippy::too_many_arguments)] // internal: one slot per shared knob
-fn worker<S, L, F, M>(
-    me: usize,
-    shared: &Shared<S>,
-    succ: &F,
-    monitor: &M,
-    max_states: usize,
-    cancel: Option<&CancelToken>,
-    progress_every: usize,
-) -> Vec<Record<S, L>>
+fn worker<T, S, L, F, M>(me: usize, shared: &Shared<T>, succ: &F, monitor: &M) -> Vec<Record<L>>
 where
-    S: Clone + Eq + Hash,
+    T: StateTable<State = S>,
     L: Clone,
     F: Fn(&S) -> Vec<(L, S)>,
     M: Fn(&S, &[(L, usize)]) -> bool,
@@ -1163,20 +1303,19 @@ where
     // busy graph, small enough that chain-shaped graphs do not burn cores.
     const IDLE_SPINS: usize = 32;
 
+    let ctl = shared.ctl;
     let mut records = Vec::new();
     let mut spins = 0usize;
-    let mut progress = Progress::new(progress_every);
+    let mut progress = Progress::new();
     loop {
         if shared.stop.load(Ordering::Relaxed) {
             break;
         }
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            shared.aborted.store(true, Ordering::Relaxed);
-            shared.stop.store(true, Ordering::SeqCst);
-            shared.wake_sleepers();
+        if ctl.abort_requested() {
+            shared.halt();
             break;
         }
-        let Some((pid, state, depth)) = shared.find_work(me).or_else(|| {
+        let Some((key, depth)) = shared.find_work(me).or_else(|| {
             if shared.pending.load(Ordering::Relaxed) == 0 {
                 return None;
             }
@@ -1194,60 +1333,58 @@ where
             continue;
         };
         spins = 0;
-        let mut out = Vec::new();
-        {
-            let mut queue = Vec::new();
-            for (label, next) in succ(&state) {
-                // A `None` register means the bound is exhausted: the edge is
-                // dropped, like the serial engine's edges to never-registered
-                // states.
-                if let Some((target, fresh)) = shared.register(&next, max_states) {
-                    out.push((label, target));
+        let state = shared.table.state(key);
+        let mut out: Vec<(L, usize)> = Vec::new();
+        let mut batch: Vec<Entry> = Vec::new();
+        for (label, next) in succ(&state) {
+            match shared.table.register(&next, || ctl.admit()) {
+                Some((target, fresh)) => {
+                    out.push((label, target as usize));
                     if fresh {
-                        queue.push((target, next, depth + 1));
+                        batch.push((target, depth + 1));
                     }
                 }
+                // The bound is exhausted: the edge is dropped, like the
+                // serial driver's, and the whole run winds down.
+                None => shared.halt(),
             }
-            if !queue.is_empty() {
-                shared.pending.fetch_add(queue.len(), Ordering::SeqCst);
-                shared.queues[me].lock().extend(queue);
-                shared.wake_sleepers();
-            }
+        }
+        if !batch.is_empty() {
+            shared.enqueue(me, batch);
         }
         if monitor(&state, &out) {
-            shared.cancelled.store(true, Ordering::Relaxed);
-            shared.stop.store(true, Ordering::SeqCst);
-            shared.wake_sleepers();
+            ctl.decided.store(true, Ordering::Relaxed);
+            shared.halt();
         }
-        records.push((pid, state, out));
-        if let Some(progress) = progress.as_mut() {
-            if progress.due() {
-                // Sampled from the shared atomics: registered states and the
-                // global frontier, plus this worker's current task depth.
-                progress.report(
-                    shared.count.load(Ordering::Relaxed),
-                    shared.pending.load(Ordering::Relaxed),
-                    depth,
-                );
-            }
+        records.push((key, out));
+        if progress.due() {
+            // Sampled from the shared atomics: registered states and the
+            // global frontier, plus this worker's current task depth.
+            progress.report(
+                ctl.count.load(Ordering::Relaxed),
+                shared.pending.load(Ordering::Relaxed),
+                depth,
+                shared.resident_bytes(),
+            );
         }
         if shared.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
             // Frontier drained: wake everyone for the final exit check.
             shared.wake_sleepers();
         }
     }
+    progress.finish();
     records
 }
 
-/// Renumbers provisional ids into canonical ids by a deterministic BFS from
-/// the root over the recorded transition lists, then rebuilds the state and
-/// transition tables in canonical order. Since the successor function is
-/// deterministic, this reproduces exactly the numbering the serial BFS of
-/// [`Lts::build`](crate::Lts::build) would have assigned. The same BFS also
-/// yields the discovery tree returned alongside (each state's first-reaching
-/// edge — a shortest path within the explored subgraph).
-pub(crate) fn renumber<S, L>(
-    state_of: Vec<Option<S>>,
+/// Renumbers provisional indices into canonical ids by a deterministic BFS
+/// from the root over the recorded transition lists, then rebuilds the state
+/// and transition tables in canonical order. Since the successor function is
+/// deterministic, this reproduces exactly the numbering a serial
+/// breadth-first run assigns. The same BFS also yields the discovery tree
+/// returned alongside (each state's first-reaching edge — a shortest path
+/// within the explored subgraph).
+fn renumber<S, L>(
+    state_of: Vec<S>,
     trans_of: Vec<Vec<(L, usize)>>,
     root: usize,
     truncated: bool,
@@ -1277,7 +1414,7 @@ where
 
     // Every registered state was discovered through a recorded edge, so the
     // BFS covers all of them — except when an early exit left a discoverer's
-    // record unwritten. Append such orphans in provisional-id order; they only
+    // record unwritten. Append such orphans in provisional order; they only
     // occur on truncated/cancelled runs, which carry no determinism guarantee
     // (their parent edge stays `None`).
     for (pid, c) in canon.iter_mut().enumerate() {
@@ -1291,11 +1428,7 @@ where
     let mut transitions = Vec::with_capacity(n);
     let mut parents = Vec::with_capacity(n);
     for &pid in &order {
-        states.push(
-            state_of[pid]
-                .clone()
-                .expect("every provisional id names a registered state"),
-        );
+        states.push(state_of[pid].clone());
         transitions.push(
             trans_of[pid]
                 .iter()
@@ -1314,6 +1447,50 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memory::IdTable;
+
+    fn assert_same_exploration<S, L>(a: &Exploration<S, L>, b: &Exploration<S, L>, what: &str)
+    where
+        S: Clone + Eq + Hash + fmt::Debug,
+        L: Clone + PartialEq + fmt::Debug,
+    {
+        assert_eq!(a.status, b.status, "{what}");
+        assert_eq!(a.lts.is_truncated(), b.lts.is_truncated(), "{what}");
+        assert_eq!(a.lts.states(), b.lts.states(), "{what}");
+        for i in 0..a.lts.num_states() {
+            assert_eq!(
+                a.lts.transitions_from(i),
+                b.lts.transitions_from(i),
+                "state {i}, {what}"
+            );
+        }
+        assert_eq!(a.parents, b.parents, "{what}");
+    }
+
+    /// Runs one search on the hash table and on the bitmap table (`u32`
+    /// states are their own ids) and checks that the two explorations are
+    /// identical — which, on a run that ends early, means the two expanded
+    /// in exactly the same order. Only meaningful for serial runs and for
+    /// complete ones: early exits under workers are scheduling-dependent.
+    fn on_both_tables<L, F, M, H>(
+        initial: u32,
+        succ: F,
+        config: &ExploreConfig,
+        monitor: M,
+        heuristic: H,
+    ) -> Exploration<u32, L>
+    where
+        L: Clone + Send + PartialEq + fmt::Debug,
+        F: Fn(&u32) -> Vec<(L, u32)> + Sync,
+        M: Fn(&u32, &[(L, usize)]) -> bool + Sync,
+        H: Fn(&u32) -> u64 + Sync,
+    {
+        let hash = explore_guided(initial, &succ, config, &monitor, &heuristic);
+        let bitmap =
+            run::<IdTable<u32>, _, _, _, _, _>(initial, &succ, config, &monitor, &heuristic);
+        assert_same_exploration(&hash, &bitmap, "hash vs bitmap table");
+        hash
+    }
 
     /// A diamond-heavy graph: from `(a, b)` either coordinate can step down,
     /// so the same states are reachable along many interleavings — exactly
@@ -1573,33 +1750,41 @@ mod tests {
     fn guided_beam_finds_a_deep_needle_early() {
         // A needle chain of depth 600 hidden among 64 equally deep hay
         // chains: BFS must advance every chain in lock-step, the beam dives
-        // straight down the needle because the heuristic prefers it.
-        let succ = |s: &(u64, u64)| {
-            let (kind, n) = *s;
-            match kind {
-                // Root: the needle plus the heads of 64 hay chains.
-                0 if n == 0 => {
-                    let mut out = vec![("needle", (1u64, 1u64))];
-                    out.extend((0..64).map(|k| ("hay", (2, k))));
-                    out
-                }
-                // The needle: a single deep chain.
-                1 if n < 600 => vec![("needle", (1, n + 1))],
-                // Hay chain `n % 64`, also 600 states deep.
-                2 if n < 64 * 600 => vec![("hay", (2, n + 64))],
-                _ => vec![],
+        // straight down the needle because the heuristic prefers it. States
+        // are `u32`s — the root 0, needle state n at NEEDLE + n, hay state n
+        // (chain `n % 64`) at HAY + n — so the same search runs on both
+        // state tables and must expand in the same order on each.
+        const NEEDLE: u32 = 1_000_000;
+        const HAY: u32 = 2_000_000;
+        let succ = |s: &u32| match *s {
+            // Root: the needle plus the heads of 64 hay chains.
+            0 => {
+                let mut out = vec![("needle", NEEDLE + 1)];
+                out.extend((0..64).map(|k| ("hay", HAY + k)));
+                out
             }
+            // The needle: a single deep chain.
+            s if (NEEDLE..HAY).contains(&s) && s - NEEDLE < 600 => vec![("needle", s + 1)],
+            // Hay chain `n % 64`, also 600 states deep.
+            s if s >= HAY && s - HAY < 64 * 600 => vec![("hay", s + 64)],
+            _ => vec![],
         };
-        let goal = |s: &(u64, u64), _: &[(&str, usize)]| *s == (1, 600);
-        let bfs = explore_until((0u64, 0u64), succ, &ExploreConfig::serial(usize::MAX), goal);
+        let goal = |s: &u32, _: &[(&str, usize)]| *s == NEEDLE + 600;
+        let bfs = on_both_tables(0, succ, &ExploreConfig::serial(usize::MAX), goal, |_| 0);
         assert_eq!(bfs.status, ExploreStatus::Cancelled);
-        let beam = explore_guided(
-            (0u64, 0u64),
+        let beam = on_both_tables(
+            0,
             succ,
             &ExploreConfig::serial(usize::MAX).with_strategy(Strategy::Beam { width: 4 }),
             goal,
             // Prefer needle states, deepest first.
-            |s: &(u64, u64)| if s.0 == 1 { 1_000 - s.1 } else { 10_000 },
+            |s: &u32| {
+                if (NEEDLE..HAY).contains(s) {
+                    1_000 - u64::from(s - NEEDLE)
+                } else {
+                    10_000
+                }
+            },
         );
         assert_eq!(beam.status, ExploreStatus::Cancelled);
         assert!(
@@ -1610,7 +1795,7 @@ mod tests {
         );
         // The witness trace replays from the root down the needle.
         let violating = (0..beam.lts.num_states())
-            .find(|&i| *beam.lts.state(i) == (1, 600))
+            .find(|&i| *beam.lts.state(i) == NEEDLE + 600)
             .expect("the goal state was registered");
         let trace = beam.trace_to(violating).expect("goal has a recorded path");
         assert_eq!(trace.len(), 600);
@@ -1620,21 +1805,133 @@ mod tests {
 
     #[test]
     fn random_walk_is_deterministic_per_seed() {
-        let fan = |s: &u64| {
+        let fan = |s: &u32| {
             if *s < 4_000 {
-                (1..=3u64).map(|k| ("step", s * 3 + k)).collect()
+                (1..=3u32).map(|k| ("step", s * 3 + k)).collect()
             } else {
                 Vec::new()
             }
         };
+        // A bounded (early-exit) run on each state table, serial whatever the
+        // config asks for: the same seed walks the same prefix on both.
         let run = |seed: u64| {
             let config = ExploreConfig::new(4, 500).with_strategy(Strategy::RandomWalk { seed });
-            explore(0u64, fan, &config)
+            on_both_tables(0, fan, &config, |_: &u32, _: &[(&str, usize)]| false, |_| 0)
         };
         let (a, b) = (run(7), run(7));
-        assert_eq!(a.status, b.status);
-        assert_eq!(a.lts.states(), b.lts.states(), "same seed, same prefix");
-        assert_eq!(a.lts.num_transitions(), b.lts.num_transitions());
+        assert_eq!(a.status, ExploreStatus::Truncated);
+        assert_same_exploration(&a, &b, "same seed, same prefix");
+        assert_ne!(
+            a.lts.states(),
+            run(8).lts.states(),
+            "another seed walks another prefix"
+        );
+    }
+
+    #[test]
+    fn dfs_dives_in_the_same_order_on_both_tables() {
+        // Depth-first search for a deep leaf of a binary fan: it ends early,
+        // so the explored prefix is the dive itself.
+        let fan = |s: &u32| {
+            if *s < 50_000 {
+                vec![("l", 2 * *s + 1), ("r", 2 * *s + 2)]
+            } else {
+                Vec::new()
+            }
+        };
+        let dfs = on_both_tables(
+            0,
+            fan,
+            &ExploreConfig::serial(usize::MAX).with_strategy(Strategy::Dfs),
+            |s: &u32, _: &[(&str, usize)]| *s >= 50_000,
+            |_| 0,
+        );
+        assert_eq!(dfs.status, ExploreStatus::Cancelled);
+        assert!(dfs.lts.num_states() < 100, "{}", dfs.lts.num_states());
+    }
+
+    #[test]
+    fn every_strategy_worker_count_and_budget_matches_the_oracle_on_both_tables() {
+        // The whole selection matrix against the independent `Lts::build`:
+        // strategy x {serial, 4 workers} x {unbudgeted, a budget everything
+        // is over} x {hash table, bitmap table}. Wide enough (a 10k-entry
+        // frontier) that the budgeted FIFO really spills.
+        let fan = |s: &u32| {
+            if *s < 10_000 {
+                vec![("l", 2 * *s + 1), ("r", 2 * *s + 2)]
+            } else {
+                Vec::new()
+            }
+        };
+        let oracle = Lts::build(0u32, fan, 1_000_000);
+        let strategies = [
+            Strategy::Bfs,
+            Strategy::Dfs,
+            Strategy::Beam { width: 3 },
+            Strategy::RandomWalk { seed: 42 },
+        ];
+        for strategy in strategies {
+            for workers in [1, 4] {
+                for budget in [None, Some(0)] {
+                    let what = format!("{strategy}, workers={workers}, budget={budget:?}");
+                    let config = ExploreConfig::new(workers, 1_000_000)
+                        .with_strategy(strategy)
+                        .with_memory_budget(budget);
+                    let ex = on_both_tables(
+                        0,
+                        fan,
+                        &config,
+                        |_: &u32, _: &[(&str, usize)]| false,
+                        |_| 0,
+                    );
+                    assert_eq!(ex.status, ExploreStatus::Complete, "{what}");
+                    assert_eq!(ex.lts.states(), oracle.states(), "{what}");
+                    for i in 0..oracle.num_states() {
+                        assert_eq!(
+                            ex.lts.transitions_from(i),
+                            oracle.transitions_from(i),
+                            "state {i}, {what}"
+                        );
+                    }
+                    for target in (0..oracle.num_states()).step_by(997) {
+                        assert_eq!(ex.trace_to(target), oracle.path_to(target), "{what}");
+                    }
+                    // Only a FIFO spills serially; the in-RAM disciplines
+                    // ignore the budget.
+                    if workers == 1 {
+                        let spills = budget.is_some() && strategy == Strategy::Bfs;
+                        assert_eq!(ex.stats.spill_segments > 0, spills, "{what}");
+                    }
+                    assert_eq!(ex.stats.spill_reloads, ex.stats.spill_segments, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn expansions_total_counts_runs_shorter_than_a_sample_stride() {
+        // The counter is process-wide and monotone, and concurrently running
+        // tests only ever add to it: "grew by at least N" cannot flake.
+        let counter = obs::global().counter("explore_expansions_total");
+        let chain = |s: &u32| {
+            if *s < 1_000 {
+                vec![("inc", s + 1)]
+            } else {
+                vec![]
+            }
+        };
+        for workers in [1, 4] {
+            let before = counter.get();
+            let ex = explore(0u32, chain, &ExploreConfig::new(workers, usize::MAX));
+            assert_eq!(ex.status, ExploreStatus::Complete);
+            assert!(ex.lts.num_states() < PROGRESS_EVERY);
+            assert!(
+                counter.get() - before >= ex.lts.num_states() as u64,
+                "workers={workers}: {} expansions counted for {} states",
+                counter.get() - before,
+                ex.lts.num_states()
+            );
+        }
     }
 
     #[test]
@@ -1667,13 +1964,15 @@ mod tests {
 
     #[test]
     fn beam_frontier_is_lossless_under_overflow() {
-        let mut beam = Strategy::Beam { width: 2 }.frontier();
-        for id in 0..100 {
-            beam.push(id, 1_000 - id as u64);
+        let mut beam = Strategy::Beam { width: 2 }.frontier(None, None);
+        for key in 0..100 {
+            beam.push((key, 0), 1_000 - u64::from(key));
         }
         assert_eq!(beam.len(), 100);
-        let mut popped: Vec<usize> = std::iter::from_fn(|| beam.pop()).collect();
-        assert!(beam.is_empty());
+        let mut popped: Vec<u32> = std::iter::from_fn(|| beam.pop())
+            .map(|(key, _)| key)
+            .collect();
+        assert_eq!(beam.len(), 0);
         popped.sort_unstable();
         assert_eq!(popped, (0..100).collect::<Vec<_>>());
     }

@@ -5,16 +5,15 @@
 //! produce an [`Lts`]; the µ-calculus property checkers in the `mucalc` crate
 //! operate on this representation.
 
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::hash::Hash;
 
 /// An explicit-state labelled transition system with states of type `S` and
 /// labels of type `L`.
 ///
-/// The state space is produced by [`Lts::build`], which performs a breadth-
-/// first exploration bounded by a maximum number of states (mirroring the
-/// paper's note in Fig. 9 that some LTSs are "too big to fit in memory").
+/// The state space is produced by the exploration engine of
+/// [`mod@crate::explore`], bounded by a maximum number of states (mirroring
+/// the paper's note in Fig. 9 that some LTSs are "too big to fit in memory").
 #[derive(Clone, Debug)]
 pub struct Lts<S, L> {
     states: Vec<S>,
@@ -29,15 +28,20 @@ where
     L: Clone,
 {
     /// Explores the LTS reachable from `initial` using the successor function
-    /// `succ`, visiting at most `max_states` states.
+    /// `succ`, visiting at most `max_states` states: a plain single-threaded
+    /// BFS that shares no code with [`mod@crate::explore`], kept as the
+    /// independent oracle this crate's unit tests compare the engine against.
     ///
     /// If the bound is reached, exploration stops and [`Lts::is_truncated`]
     /// returns `true`; transitions out of unexplored frontier states are
     /// dropped (states already discovered keep their index).
-    pub fn build<F>(initial: S, mut succ: F, max_states: usize) -> Self
+    #[cfg(test)]
+    pub(crate) fn build<F>(initial: S, mut succ: F, max_states: usize) -> Self
     where
         F: FnMut(&S) -> Vec<(L, S)>,
     {
+        use std::collections::HashMap;
+
         let mut states: Vec<S> = Vec::new();
         let mut index: HashMap<S, usize> = HashMap::new();
         let mut transitions: Vec<Vec<(L, usize)>> = Vec::new();
@@ -87,8 +91,8 @@ where
         }
     }
 
-    /// Assembles an LTS from pre-built tables (used by the parallel
-    /// exploration engine in [`mod@crate::explore`] after canonical renumbering).
+    /// Assembles an LTS from pre-built tables (used by the exploration
+    /// engine in [`mod@crate::explore`], in canonical numbering).
     /// State `0` is the initial state; `transitions[i]` are the outgoing
     /// edges of state `i`.
     pub(crate) fn from_parts(
@@ -239,7 +243,7 @@ where
     }
 
     /// The set of states reachable from the initial state (always all of them
-    /// right after [`Lts::build`], but possibly fewer after
+    /// in a freshly explored LTS, but possibly fewer after
     /// [`Lts::filter_edges`]).
     pub fn reachable(&self) -> Vec<usize> {
         let mut seen = vec![false; self.states.len()];

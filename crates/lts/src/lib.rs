@@ -15,6 +15,16 @@
 //! Def. 4.8 (input/output *uses* of a variable) and Def. 4.9 (the `↑Γ Y`
 //! interface-limiting operator) needed by the Fig. 7 property templates.
 //!
+//! Both are built by the one exploration engine of [`mod@explore`]: a serial
+//! and a parallel driver, run as an [`ExploreConfig`] says. The [`explore()`]
+//! family offers the same engine to any hashable state type; the two
+//! builders, whose states are interner references, run it on a ~1 bit/state
+//! bitmap seen-set instead of a hash table (the private `memory` module,
+//! which also holds the disk-spilling frontier behind
+//! [`ExploreConfig::memory_budget`]). Which structures a run uses follows
+//! from the state type and the config — [`mod@explore`] states the rule —
+//! and is never observable in a complete run's result.
+//!
 //! ## Example: the ping-pong type of Ex. 4.3
 //!
 //! ```
@@ -38,17 +48,16 @@
 pub mod explore;
 mod generic;
 mod label;
-pub mod memory;
+mod memory;
 mod term_lts;
 mod type_lts;
 
 pub use explore::{
     explore, explore_guided, explore_until, CancelToken, Exploration, ExploreConfig, ExploreStats,
-    ExploreStatus, FrontierDiscipline, SeenSet, Strategy,
+    ExploreStatus, Strategy,
 };
 pub use generic::Lts;
 pub use label::{TermLabel, TypeLabel};
-pub use memory::{explore_indexed_guided, IdSeenSet, IndexedState};
 pub use term_lts::TermLts;
 pub use type_lts::{
     is_imprecise_comm, is_input_use, is_output_use, restrict_to_interfaces, type_priority,

@@ -1,74 +1,61 @@
-//! The exploration engine's memory layer: id-indexed seen-sets and
-//! disk-spilling frontiers — out-of-core state-space exploration.
+//! The exploration engine's memory layer: the data structures that make
+//! exploration out-of-core, and nothing else — the loops that drive them live
+//! in [`mod@crate::explore`].
 //!
-//! The generic engine of [`mod@crate::explore`] stores every discovered
-//! state in a hash-sharded map and the whole frontier in RAM, so a model
-//! either fits or dies with `StateSpaceTooLarge`. But the states the
-//! verifier actually explores are hash-consed interner references
-//! (`TyRef`/`TermRef`) whose identity is a *dense 32-bit id* — density a
-//! hash table wastes. This module exploits it, SPIN-style:
+//! The states the verifier explores are hash-consed interner references
+//! (`TyRef`/`TermRef`) whose identity is a *dense 32-bit id* — density a hash
+//! table wastes. This module exploits it, SPIN-style:
 //!
-//! * **[`IdSeenSet`]** — a two-level bitmap: lazily allocated 8 KiB pages of
+//! * **[`IdBitmap`]** — a two-level bitmap: lazily allocated 8 KiB pages of
 //!   `u64` words, one bit per id, 64Ki ids per page. Membership is one
 //!   shift+mask instead of hash+probe, and memory drops from ~48 bytes per
 //!   state (hash-map entry + handle) to ~1.03 bits per state on dense id
-//!   ranges. The parallel engine shards the page directory by page index so
-//!   registrations of distant ids never contend on a lock.
-//! * **Spill frontier** — under an [`ExploreConfig::memory_budget`], cold
-//!   frontier segments are serialized to disk (fixed-width `u32 id` +
-//!   `u32 depth` little-endian records, FNV-1a-64-checksummed like
-//!   `effpi-store`'s log) and streamed back FIFO as workers drain. Because
-//!   segments spill and reload in discovery order, serial BFS order — and
-//!   with it determinism and witness minimality — is preserved exactly; a
-//!   truncated or corrupt segment fails the run loudly (a panic naming the
-//!   segment) rather than silently dropping frontier states.
-//! * **[`explore_indexed_guided`]** — the engine entry point the `TypeLts` /
-//!   `TermLts` builders use. It keeps every contract of the generic engine:
-//!   complete runs are canonically renumbered and byte-identical to the
-//!   serial hash-engine BFS, whatever the worker count, the seen-set
-//!   structure, or the spill activity. The generic hash engine remains in
-//!   place for arbitrary state types, for the serial non-BFS disciplines
-//!   (beam/random walk order their whole pending set; a spilled segment
-//!   cannot be reordered), and as the reference the determinism suite
-//!   compares against ([`SeenSet::Hash`]).
+//!   ranges.
+//! * **[`IdTable`]** — the bitmap implementation of the engine's
+//!   [`StateTable`] seam for [`IndexedState`]s: seen-sets sharded by page
+//!   index, so registrations of distant ids never contend on a lock. A
+//!   state's key is its interner id, so the table stores no states at all.
+//! * **[`SpillFrontier`]** — the FIFO frontier that may spill: under an
+//!   `ExploreConfig::memory_budget`, cold frontier segments are serialized to
+//!   disk (fixed-width `u32 key` + `u32 depth` little-endian records,
+//!   FNV-1a-64-checksummed like `effpi-store`'s log) and streamed back
+//!   oldest first. The serial driver pops it entry by entry, so BFS order —
+//!   and with it determinism and witness minimality — is preserved exactly;
+//!   the parallel driver parks over-budget batches on one behind a lock and
+//!   hands dry workers a segment at a time. A truncated or corrupt segment
+//!   fails the run loudly (a panic naming the segment) rather than silently
+//!   dropping frontier states.
 //!
-//! Accounting is published two ways: per-run in [`Exploration::stats`], and
+//! Accounting is published two ways: per-run in `Exploration::stats`, and
 //! process-wide through the `obs` registry (`explore_resident_bytes` gauge;
 //! `spill_segments` / `spill_bytes` / `spill_reloads` counters).
-//!
-//! [`ExploreConfig::memory_budget`]: crate::explore::ExploreConfig::memory_budget
-//! [`Exploration::stats`]: crate::explore::Exploration::stats
-//! [`SeenSet::Hash`]: crate::explore::SeenSet::Hash
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fs;
 use std::hash::Hash;
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use lambdapi::{TermId, TermRef, TyRef, TypeId};
-use runtime::sync::{Condvar, Mutex};
+use runtime::sync::Mutex;
 
-use crate::explore::{
-    explore_guided, renumber, CancelToken, DiscoveryTree, Exploration, ExploreConfig, ExploreStats,
-    ExploreStatus, Progress, SeenSet, Strategy,
-};
-use crate::generic::Lts;
+use crate::explore::{ExploreStats, FrontierDiscipline, StateTable};
 
 // ---------------------------------------------------------------------------
 // Indexed states
 // ---------------------------------------------------------------------------
 
 /// A state whose identity is a dense 32-bit id that can be resolved back to
-/// the state — the contract the id-indexed engine builds on.
+/// the state — the contract the bitmap
+/// state table builds on.
 ///
 /// Laws: `from_index_id(s.index_id()) == s` for every state that has been
 /// constructed in this process, and `a == b ⇔ a.index_id() == b.index_id()`
 /// (id equality *is* state equality, as for interner references). The id
 /// values themselves are allocation-order artifacts and never leak into
 /// anything observable — the engine renumbers canonically.
-pub trait IndexedState: Clone + Eq + Hash {
+pub(crate) trait IndexedState: Clone + Eq + Hash {
     /// The state's dense id.
     fn index_id(&self) -> u32;
     /// Resolves an id back to its state.
@@ -105,7 +92,7 @@ impl IndexedState for TermRef {
 // The bitmap seen-set
 // ---------------------------------------------------------------------------
 
-/// Ids per bitmap page (and per parallel seen-set shard stripe).
+/// Ids per bitmap page (and per [`IdTable`] shard stripe).
 const PAGE_IDS: usize = 1 << 16;
 /// `u64` words per page.
 const PAGE_WORDS: usize = PAGE_IDS / 64;
@@ -127,19 +114,19 @@ fn new_page() -> Page {
 /// (id & 63) & 1` — one shift+mask, no hashing, no probing; ~1.03 bits per
 /// state on the dense id ranges the interner produces.
 #[derive(Default)]
-pub struct IdSeenSet {
+pub(crate) struct IdBitmap {
     pages: Vec<Option<Page>>,
     resident_bytes: usize,
 }
 
-impl IdSeenSet {
+impl IdBitmap {
     /// An empty seen-set (no pages allocated).
-    pub fn new() -> IdSeenSet {
-        IdSeenSet::default()
+    pub(crate) fn new() -> IdBitmap {
+        IdBitmap::default()
     }
 
     /// Inserts an id; `true` when it was not yet present.
-    pub fn insert(&mut self, id: u32) -> bool {
+    pub(crate) fn insert(&mut self, id: u32) -> bool {
         let page_index = (id as usize) >> 16;
         if self.pages.len() <= page_index {
             self.pages.resize_with(page_index + 1, || None);
@@ -156,7 +143,7 @@ impl IdSeenSet {
     }
 
     /// Whether an id is present.
-    pub fn contains(&self, id: u32) -> bool {
+    pub(crate) fn contains(&self, id: u32) -> bool {
         let page_index = (id as usize) >> 16;
         match self.pages.get(page_index).and_then(Option::as_ref) {
             Some(page) => page[((id as usize) >> 6) & (PAGE_WORDS - 1)] & (1u64 << (id & 63)) != 0,
@@ -165,8 +152,64 @@ impl IdSeenSet {
     }
 
     /// Bytes of allocated bitmap pages.
-    pub fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         self.resident_bytes
+    }
+}
+
+/// The bitmap implementation of [`StateTable`], for states that carry a dense
+/// interner id: the key *is* the id, membership is an [`IdBitmap`] bit, and
+/// `state` is the interner's own lookup — the table stores no states.
+pub(crate) struct IdTable<S> {
+    /// Seen-sets sharded by page index (`shard = page & mask`, the shard's
+    /// own page number is `page >> bits`): registrations of ids 64Ki apart
+    /// never share a lock.
+    shards: Vec<Mutex<IdBitmap>>,
+    shard_bits: u32,
+    /// Allocated bitmap bytes, summed over the shards.
+    resident: AtomicUsize,
+    state: std::marker::PhantomData<fn() -> S>,
+}
+
+impl<S: IndexedState> StateTable for IdTable<S> {
+    type State = S;
+
+    fn new(workers: usize) -> Self {
+        let shard_count = (workers * 8).next_power_of_two();
+        IdTable {
+            shards: (0..shard_count)
+                .map(|_| Mutex::new(IdBitmap::new()))
+                .collect(),
+            shard_bits: shard_count.trailing_zeros(),
+            resident: AtomicUsize::new(0),
+            state: std::marker::PhantomData,
+        }
+    }
+
+    fn register(&self, state: &S, admit: impl FnOnce() -> Option<usize>) -> Option<(u32, bool)> {
+        let id = state.index_id();
+        let page = (id >> 16) as usize;
+        // The id as its shard's set sees it: the shard-selecting low bits of
+        // the page index are implied by the shard, so they are shifted out.
+        let local = (((page >> self.shard_bits) as u32) << 16) | (id & 0xFFFF);
+        let mut seen = self.shards[page & (self.shards.len() - 1)].lock();
+        if seen.contains(local) {
+            return Some((id, false));
+        }
+        admit()?;
+        let before = seen.resident_bytes();
+        seen.insert(local);
+        self.resident
+            .fetch_add(seen.resident_bytes() - before, Ordering::Relaxed);
+        Some((id, true))
+    }
+
+    fn state(&self, key: u32) -> S {
+        S::from_index_id(key)
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.resident.load(Ordering::Relaxed)
     }
 }
 
@@ -176,10 +219,12 @@ impl IdSeenSet {
 
 /// Magic prefix of a spill segment file.
 const SPILL_MAGIC: &[u8; 8] = b"EFSPILL1";
-/// Bytes per frontier record in a segment (`u32 id` + `u32 depth`, LE).
+/// A frontier entry: a registered-but-unexpanded state's `(key, depth)`.
+pub(crate) type Entry = (u32, u32);
+/// Bytes per frontier record in a segment (`u32 key` + `u32 depth`, LE).
 const SPILL_RECORD_BYTES: usize = 8;
 /// Bytes of resident frontier accounting per in-memory entry.
-const ENTRY_BYTES: usize = SPILL_RECORD_BYTES;
+pub(crate) const ENTRY_BYTES: usize = SPILL_RECORD_BYTES;
 /// Entries per spilled segment: large enough that segment count stays small
 /// (32 KiB of records each), small enough that a reloaded segment cannot
 /// blow a budget by itself.
@@ -205,10 +250,10 @@ fn fnv64(bytes: &[u8]) -> u64 {
 /// Panics on any I/O error: a frontier segment that failed to persist means
 /// pending states would be silently lost, which breaks the engine's
 /// completeness contract — the run must die loudly instead.
-fn write_segment(path: &Path, entries: &[(u32, u32)]) -> u64 {
+fn write_segment(path: &Path, entries: &[Entry]) -> u64 {
     let mut payload = Vec::with_capacity(entries.len() * SPILL_RECORD_BYTES);
-    for &(id, depth) in entries {
-        payload.extend_from_slice(&id.to_le_bytes());
+    for &(key, depth) in entries {
+        payload.extend_from_slice(&key.to_le_bytes());
         payload.extend_from_slice(&depth.to_le_bytes());
     }
     let mut bytes = Vec::with_capacity(20 + payload.len());
@@ -231,7 +276,7 @@ fn write_segment(path: &Path, entries: &[(u32, u32)]) -> u64 {
 /// checksum mismatch: a segment that cannot be fully recovered means
 /// frontier states would be silently dropped, so the run fails loudly (a
 /// serving daemon turns the panic into a typed internal-error reply).
-fn read_segment(path: &Path) -> Vec<(u32, u32)> {
+fn read_segment(path: &Path) -> Vec<Entry> {
     let mut bytes = Vec::new();
     fs::File::open(path)
         .and_then(|mut f| f.read_to_end(&mut bytes))
@@ -317,758 +362,152 @@ impl Drop for SpillDir {
     }
 }
 
-/// The process-wide spill counters (shared by both engines' spill paths).
-struct SpillCounters {
-    segments: obs::Counter,
-    bytes: obs::Counter,
-    reloads: obs::Counter,
-}
-
-impl SpillCounters {
-    fn new() -> SpillCounters {
-        let registry = obs::global();
-        SpillCounters {
-            segments: registry.counter("spill_segments"),
-            bytes: registry.counter("spill_bytes"),
-            reloads: registry.counter("spill_reloads"),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// The serial spill frontier (exact FIFO)
+// The FIFO frontier that may spill
 // ---------------------------------------------------------------------------
 
-/// The serial BFS frontier with disk spilling, FIFO-exact: entries flow
+/// The FIFO frontier with disk spilling, FIFO-exact: entries flow
 /// `tail → (segment | direct) → head` strictly in push order, so pops see
 /// precisely the order an all-in-RAM `VecDeque` would produce — which is
 /// what keeps budgeted runs byte-identical to unbudgeted ones.
-struct SpillFrontier {
+///
+/// The serial driver uses it through [`FrontierDiscipline`]; the parallel
+/// driver keeps one behind a lock as the overflow of its work-stealing
+/// deques ([`SpillFrontier::push_batch`] / [`SpillFrontier::take_batch`]).
+pub(crate) struct SpillFrontier {
     /// Oldest resident entries (pops come from here).
-    head: VecDeque<(u32, u32)>,
+    head: VecDeque<Entry>,
     /// Spilled segments, oldest first.
     segments: VecDeque<PathBuf>,
+    /// Entries currently on disk, summed over `segments`.
+    spilled: usize,
     /// Newest entries (pushes go here).
-    tail: VecDeque<(u32, u32)>,
+    tail: VecDeque<Entry>,
     dir: SpillDir,
     budget: Option<usize>,
-    counters: SpillCounters,
     stats: ExploreStats,
+    /// The process-wide `spill_segments` / `spill_bytes` / `spill_reloads`
+    /// counters.
+    segments_total: obs::Counter,
+    bytes_total: obs::Counter,
+    reloads_total: obs::Counter,
 }
 
 impl SpillFrontier {
-    fn new(budget: Option<usize>, spill_dir: Option<PathBuf>) -> SpillFrontier {
+    pub(crate) fn new(budget: Option<usize>, spill_dir: Option<PathBuf>) -> SpillFrontier {
+        let registry = obs::global();
         SpillFrontier {
             head: VecDeque::new(),
             segments: VecDeque::new(),
+            spilled: 0,
             tail: VecDeque::new(),
             dir: SpillDir::new(spill_dir),
             budget,
-            counters: SpillCounters::new(),
             stats: ExploreStats::default(),
+            segments_total: registry.counter("spill_segments"),
+            bytes_total: registry.counter("spill_bytes"),
+            reloads_total: registry.counter("spill_reloads"),
         }
     }
 
+    /// Spills the tail as a fresh segment when it is worth one; returns how
+    /// many entries left RAM.
+    fn flush_tail(&mut self) -> usize {
+        if self.tail.len() < SPILL_CHUNK {
+            return 0;
+        }
+        let entries: Vec<Entry> = self.tail.drain(..).collect();
+        let path = self.dir.next_segment();
+        let bytes = write_segment(&path, &entries);
+        self.segments.push_back(path);
+        self.spilled += entries.len();
+        self.segments_total.inc();
+        self.bytes_total.add(bytes);
+        self.stats.spill_segments += 1;
+        self.stats.spill_bytes += bytes;
+        entries.len()
+    }
+
+    /// Makes the oldest pending entries resident when the head ran dry:
+    /// streams the oldest spilled segment back in, else promotes the tail.
+    fn refill_head(&mut self) {
+        if !self.head.is_empty() {
+            return;
+        }
+        if let Some(path) = self.segments.pop_front() {
+            self.head.extend(read_segment(&path));
+            self.spilled -= self.head.len();
+            self.reloads_total.inc();
+            self.stats.spill_reloads += 1;
+        } else {
+            std::mem::swap(&mut self.head, &mut self.tail);
+        }
+    }
+
+    /// Parks a batch of entries (a worker found the run over budget),
+    /// spilling the tail to disk once it fills a chunk — the caller has
+    /// decided; this frontier's own budget is not consulted. Returns how many
+    /// entries left RAM.
+    pub(crate) fn push_batch(&mut self, batch: Vec<Entry>) -> usize {
+        self.tail.extend(batch);
+        self.flush_tail()
+    }
+
+    /// Hands a dry worker the oldest pending entries — one spilled segment,
+    /// or the unspilled remainder — plus how many of them came back from
+    /// disk (for resident accounting).
+    pub(crate) fn take_batch(&mut self) -> Option<(Vec<Entry>, usize)> {
+        let on_disk = self.spilled;
+        self.refill_head();
+        if self.head.is_empty() {
+            return None;
+        }
+        Some((self.head.drain(..).collect(), on_disk - self.spilled))
+    }
+}
+
+impl FrontierDiscipline for SpillFrontier {
+    fn push(&mut self, entry: Entry, _priority: u64) {
+        self.tail.push_back(entry);
+    }
+
+    /// Pops the oldest pending entry, streaming the oldest spilled segment
+    /// back in when the resident head runs dry.
+    fn pop(&mut self) -> Option<Entry> {
+        self.refill_head();
+        self.head.pop_front()
+    }
+
     fn len(&self) -> usize {
-        // Resident only — the engine uses this for progress samples; spilled
-        // entries are accounted through the stats instead.
-        self.head.len() + self.tail.len()
+        self.head.len() + self.spilled + self.tail.len()
     }
 
     fn resident_bytes(&self) -> usize {
         (self.head.len() + self.tail.len()) * ENTRY_BYTES
     }
 
-    /// Pushes one entry, then spills the tail as a fresh segment when the
-    /// working set (`other_resident` covers the seen-set pages) has outgrown
-    /// the budget and the tail is worth a segment.
-    fn push(&mut self, id: u32, depth: u32, other_resident: usize) {
-        self.tail.push_back((id, depth));
-        let over = self
+    /// Spills the tail when the working set (`table_resident` covers the
+    /// state table) has outgrown the budget and the tail is worth a segment.
+    fn relieve(&mut self, table_resident: usize) {
+        if self
             .budget
-            .is_some_and(|b| other_resident + self.resident_bytes() > b);
-        if over && self.tail.len() >= SPILL_CHUNK {
-            let entries: Vec<(u32, u32)> = self.tail.drain(..).collect();
-            let path = self.dir.next_segment();
-            let bytes = write_segment(&path, &entries);
-            self.segments.push_back(path);
-            self.counters.segments.inc();
-            self.counters.bytes.add(bytes);
-            self.stats.spill_segments += 1;
-            self.stats.spill_bytes += bytes;
-        }
-    }
-
-    /// Pops the oldest pending entry, streaming the oldest spilled segment
-    /// back in when the resident head runs dry.
-    fn pop(&mut self) -> Option<(u32, u32)> {
-        if self.head.is_empty() {
-            if let Some(path) = self.segments.pop_front() {
-                self.head.extend(read_segment(&path));
-                self.counters.reloads.inc();
-                self.stats.spill_reloads += 1;
-            } else {
-                std::mem::swap(&mut self.head, &mut self.tail);
-            }
-        }
-        self.head.pop_front()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The serial id-indexed BFS engine
-// ---------------------------------------------------------------------------
-
-fn explore_serial_indexed<S, L, F, M>(
-    initial: S,
-    succ: &F,
-    config: &ExploreConfig,
-    max_states: usize,
-    monitor: &M,
-) -> Exploration<S, L>
-where
-    S: IndexedState,
-    L: Clone,
-    F: Fn(&S) -> Vec<(L, S)>,
-    M: Fn(&S, &[(L, usize)]) -> bool,
-{
-    let cancel = config.cancel.as_ref();
-    let mut seen = IdSeenSet::new();
-    let mut frontier = SpillFrontier::new(config.memory_budget, config.spill_dir.clone());
-    // Discovery-ordered ids; BFS discovery order *is* the canonical
-    // numbering, exactly as in the hash engine's serial path.
-    let mut order: Vec<u32> = Vec::new();
-    // Expansion records in pop order (== discovery order under FIFO);
-    // transition targets are raw interner ids, remapped densely at the end.
-    let mut expansions: Vec<Vec<(L, usize)>> = Vec::new();
-    let mut parents: DiscoveryTree<L> = Vec::new();
-    let mut progress = Progress::new(config.progress_every);
-    let mut resident_peak = 0usize;
-    let mut truncated = false;
-    let mut cancelled = false;
-    let mut aborted = false;
-
-    let root_id = initial.index_id();
-    seen.insert(root_id);
-    order.push(root_id);
-    parents.push(None);
-    frontier.push(root_id, 0, seen.resident_bytes());
-    drop(initial);
-
-    while let Some((id, depth)) = frontier.pop() {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            aborted = true;
-            break;
-        }
-        let i = expansions.len();
-        let state = S::from_index_id(id);
-        let mut out: Vec<(L, usize)> = Vec::new();
-        for (label, next) in succ(&state) {
-            let nid = next.index_id();
-            if !seen.contains(nid) {
-                if order.len() >= max_states {
-                    // Edge to an unregistered state beyond the bound:
-                    // dropped, exactly as in the hash engine.
-                    truncated = true;
-                    continue;
-                }
-                seen.insert(nid);
-                order.push(nid);
-                parents.push(Some((i, label.clone())));
-                frontier.push(nid, depth + 1, seen.resident_bytes());
-            }
-            out.push((label, nid as usize));
-        }
-        let decided = monitor(&state, &out);
-        expansions.push(out);
-        let resident = seen.resident_bytes() + frontier.resident_bytes();
-        resident_peak = resident_peak.max(resident);
-        if let Some(progress) = progress.as_mut() {
-            if progress.due() {
-                progress.report(order.len(), frontier.len(), depth);
-                progress.set_resident(resident as u64);
-            }
-        }
-        if decided {
-            cancelled = true;
-            break;
-        }
-    }
-
-    let status = if aborted {
-        ExploreStatus::Aborted
-    } else if cancelled {
-        ExploreStatus::Cancelled
-    } else if truncated {
-        ExploreStatus::Truncated
-    } else {
-        ExploreStatus::Complete
-    };
-
-    // Remap interner-id targets to the dense discovery numbering (every
-    // recorded target was registered, so the lookup is total) and resolve
-    // the states back from their ids.
-    let dense: HashMap<usize, usize> = order
-        .iter()
-        .enumerate()
-        .map(|(index, &id)| (id as usize, index))
-        .collect();
-    let states: Vec<S> = order.iter().map(|&id| S::from_index_id(id)).collect();
-    let mut transitions: Vec<Vec<(L, usize)>> = expansions
-        .into_iter()
-        .map(|out| {
-            out.into_iter()
-                .map(|(label, id)| {
-                    let target = dense[&id];
-                    (label, target)
-                })
-                .collect()
-        })
-        .collect();
-    // States still pending at an early exit keep an empty transition list.
-    transitions.resize_with(states.len(), Vec::new);
-
-    let mut stats = frontier.stats;
-    stats.resident_peak_bytes = resident_peak as u64;
-    Exploration {
-        lts: Lts::from_parts(states, transitions, truncated),
-        parents,
-        status,
-        stats,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The parallel id-indexed engine
-// ---------------------------------------------------------------------------
-
-/// The shared spill state of a parallel run: over-budget workers batch
-/// freshly discovered entries here; the buffer flushes to checksummed
-/// segments a chunk at a time, and dry workers stream segments back.
-struct SharedSpill {
-    state: Mutex<SpillState>,
-    segments_spilled: AtomicU64,
-    bytes_spilled: AtomicU64,
-    reloads: AtomicU64,
-}
-
-struct SpillState {
-    dir: SpillDir,
-    buffer: VecDeque<(u32, u32)>,
-    segments: VecDeque<PathBuf>,
-    counters: SpillCounters,
-}
-
-impl SharedSpill {
-    fn new(spill_dir: Option<PathBuf>) -> SharedSpill {
-        SharedSpill {
-            state: Mutex::new(SpillState {
-                dir: SpillDir::new(spill_dir),
-                buffer: VecDeque::new(),
-                segments: VecDeque::new(),
-                counters: SpillCounters::new(),
-            }),
-            segments_spilled: AtomicU64::new(0),
-            bytes_spilled: AtomicU64::new(0),
-            reloads: AtomicU64::new(0),
-        }
-    }
-
-    /// Parks a batch of frontier entries on the spill buffer, flushing full
-    /// chunks to disk. Returns how many entries left RAM.
-    fn push_batch(&self, batch: Vec<(u32, u32)>) -> usize {
-        let mut state = self.state.lock();
-        state.buffer.extend(batch);
-        let mut flushed = 0;
-        while state.buffer.len() >= SPILL_CHUNK {
-            let entries: Vec<(u32, u32)> = state.buffer.drain(..SPILL_CHUNK).collect();
-            let path = state.dir.next_segment();
-            let bytes = write_segment(&path, &entries);
-            state.segments.push_back(path);
-            state.counters.segments.inc();
-            state.counters.bytes.add(bytes);
-            self.segments_spilled.fetch_add(1, Ordering::Relaxed);
-            self.bytes_spilled.fetch_add(bytes, Ordering::Relaxed);
-            flushed += SPILL_CHUNK;
-        }
-        flushed
-    }
-
-    /// Hands a dry worker pending entries: the oldest spilled segment, or
-    /// the buffered remainder. Returns entries plus how many of them came
-    /// back from disk (for resident accounting).
-    fn reload(&self) -> Option<(Vec<(u32, u32)>, usize)> {
-        let mut state = self.state.lock();
-        if let Some(path) = state.segments.pop_front() {
-            let entries = read_segment(&path);
-            state.counters.reloads.inc();
-            self.reloads.fetch_add(1, Ordering::Relaxed);
-            let n = entries.len();
-            return Some((entries, n));
-        }
-        if state.buffer.is_empty() {
-            return None;
-        }
-        Some((state.buffer.drain(..).collect(), 0))
-    }
-
-    /// Drains everything still spilled or buffered (run teardown).
-    fn drain_remaining(&self) -> Vec<(u32, u32)> {
-        let mut state = self.state.lock();
-        let mut entries = Vec::new();
-        while let Some(path) = state.segments.pop_front() {
-            entries.extend(read_segment(&path));
-        }
-        entries.extend(state.buffer.drain(..));
-        entries
-    }
-}
-
-/// One expanded state, as recorded by the worker that expanded it: its
-/// interner id and its transitions (targets as interner ids in `usize`
-/// dress, for the monitor).
-type IndexedRecord<L> = (u32, Vec<(L, usize)>);
-
-/// The sharded bitmap seen-set plus the run-wide coordination state — the
-/// id-indexed mirror of the hash engine's `Shared`.
-struct IndexedShared {
-    /// Bitmap page directories, sharded by page index (`shard = page &
-    /// mask`, `slot = page >> bits`): registrations of ids 64Ki apart never
-    /// share a lock.
-    seen: Vec<Mutex<Vec<Option<Page>>>>,
-    shard_bits: u32,
-    /// Number of registered states. Never exceeds `max_states`.
-    count: AtomicUsize,
-    /// States registered but not yet expanded (including spilled ones).
-    pending: AtomicUsize,
-    stop: AtomicBool,
-    truncated: AtomicBool,
-    cancelled: AtomicBool,
-    aborted: AtomicBool,
-    /// One work deque per worker — `(id, depth)`; owners push/pop the back,
-    /// thieves the front.
-    queues: Vec<Mutex<VecDeque<(u32, u32)>>>,
-    idle: Mutex<()>,
-    idle_cv: Condvar,
-    sleepers: AtomicUsize,
-    /// In-RAM frontier entries (worker queues + spill buffer).
-    frontier_entries: AtomicUsize,
-    /// Allocated bitmap bytes.
-    seen_bytes: AtomicUsize,
-    /// High-water mark of the resident working set.
-    resident_peak: AtomicUsize,
-    budget: Option<usize>,
-    spill: SharedSpill,
-}
-
-impl IndexedShared {
-    fn new(workers: usize, budget: Option<usize>, spill_dir: Option<PathBuf>) -> IndexedShared {
-        let shard_count = (workers * 8).next_power_of_two();
-        IndexedShared {
-            seen: (0..shard_count).map(|_| Mutex::new(Vec::new())).collect(),
-            shard_bits: shard_count.trailing_zeros(),
-            count: AtomicUsize::new(0),
-            pending: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
-            truncated: AtomicBool::new(false),
-            cancelled: AtomicBool::new(false),
-            aborted: AtomicBool::new(false),
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            idle: Mutex::new(()),
-            idle_cv: Condvar::new(),
-            sleepers: AtomicUsize::new(0),
-            frontier_entries: AtomicUsize::new(0),
-            seen_bytes: AtomicUsize::new(0),
-            resident_peak: AtomicUsize::new(0),
-            budget,
-            spill: SharedSpill::new(spill_dir),
-        }
-    }
-
-    /// Registers an id, returning whether this call discovered it. `None`
-    /// means the state bound is exhausted (the caller drops the edge,
-    /// mirroring the hash engine).
-    fn register(&self, id: u32, max_states: usize) -> Option<bool> {
-        let page_index = (id as usize) >> 16;
-        let shard = &self.seen[page_index & (self.seen.len() - 1)];
-        let slot = page_index >> self.shard_bits;
-        let mut pages = shard.lock();
-        if pages.len() <= slot {
-            pages.resize_with(slot + 1, || None);
-        }
-        let word = ((id as usize) >> 6) & (PAGE_WORDS - 1);
-        let bit = 1u64 << (id & 63);
-        if let Some(page) = &pages[slot] {
-            if page[word] & bit != 0 {
-                return Some(false);
-            }
-        }
-        // Fresh id: draw a slot under the bound. CAS so `count` never
-        // exceeds the bound even under races between shards.
-        loop {
-            let n = self.count.load(Ordering::Relaxed);
-            if n >= max_states {
-                self.truncated.store(true, Ordering::Relaxed);
-                // SeqCst pairs with the SeqCst re-checks in `park`, as in
-                // the hash engine.
-                self.stop.store(true, Ordering::SeqCst);
-                self.wake_sleepers();
-                return None;
-            }
-            if self
-                .count
-                .compare_exchange(n, n + 1, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-            {
-                let page = pages[slot].get_or_insert_with(|| {
-                    self.seen_bytes.fetch_add(PAGE_BYTES, Ordering::Relaxed);
-                    new_page()
-                });
-                page[word] |= bit;
-                return Some(true);
-            }
-        }
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.seen_bytes.load(Ordering::Relaxed)
-            + self.frontier_entries.load(Ordering::Relaxed) * ENTRY_BYTES
-    }
-
-    fn note_resident_peak(&self) -> usize {
-        let resident = self.resident_bytes();
-        self.resident_peak.fetch_max(resident, Ordering::Relaxed);
-        resident
-    }
-
-    /// Pops work: own deque (LIFO), then steal the oldest task from a
-    /// sibling, then stream a spilled segment back in.
-    fn find_work(&self, me: usize) -> Option<(u32, u32)> {
-        if let Some(task) = self.queues[me].lock().pop_back() {
-            self.frontier_entries.fetch_sub(1, Ordering::Relaxed);
-            return Some(task);
-        }
-        for offset in 1..self.queues.len() {
-            let victim = (me + offset) % self.queues.len();
-            if let Some(task) = self.queues[victim].lock().pop_front() {
-                self.frontier_entries.fetch_sub(1, Ordering::Relaxed);
-                return Some(task);
-            }
-        }
-        if let Some((entries, from_disk)) = self.spill.reload() {
-            // Buffered entries were already counted resident; reloaded ones
-            // re-enter RAM now. One stays out of the queue as our task.
-            let mut queue = self.queues[me].lock();
-            queue.extend(entries);
-            self.frontier_entries
-                .fetch_add(from_disk, Ordering::Relaxed);
-            if let Some(task) = queue.pop_back() {
-                self.frontier_entries.fetch_sub(1, Ordering::Relaxed);
-                return Some(task);
-            }
-        }
-        None
-    }
-
-    fn wake_sleepers(&self) {
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _guard = self.idle.lock();
-            self.idle_cv.notify_all();
-        }
-    }
-
-    /// Parks until work or run end — same lost-wakeup-free protocol as the
-    /// hash engine's `park`.
-    fn park(&self, me: usize) -> Option<(u32, u32)> {
-        let mut guard = self.idle.lock();
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        let found = loop {
-            if self.stop.load(Ordering::SeqCst) || self.pending.load(Ordering::SeqCst) == 0 {
-                break None;
-            }
-            if let Some(task) = self.find_work(me) {
-                break Some(task);
-            }
-            guard = self.idle_cv.wait(guard);
-        };
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
-        found
-    }
-}
-
-fn explore_parallel_indexed<S, L, F, M>(
-    initial: S,
-    succ: &F,
-    config: &ExploreConfig,
-    max_states: usize,
-    monitor: &M,
-) -> Exploration<S, L>
-where
-    S: IndexedState + Send + Sync,
-    L: Clone + Send,
-    F: Fn(&S) -> Vec<(L, S)> + Sync,
-    M: Fn(&S, &[(L, usize)]) -> bool + Sync,
-{
-    let workers = config.parallelism;
-    let cancel = config.cancel.as_ref();
-    let shared = IndexedShared::new(workers, config.memory_budget, config.spill_dir.clone());
-
-    let root_id = initial.index_id();
-    shared
-        .register(root_id, max_states)
-        .expect("max_states >= 1 admits the initial state");
-    shared.pending.store(1, Ordering::Relaxed);
-    shared.frontier_entries.store(1, Ordering::Relaxed);
-    shared.queues[0].lock().push_back((root_id, 0));
-    drop(initial);
-
-    let mut records: Vec<IndexedRecord<L>> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for me in 0..workers {
-            let shared = &shared;
-            handles.push(scope.spawn(move || {
-                indexed_worker::<S, L, F, M>(
-                    me,
-                    shared,
-                    succ,
-                    monitor,
-                    max_states,
-                    cancel,
-                    config.progress_every,
-                )
-            }));
-        }
-        for handle in handles {
-            records.extend(handle.join().expect("exploration worker panicked"));
-        }
-    });
-
-    let status = if shared.aborted.load(Ordering::Relaxed) {
-        ExploreStatus::Aborted
-    } else if shared.cancelled.load(Ordering::Relaxed) {
-        ExploreStatus::Cancelled
-    } else if shared.truncated.load(Ordering::Relaxed) {
-        ExploreStatus::Truncated
-    } else {
-        ExploreStatus::Complete
-    };
-    let truncated = shared.truncated.load(Ordering::Relaxed);
-
-    // Registered states still pending at the exit: whatever remains on the
-    // worker queues, in the spill buffer, or in on-disk segments. Every
-    // registered id is either expanded (in `records`) or here — register and
-    // enqueue are never separated by an exit point in the worker loop.
-    let mut leftover: Vec<u32> = Vec::new();
-    for queue in &shared.queues {
-        leftover.extend(queue.lock().drain(..).map(|(id, _)| id));
-    }
-    leftover.extend(shared.spill.drain_remaining().into_iter().map(|(id, _)| id));
-
-    // Assign dense provisional indices — records first, then leftovers —
-    // and remap interner-id targets onto them; canonical renumbering then
-    // erases the (scheduling-dependent) provisional order entirely.
-    let mut dense: HashMap<u32, usize> = HashMap::with_capacity(records.len() + leftover.len());
-    for (pid, _) in &records {
-        dense.insert(*pid, dense.len());
-    }
-    for id in &leftover {
-        let next = dense.len();
-        dense.entry(*id).or_insert(next);
-    }
-    let total = dense.len();
-    let mut state_of: Vec<Option<S>> = vec![None; total];
-    let mut trans_of: Vec<Vec<(L, usize)>> = (0..total).map(|_| Vec::new()).collect();
-    for (pid, out) in records {
-        let index = dense[&pid];
-        state_of[index] = Some(S::from_index_id(pid));
-        trans_of[index] = out
-            .into_iter()
-            .map(|(label, target)| (label, dense[&(target as u32)]))
-            .collect();
-    }
-    for id in leftover {
-        let index = dense[&id];
-        if state_of[index].is_none() {
-            state_of[index] = Some(S::from_index_id(id));
-        }
-    }
-
-    let (lts, parents) = renumber(state_of, trans_of, dense[&root_id], truncated);
-    let stats = ExploreStats {
-        resident_peak_bytes: shared.resident_peak.load(Ordering::Relaxed) as u64,
-        spill_segments: shared.spill.segments_spilled.load(Ordering::Relaxed),
-        spill_bytes: shared.spill.bytes_spilled.load(Ordering::Relaxed),
-        spill_reloads: shared.spill.reloads.load(Ordering::Relaxed),
-    };
-    Exploration {
-        lts,
-        parents,
-        status,
-        stats,
-    }
-}
-
-fn indexed_worker<S, L, F, M>(
-    me: usize,
-    shared: &IndexedShared,
-    succ: &F,
-    monitor: &M,
-    max_states: usize,
-    cancel: Option<&CancelToken>,
-    progress_every: usize,
-) -> Vec<IndexedRecord<L>>
-where
-    S: IndexedState,
-    L: Clone,
-    F: Fn(&S) -> Vec<(L, S)>,
-    M: Fn(&S, &[(L, usize)]) -> bool,
-{
-    // Same spin-then-park discipline as the hash engine.
-    const IDLE_SPINS: usize = 32;
-
-    let mut records = Vec::new();
-    let mut spins = 0usize;
-    let mut progress = Progress::new(progress_every);
-    loop {
-        if shared.stop.load(Ordering::Relaxed) {
-            break;
-        }
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            shared.aborted.store(true, Ordering::Relaxed);
-            shared.stop.store(true, Ordering::SeqCst);
-            shared.wake_sleepers();
-            break;
-        }
-        let Some((id, depth)) = shared.find_work(me).or_else(|| {
-            if shared.pending.load(Ordering::Relaxed) == 0 {
-                return None;
-            }
-            spins += 1;
-            if spins < IDLE_SPINS {
-                std::thread::yield_now();
-                None
-            } else {
-                shared.park(me)
-            }
-        }) else {
-            if shared.pending.load(Ordering::Relaxed) == 0 {
-                break;
-            }
-            continue;
-        };
-        spins = 0;
-        let state = S::from_index_id(id);
-        let mut out: Vec<(L, usize)> = Vec::new();
+            .is_some_and(|b| table_resident + self.resident_bytes() > b)
         {
-            let mut batch: Vec<(u32, u32)> = Vec::new();
-            for (label, next) in succ(&state) {
-                let nid = next.index_id();
-                // A `None` register means the bound is exhausted: the edge
-                // is dropped, like the hash engine's.
-                if let Some(fresh) = shared.register(nid, max_states) {
-                    out.push((label, nid as usize));
-                    if fresh {
-                        batch.push((nid, depth + 1));
-                    }
-                }
-            }
-            if !batch.is_empty() {
-                let n = batch.len();
-                shared.pending.fetch_add(n, Ordering::SeqCst);
-                let over = shared.budget.is_some_and(|b| {
-                    shared.seen_bytes.load(Ordering::Relaxed)
-                        + (shared.frontier_entries.load(Ordering::Relaxed) + n) * ENTRY_BYTES
-                        > b
-                });
-                if over {
-                    shared.frontier_entries.fetch_add(n, Ordering::Relaxed);
-                    let flushed = shared.spill.push_batch(batch);
-                    shared
-                        .frontier_entries
-                        .fetch_sub(flushed, Ordering::Relaxed);
-                } else {
-                    shared.frontier_entries.fetch_add(n, Ordering::Relaxed);
-                    shared.queues[me].lock().extend(batch);
-                }
-                shared.note_resident_peak();
-                shared.wake_sleepers();
-            }
-        }
-        if monitor(&state, &out) {
-            shared.cancelled.store(true, Ordering::Relaxed);
-            shared.stop.store(true, Ordering::SeqCst);
-            shared.wake_sleepers();
-        }
-        records.push((id, out));
-        if let Some(progress) = progress.as_mut() {
-            if progress.due() {
-                progress.report(
-                    shared.count.load(Ordering::Relaxed),
-                    shared.pending.load(Ordering::Relaxed),
-                    depth,
-                );
-                progress.set_resident(shared.resident_bytes() as u64);
-            }
-        }
-        if shared.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-            shared.wake_sleepers();
+            self.flush_tail();
         }
     }
-    records
-}
 
-// ---------------------------------------------------------------------------
-// Entry point
-// ---------------------------------------------------------------------------
-
-/// Explores with the id-indexed memory layer where it applies, falling back
-/// to the generic hash engine everywhere else — the engine entry point of
-/// the `TypeLts` / `TermLts` builders.
-///
-/// The id-indexed engine runs when the seen-set is [`SeenSet::Bitmap`] (the
-/// default) and the discipline is engine-ordered: serial BFS, or any
-/// parallel run of a non-serial-forced strategy (the parallel engine's
-/// work-stealing order is canonically renumbered regardless of the
-/// discipline, exactly like the hash engine's). Serial DFS and the
-/// serial-forced disciplines (beam, random walk) keep the hash engine: they
-/// order their whole pending set, which a spilled segment cannot do.
-///
-/// Every contract of [`explore_guided`] carries over — same monitor and
-/// heuristic semantics, same status precedence, and complete runs remain
-/// byte-identical across worker counts, seen-set structures, and memory
-/// budgets.
-pub fn explore_indexed_guided<S, L, F, M, H>(
-    initial: S,
-    succ: F,
-    config: &ExploreConfig,
-    monitor: M,
-    heuristic: H,
-) -> Exploration<S, L>
-where
-    S: IndexedState + Send + Sync,
-    L: Clone + Send,
-    F: Fn(&S) -> Vec<(L, S)> + Sync,
-    M: Fn(&S, &[(L, usize)]) -> bool + Sync,
-    H: Fn(&S) -> u64 + Sync,
-{
-    let hash_fallback = config.seen_set == SeenSet::Hash
-        || config.strategy.forces_serial()
-        || (config.parallelism <= 1 && config.strategy != Strategy::Bfs);
-    if hash_fallback {
-        return explore_guided(initial, succ, config, monitor, heuristic);
-    }
-    let max_states = config.max_states.max(1);
-    if config.parallelism <= 1 {
-        explore_serial_indexed(initial, &succ, config, max_states, &monitor)
-    } else {
-        explore_parallel_indexed(initial, &succ, config, max_states, &monitor)
+    fn spill_stats(&self) -> ExploreStats {
+        self.stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::{
+        explore_guided, run, CancelToken, Exploration, ExploreConfig, ExploreStatus, Strategy,
+    };
 
     /// `u32` chain/fan states are their own ids — the simplest lawful
     /// [`IndexedState`].
@@ -1079,6 +518,24 @@ mod tests {
         fn from_index_id(id: u32) -> u32 {
             id
         }
+    }
+
+    /// The engine on the bitmap table (the public `explore` family runs the
+    /// same drivers on the hash table).
+    fn on_bitmap<L, F, M, H>(
+        initial: u32,
+        succ: F,
+        config: &ExploreConfig,
+        monitor: M,
+        heuristic: H,
+    ) -> Exploration<u32, L>
+    where
+        L: Clone + Send,
+        F: Fn(&u32) -> Vec<(L, u32)> + Sync,
+        M: Fn(&u32, &[(L, usize)]) -> bool + Sync,
+        H: Fn(&u32) -> u64 + Sync,
+    {
+        run::<IdTable<u32>, _, _, _, _, _>(initial, succ, config, monitor, heuristic)
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -1104,8 +561,8 @@ mod tests {
     }
 
     #[test]
-    fn bitmap_seen_set_inserts_and_looks_up_across_pages() {
-        let mut seen = IdSeenSet::new();
+    fn bitmap_inserts_and_looks_up_across_pages() {
+        let mut seen = IdBitmap::new();
         assert_eq!(seen.resident_bytes(), 0);
         for id in [0u32, 1, 63, 64, 65_535, 65_536, 1 << 20, u32::MAX] {
             assert!(!seen.contains(id));
@@ -1180,7 +637,8 @@ mod tests {
         let dir = tmp_dir("inflight");
         let mut frontier = SpillFrontier::new(Some(0), Some(dir.clone()));
         for i in 0..(SPILL_CHUNK as u32 * 2) {
-            frontier.push(i, 0, 0);
+            frontier.push((i, 0), 0);
+            frontier.relieve(0);
         }
         assert!(frontier.stats.spill_segments >= 1, "spill engaged");
         let segment = frontier
@@ -1202,16 +660,44 @@ mod tests {
     }
 
     #[test]
+    fn the_pending_count_spans_resident_and_spilled_entries() {
+        // `len` feeds the `explore_frontier` gauge: registered, not yet
+        // expanded, wherever the entry lives — it must not shrink when
+        // entries spill, nor jump when a segment streams back.
+        let dir = tmp_dir("pending");
+        let mut frontier = SpillFrontier::new(Some(0), Some(dir.clone()));
+        let total = SPILL_CHUNK * 2 + 10;
+        for pushed in 0..total {
+            frontier.push((pushed as u32, 0), 0);
+            frontier.relieve(0);
+            assert_eq!(frontier.len(), pushed + 1);
+        }
+        assert_eq!(frontier.stats.spill_segments, 2);
+        assert_eq!(
+            frontier.resident_bytes(),
+            10 * ENTRY_BYTES,
+            "only the tail is resident"
+        );
+        for popped in 0..total {
+            assert_eq!(frontier.pop(), Some((popped as u32, 0)));
+            assert_eq!(frontier.len(), total - popped - 1);
+        }
+        assert_eq!(frontier.stats.spill_reloads, 2);
+        assert_eq!(frontier.pop(), None);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn serial_indexed_bfs_matches_the_hash_engine_exactly() {
         let succ = fan(2_000);
         let hash = explore_guided(
             0u32,
             &succ,
-            &ExploreConfig::serial(1_000_000).with_seen_set(SeenSet::Hash),
+            &ExploreConfig::serial(1_000_000),
             |_: &u32, _: &[(&str, usize)]| false,
             |_: &u32| 0,
         );
-        let indexed = explore_indexed_guided(
+        let indexed = on_bitmap(
             0u32,
             &succ,
             &ExploreConfig::serial(1_000_000),
@@ -1234,7 +720,7 @@ mod tests {
     #[test]
     fn budgeted_serial_runs_spill_and_stay_byte_identical() {
         let succ = fan(60_000);
-        let free = explore_indexed_guided(
+        let free = on_bitmap(
             0u32,
             &succ,
             &ExploreConfig::serial(1_000_000),
@@ -1242,7 +728,7 @@ mod tests {
             |_: &u32| 0,
         );
         let dir = tmp_dir("serial-budget");
-        let budgeted = explore_indexed_guided(
+        let budgeted = on_bitmap(
             0u32,
             &succ,
             &ExploreConfig::serial(1_000_000)
@@ -1279,7 +765,7 @@ mod tests {
     #[test]
     fn parallel_indexed_runs_match_serial_with_and_without_budget() {
         let succ = fan(30_000);
-        let serial = explore_indexed_guided(
+        let serial = on_bitmap(
             0u32,
             &succ,
             &ExploreConfig::serial(1_000_000),
@@ -1288,7 +774,7 @@ mod tests {
         );
         for budget in [None, Some(1)] {
             for workers in [2, 4] {
-                let ex = explore_indexed_guided(
+                let ex = on_bitmap(
                     0u32,
                     &succ,
                     &ExploreConfig::new(workers, 1_000_000).with_memory_budget(budget),
@@ -1323,7 +809,7 @@ mod tests {
     fn indexed_bound_trips_cooperatively_and_never_overshoots() {
         let succ = fan(u32::MAX / 4);
         for workers in [1, 4] {
-            let ex = explore_indexed_guided(
+            let ex = on_bitmap(
                 0u32,
                 &succ,
                 &ExploreConfig::new(workers, 500).with_memory_budget(Some(1)),
@@ -1350,7 +836,7 @@ mod tests {
             }
         };
         for workers in [1, 4] {
-            let ex = explore_indexed_guided(
+            let ex = on_bitmap(
                 0u32,
                 chain,
                 &ExploreConfig::new(workers, usize::MAX),
@@ -1368,7 +854,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         for workers in [1, 4] {
-            let ex = explore_indexed_guided(
+            let ex = on_bitmap(
                 0u32,
                 chain,
                 &ExploreConfig::new(workers, usize::MAX).with_cancel(token.clone()),
@@ -1381,10 +867,11 @@ mod tests {
 
     #[test]
     fn hash_fallback_paths_still_work_through_the_indexed_entry_point() {
-        // Serial DFS, beam and random walk route to the hash engine; on a
-        // complete run every one is byte-identical to BFS anyway.
+        // Serial DFS, beam and random walk — which a bitmap run once fell
+        // back to the hash table for — run on the bitmap table like BFS
+        // does; on a complete run every one is byte-identical to BFS.
         let succ = fan(500);
-        let bfs = explore_indexed_guided(
+        let bfs = on_bitmap(
             0u32,
             &succ,
             &ExploreConfig::serial(1_000_000),
@@ -1396,7 +883,7 @@ mod tests {
             Strategy::Beam { width: 4 },
             Strategy::RandomWalk { seed: 9 },
         ] {
-            let ex = explore_indexed_guided(
+            let ex = on_bitmap(
                 0u32,
                 &succ,
                 &ExploreConfig::serial(1_000_000).with_strategy(strategy),
@@ -1412,7 +899,7 @@ mod tests {
     fn trace_to_replays_through_spilled_frontiers() {
         let succ = fan(10_000);
         let dir = tmp_dir("witness");
-        let ex = explore_indexed_guided(
+        let ex = on_bitmap(
             0u32,
             &succ,
             &ExploreConfig::serial(1_000_000)

@@ -51,10 +51,10 @@ use dbt_types::{Checker, TypeEnv};
 use lambdapi::{Reducer, Term, TermRef, Type, Value};
 use runtime::sync::Mutex;
 
-use crate::explore::{CancelToken, Exploration, ExploreConfig, SeenSet, Strategy};
+use crate::explore::{self, Exploration, ExploreConfig, Strategy};
 use crate::generic::Lts;
 use crate::label::TermLabel;
-use crate::memory::explore_indexed_guided;
+use crate::memory::IdTable;
 
 /// Number of lock shards in each per-builder cache; a power of two.
 const CACHE_SHARDS: usize = 16;
@@ -97,12 +97,6 @@ pub struct TermLts {
     env: TypeEnv,
     checker: Checker,
     reducer: Reducer,
-    parallelism: usize,
-    strategy: Strategy,
-    cancel: Option<CancelToken>,
-    memory_budget: Option<usize>,
-    spill_dir: Option<std::path::PathBuf>,
-    seen_set: SeenSet,
     caches: Arc<Caches>,
 }
 
@@ -118,63 +112,8 @@ impl TermLts {
             env,
             checker,
             reducer: Reducer::new(),
-            parallelism: 1,
-            strategy: Strategy::default(),
-            cancel: None,
-            memory_budget: None,
-            spill_dir: None,
-            seen_set: SeenSet::default(),
             caches: Caches::new(),
         }
-    }
-
-    /// Sets how many worker threads [`TermLts::build`] explores with (default
-    /// `1`, i.e. serial). As on the type side, a *complete* build produces an
-    /// LTS — states, numbering, transitions — identical for every worker
-    /// count, by the canonical renumbering of [`mod@crate::explore`].
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism.max(1);
-        self
-    }
-
-    /// Selects the exploration [`Strategy`] (default BFS). As on the type
-    /// side, complete builds are byte-identical to BFS under every strategy;
-    /// a beam run here ranks states by term size (smaller first), since the
-    /// term side has no property targets to steer toward.
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Attaches a cooperative cancellation token: flipping it aborts any
-    /// in-flight [`TermLts::build`] at its next state expansion.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = Some(cancel);
-        self
-    }
-
-    /// Caps the exploration's resident working set (seen-set pages plus
-    /// in-RAM frontier, in bytes); past the budget, cold frontier segments
-    /// spill to disk and stream back in discovery order, keeping results
-    /// byte-identical to an unbudgeted run. `None` (the default) keeps
-    /// everything in RAM.
-    pub fn with_memory_budget(mut self, budget: Option<usize>) -> Self {
-        self.memory_budget = budget;
-        self
-    }
-
-    /// Directory for frontier spill segments (default: the system temp dir).
-    /// Each build uses its own subdirectory and removes it when done.
-    pub fn with_spill_dir(mut self, dir: std::path::PathBuf) -> Self {
-        self.spill_dir = Some(dir);
-        self
-    }
-
-    /// Selects the seen-set structure (default [`SeenSet::Bitmap`]); see
-    /// [`mod@crate::memory`]. Results are identical either way.
-    pub fn with_seen_set(mut self, seen_set: SeenSet) -> Self {
-        self.seen_set = seen_set;
-        self
     }
 
     /// The typing environment.
@@ -418,33 +357,30 @@ impl TermLts {
     }
 
     /// Builds the explicit LTS reachable from `t`, bounded by `max_states`,
-    /// on the [`mod@crate::explore`] engine with the configured worker count.
+    /// by a serial breadth-first exploration.
     pub fn build(&self, t: &Term, max_states: usize) -> Lts<TermRef, TermLabel> {
-        self.build_exploration(t, max_states).lts
+        self.build_exploration(t, &ExploreConfig::serial(max_states))
+            .lts
     }
 
-    /// Like [`TermLts::build`], also reporting how the exploration ended.
+    /// Like [`TermLts::build`], run as `config` says, and also reporting how
+    /// the exploration ended. As on the type side, a *complete* build
+    /// produces an LTS — states, numbering, transitions — identical for
+    /// every `config`, by the canonical renumbering of
+    /// [`mod@crate::explore`]; a beam run here ranks states by term size
+    /// (smaller first), since the term side has no property targets to steer
+    /// toward. States are interner references, so the engine runs on its
+    /// bitmap state table.
     pub fn build_exploration(
         &self,
         t: &Term,
-        max_states: usize,
+        config: &ExploreConfig,
     ) -> Exploration<TermRef, TermLabel> {
-        let initial = TermRef::intern(t);
-        let mut config = ExploreConfig::new(self.parallelism, max_states)
-            .with_strategy(self.strategy)
-            .with_memory_budget(self.memory_budget)
-            .with_seen_set(self.seen_set);
-        if let Some(dir) = &self.spill_dir {
-            config = config.with_spill_dir(dir.clone());
-        }
-        if let Some(cancel) = &self.cancel {
-            config = config.with_cancel(cancel.clone());
-        }
-        let guided = matches!(self.strategy, Strategy::Beam { .. });
-        explore_indexed_guided(
-            initial,
+        let guided = matches!(config.strategy, Strategy::Beam { .. });
+        explore::run::<IdTable<TermRef>, _, _, _, _, _>(
+            TermRef::intern(t),
             |s: &TermRef| self.successors(s).to_vec(),
-            &config,
+            config,
             |_: &TermRef, _: &[(TermLabel, usize)]| false,
             move |s: &TermRef| {
                 if guided {
@@ -569,8 +505,8 @@ mod tests {
         let serial = TermLts::new(env.clone()).build(&term, 10_000);
         for workers in [2, 4] {
             let parallel = TermLts::new(env.clone())
-                .with_parallelism(workers)
-                .build(&term, 10_000);
+                .build_exploration(&term, &ExploreConfig::new(workers, 10_000))
+                .lts;
             assert_eq!(parallel.states(), serial.states(), "workers={workers}");
             assert_eq!(
                 parallel.num_transitions(),
@@ -592,11 +528,11 @@ mod tests {
         let env = TypeEnv::new()
             .bind("y", Type::chan_io(Type::Str))
             .bind("z", Type::chan_io(Type::chan_out(Type::Str)));
-        let token = CancelToken::new();
+        let token = crate::CancelToken::new();
         token.cancel();
-        let builder = TermLts::new(env).with_cancel(token);
         let (term, _) = examples::ping_pong_open();
-        let ex = builder.build_exploration(&term, 10_000);
+        let config = ExploreConfig::serial(10_000).with_cancel(token);
+        let ex = TermLts::new(env).build_exploration(&term, &config);
         assert_eq!(ex.status, crate::explore::ExploreStatus::Aborted);
     }
 

@@ -49,10 +49,10 @@ use dbt_types::{Checker, TypeEnv};
 use lambdapi::{Name, TyRef, Type};
 use runtime::sync::Mutex;
 
-use crate::explore::{CancelToken, Exploration, ExploreConfig, SeenSet, Strategy};
+use crate::explore::{self, Exploration, ExploreConfig, Strategy};
 use crate::generic::Lts;
 use crate::label::TypeLabel;
-use crate::memory::explore_indexed_guided;
+use crate::memory::IdTable;
 
 /// Which environment variables the early input rule [T→i] may use as payload
 /// candidates (in addition to the domain type itself).
@@ -105,13 +105,7 @@ pub struct TypeLts {
     checker: Checker,
     candidates: CandidatePolicy,
     visible: Option<Vec<Name>>,
-    parallelism: usize,
-    strategy: Strategy,
     priority_targets: Vec<Name>,
-    cancel: Option<CancelToken>,
-    memory_budget: Option<usize>,
-    spill_dir: Option<std::path::PathBuf>,
-    seen_set: SeenSet,
     caches: Arc<Caches>,
 }
 
@@ -131,35 +125,9 @@ impl TypeLts {
             checker,
             candidates: CandidatePolicy::default(),
             visible: None,
-            parallelism: 1,
-            strategy: Strategy::default(),
             priority_targets: Vec::new(),
-            cancel: None,
-            memory_budget: None,
-            spill_dir: None,
-            seen_set: SeenSet::default(),
             caches: Caches::new(),
         }
-    }
-
-    /// Sets how many worker threads [`TypeLts::build`] explores with (default
-    /// `1`, i.e. serial). Thanks to the canonical renumbering of
-    /// [`mod@crate::explore`], a *complete* (non-truncated) build produces an
-    /// LTS — states, numbering, transitions — identical for every worker
-    /// count. Truncated builds respect the same state bound everywhere but
-    /// may differ in which prefix was explored (the verifier turns them into
-    /// the same clamped error either way).
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism.max(1);
-        self
-    }
-
-    /// Selects the exploration [`Strategy`] (default BFS). The strategy can
-    /// only be observed on runs that end early — complete builds are
-    /// canonically renumbered and byte-identical to BFS under every strategy.
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// Names the channels a [`Strategy::Beam`] exploration should steer
@@ -169,39 +137,6 @@ impl TypeLts {
     /// (the default) leaves even a beam run unguided.
     pub fn with_priority_targets(mut self, targets: Vec<Name>) -> Self {
         self.priority_targets = targets;
-        self
-    }
-
-    /// Attaches a cooperative cancellation token: flipping it aborts any
-    /// in-flight [`TypeLts::build`] at its next state expansion.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = Some(cancel);
-        self
-    }
-
-    /// Caps the exploration's resident working set (seen-set pages plus
-    /// in-RAM frontier, in bytes): past the budget, cold frontier segments
-    /// spill to disk and stream back in discovery order, so results — states,
-    /// numbering, verdicts, witnesses — are byte-identical to an unbudgeted
-    /// run. `None` (the default) keeps everything in RAM.
-    pub fn with_memory_budget(mut self, budget: Option<usize>) -> Self {
-        self.memory_budget = budget;
-        self
-    }
-
-    /// Directory for frontier spill segments (default: the system temp dir).
-    /// Each build uses its own subdirectory and removes it when done.
-    pub fn with_spill_dir(mut self, dir: std::path::PathBuf) -> Self {
-        self.spill_dir = Some(dir);
-        self
-    }
-
-    /// Selects the seen-set structure (default [`SeenSet::Bitmap`], the
-    /// id-indexed memory layer of [`mod@crate::memory`]). [`SeenSet::Hash`]
-    /// forces the generic hash engine — results are identical either way;
-    /// the knob exists so the determinism suite can compare them.
-    pub fn with_seen_set(mut self, seen_set: SeenSet) -> Self {
-        self.seen_set = seen_set;
         self
     }
 
@@ -414,67 +349,78 @@ impl TypeLts {
         shard.lock().entry(key).or_insert(candidates).clone()
     }
 
-    /// Builds the explicit LTS reachable from `ty`, bounded by `max_states`,
-    /// on the [`mod@crate::explore`] engine with the configured worker count.
-    pub fn build(&self, ty: &Type, max_states: usize) -> Lts<TyRef, TypeLabel> {
-        self.build_exploration(ty, max_states).lts
+    /// The transitions exploration follows out of `state`: its
+    /// [`TypeLts::successors`], minus the bare inputs/outputs hidden by
+    /// [`TypeLts::with_visible_subjects`].
+    pub fn visible_successors(&self, state: &TyRef) -> Vec<(TypeLabel, TyRef)> {
+        let succ = self.successors(state);
+        match &self.visible {
+            None => succ.to_vec(),
+            Some(visible) => succ
+                .iter()
+                .filter(|(label, _)| match label.subject() {
+                    Some(Type::Var(x)) => visible.contains(x),
+                    Some(_) => false,
+                    None => true,
+                })
+                .cloned()
+                .collect(),
+        }
     }
 
-    /// Like [`TypeLts::build`], also reporting how the exploration ended.
-    pub fn build_exploration(&self, ty: &Type, max_states: usize) -> Exploration<TyRef, TypeLabel> {
-        self.build_exploration_until(ty, max_states, |_: &TyRef, _: &[(TypeLabel, usize)]| false)
+    /// Builds the explicit LTS reachable from `ty`, bounded by `max_states`,
+    /// by a serial breadth-first exploration.
+    pub fn build(&self, ty: &Type, max_states: usize) -> Lts<TyRef, TypeLabel> {
+        self.build_exploration(ty, &ExploreConfig::serial(max_states))
+            .lts
+    }
+
+    /// Like [`TypeLts::build`], run as `config` says — worker count, state
+    /// bound, strategy, cancellation, memory budget — and also reporting how
+    /// the exploration ended. Thanks to the canonical renumbering of
+    /// [`mod@crate::explore`], a *complete* (non-truncated) build produces an
+    /// LTS — states, numbering, transitions — identical for every `config`.
+    /// Truncated builds respect the same state bound everywhere but may
+    /// differ in which prefix was explored (the verifier turns them into the
+    /// same clamped error either way).
+    pub fn build_exploration(
+        &self,
+        ty: &Type,
+        config: &ExploreConfig,
+    ) -> Exploration<TyRef, TypeLabel> {
+        self.build_exploration_until(ty, config, |_: &TyRef, _: &[(TypeLabel, usize)]| false)
     }
 
     /// Like [`TypeLts::build_exploration`], with an on-the-fly *monitor*:
     /// after each state is expanded, `monitor(state, transitions)` may return
     /// `true` to end the run early (`ExploreStatus::Cancelled`). Combined
-    /// with [`TypeLts::with_strategy`] and [`TypeLts::with_priority_targets`]
-    /// this is directed counterexample search: a violating transition can be
-    /// surfaced after exploring a fraction of the space, and
-    /// [`Exploration::trace_to`] turns it into a replayable witness path.
+    /// with a directed [`ExploreConfig::strategy`] and
+    /// [`TypeLts::with_priority_targets`] this is directed counterexample
+    /// search: a violating transition can be surfaced after exploring a
+    /// fraction of the space, and [`Exploration::trace_to`] turns it into a
+    /// replayable witness path.
+    ///
+    /// States are interner references, so the engine runs on its bitmap
+    /// state table.
     pub fn build_exploration_until<M>(
         &self,
         ty: &Type,
-        max_states: usize,
+        config: &ExploreConfig,
         monitor: M,
     ) -> Exploration<TyRef, TypeLabel>
     where
         M: Fn(&TyRef, &[(TypeLabel, usize)]) -> bool + Sync,
     {
         let initial = self.canonical_ref(&TyRef::intern(ty));
-        let mut config = ExploreConfig::new(self.parallelism, max_states)
-            .with_strategy(self.strategy)
-            .with_memory_budget(self.memory_budget)
-            .with_seen_set(self.seen_set);
-        if let Some(dir) = &self.spill_dir {
-            config = config.with_spill_dir(dir.clone());
-        }
-        if let Some(cancel) = &self.cancel {
-            config = config.with_cancel(cancel.clone());
-        }
         // Only a beam run reads priorities: skip the heuristic walk entirely
         // everywhere else (the constant closure keeps BFS's hot path intact).
         let guided =
-            matches!(self.strategy, Strategy::Beam { .. }) && !self.priority_targets.is_empty();
+            matches!(config.strategy, Strategy::Beam { .. }) && !self.priority_targets.is_empty();
         let targets = &self.priority_targets;
-        explore_indexed_guided(
+        explore::run::<IdTable<TyRef>, _, _, _, _, _>(
             initial,
-            |s: &TyRef| {
-                let succ = self.successors(s);
-                match &self.visible {
-                    None => succ.to_vec(),
-                    Some(visible) => succ
-                        .iter()
-                        .filter(|(label, _)| match label.subject() {
-                            Some(Type::Var(x)) => visible.contains(x),
-                            Some(_) => false,
-                            None => true,
-                        })
-                        .cloned()
-                        .collect(),
-                }
-            },
-            &config,
+            |s: &TyRef| self.visible_successors(s),
+            config,
             monitor,
             move |s: &TyRef| {
                 if guided {
@@ -760,8 +706,8 @@ mod tests {
         let serial = TypeLts::new(env.clone()).build(&ty, 10_000);
         for workers in [2, 4] {
             let parallel = TypeLts::new(env.clone())
-                .with_parallelism(workers)
-                .build(&ty, 10_000);
+                .build_exploration(&ty, &ExploreConfig::new(workers, 10_000))
+                .lts;
             assert_eq!(parallel.states(), serial.states(), "workers={workers}");
             assert_eq!(
                 parallel.num_transitions(),
@@ -866,13 +812,13 @@ mod tests {
     #[test]
     fn build_aborts_on_a_cancel_token() {
         let env = pingpong_env();
-        let token = CancelToken::new();
+        let token = crate::CancelToken::new();
         token.cancel();
-        let builder = TypeLts::new(env).with_cancel(token);
         let ty = examples::tpp_type()
             .apply_all(&[Type::var("y"), Type::var("z")])
             .unwrap();
-        let ex = builder.build_exploration(&ty, 10_000);
+        let config = ExploreConfig::serial(10_000).with_cancel(token);
+        let ex = TypeLts::new(env).build_exploration(&ty, &config);
         assert_eq!(ex.status, crate::explore::ExploreStatus::Aborted);
     }
 }

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use dbt_types::{Checker, TypeEnv, TypeKind};
 use lambdapi::{Name, TyRef, Type};
-use lts::{CancelToken, ExploreStatus, Lts, SeenSet, Strategy, TypeLabel, TypeLts};
+use lts::{ExploreConfig, ExploreStatus, Lts, TypeLabel, TypeLts};
 
 use crate::properties::Property;
 use crate::witness::Trace;
@@ -50,7 +50,7 @@ pub enum VerifyError {
         /// on the clamp regardless of the engine's worker count.
         explored: usize,
     },
-    /// The exploration was aborted by an external [`CancelToken`] (the
+    /// The exploration was aborted by an external [`lts::CancelToken`] (the
     /// `cancel` hook of `effpi-serve`). The partial LTS is discarded: an
     /// aborted prefix is scheduling-dependent and must never feed a verdict.
     Cancelled,
@@ -118,8 +118,6 @@ impl std::fmt::Display for VerificationOutcome {
 #[derive(Clone, Debug)]
 pub struct Verifier {
     checker: Checker,
-    /// Maximum number of states explored before giving up.
-    pub max_states: usize,
     /// Whether to add payload-probe variables for input domains automatically.
     pub auto_probe: bool,
     /// When set, only bare input/output transitions on these channel variables
@@ -127,54 +125,30 @@ pub struct Verifier {
     /// composition then contribute only τ-synchronisations). `None` keeps the
     /// full Def. 4.2 transition relation.
     pub visible: Option<Vec<Name>>,
-    /// How many worker threads the LTS construction uses (`1` = serial). On
-    /// every successful verification the LTS — and hence every verdict,
-    /// state count and transition count — is identical for every value, by
-    /// the canonical renumbering of `lts::explore`; bound trips surface as
-    /// the same clamped [`VerifyError::StateSpaceTooLarge`] on every value.
-    pub parallelism: usize,
-    /// When set, flipping the token aborts any in-flight LTS construction at
-    /// its next state expansion; the run then fails with
-    /// [`VerifyError::Cancelled`].
-    pub cancel: Option<CancelToken>,
-    /// The frontier discipline used by the LTS construction. On complete
-    /// (non-truncated) runs every strategy yields the canonical LTS, so
-    /// verdicts, state counts and transition counts are identical to the
-    /// default [`Strategy::Bfs`]; the choice only matters for *where the
-    /// bound trips first* on state spaces too large to finish — a guided
-    /// [`Strategy::Beam`] search steers towards outputs on the property's
-    /// interface variables and can reach a violation orders of magnitude
-    /// earlier than BFS.
-    pub strategy: Strategy,
-    /// Caps the exploration's resident working set (seen-set pages plus
-    /// in-RAM frontier, in bytes): past the budget, cold frontier segments
-    /// spill to disk and stream back in discovery order. Verdicts, state
-    /// counts and witnesses are byte-identical to an unbudgeted run — the
-    /// budget only trades RAM for disk I/O. `None` (the default) keeps
-    /// everything resident.
-    pub memory_budget: Option<usize>,
-    /// Directory for frontier spill segments (default: the system temp dir).
-    /// Each run uses its own subdirectory and removes it when done.
-    pub spill_dir: Option<std::path::PathBuf>,
-    /// Seen-set structure for the exploration (default the id-indexed
-    /// bitmap; [`SeenSet::Hash`] forces the generic hash engine — results
-    /// are identical, the knob exists for the determinism suite).
-    pub seen_set: SeenSet,
+    /// How the LTS construction explores: state bound (exceeding it fails
+    /// the run with [`VerifyError::StateSpaceTooLarge`]), worker count,
+    /// strategy, cancellation token (flipping it fails the run with
+    /// [`VerifyError::Cancelled`]), memory budget and spill directory — see
+    /// [`ExploreConfig`].
+    ///
+    /// Only the bound and, on runs that trip it, the strategy can show in a
+    /// result: on every successful verification the LTS — and hence every
+    /// verdict, state count, transition count and witness — is the canonical
+    /// one whatever the worker count, strategy or budget, by the renumbering
+    /// of `lts::explore`, and bound trips surface as the same clamped error.
+    /// A guided [`lts::Strategy::Beam`] search steers towards outputs on the
+    /// property's interface variables and can reach a violation orders of
+    /// magnitude earlier than BFS on a state space too large to finish.
+    pub explore: ExploreConfig,
 }
 
 impl Default for Verifier {
     fn default() -> Self {
         Verifier {
             checker: Checker::new(),
-            max_states: lts::DEFAULT_MAX_STATES,
             auto_probe: true,
             visible: None,
-            parallelism: 1,
-            cancel: None,
-            strategy: Strategy::default(),
-            memory_budget: None,
-            spill_dir: None,
-            seen_set: SeenSet::default(),
+            explore: ExploreConfig::serial(lts::DEFAULT_MAX_STATES),
         }
     }
 }
@@ -188,7 +162,7 @@ impl Verifier {
     /// Creates a verifier with a custom state bound.
     pub fn with_max_states(max_states: usize) -> Self {
         Verifier {
-            max_states,
+            explore: ExploreConfig::serial(max_states),
             ..Self::default()
         }
     }
@@ -273,7 +247,7 @@ impl Verifier {
     }
 
     /// Like [`Verifier::build_lts`], but with a set of *priority target*
-    /// variables that a guided [`Strategy::Beam`] exploration steers towards
+    /// variables that a guided [`lts::Strategy::Beam`] exploration steers towards
     /// (states syntactically closer to an output on one of `targets` are
     /// expanded first). All other strategies ignore the targets, and on
     /// complete runs the resulting LTS is canonical regardless of them.
@@ -299,23 +273,13 @@ impl Verifier {
             }
             v
         });
-        let mut builder = TypeLts::with_checker(env.clone(), self.checker.clone())
+        let builder = TypeLts::with_checker(env.clone(), self.checker.clone())
             .with_candidate_policy(lts::CandidatePolicy::Only(probes))
             .with_visible_subjects(visible)
-            .with_parallelism(self.parallelism)
-            .with_strategy(self.strategy)
-            .with_priority_targets(targets.to_vec())
-            .with_memory_budget(self.memory_budget)
-            .with_seen_set(self.seen_set);
-        if let Some(dir) = &self.spill_dir {
-            builder = builder.with_spill_dir(dir.clone());
-        }
-        if let Some(cancel) = &self.cancel {
-            builder = builder.with_cancel(cancel.clone());
-        }
+            .with_priority_targets(targets.to_vec());
         let exploration = {
             let _span = obs::span("explore");
-            builder.build_exploration(ty, self.max_states)
+            builder.build_exploration(ty, &self.explore)
         };
         if exploration.status == ExploreStatus::Aborted {
             return Err(VerifyError::Cancelled);
@@ -323,10 +287,10 @@ impl Verifier {
         let lts = exploration.lts;
         if lts.is_truncated() {
             return Err(VerifyError::StateSpaceTooLarge {
-                bound: self.max_states,
+                bound: self.explore.max_states,
                 // Clamped so the reported count never exceeds the bound, no
                 // matter how far a (parallel) frontier overshot internally.
-                explored: lts.num_states().min(self.max_states),
+                explored: lts.num_states().min(self.explore.max_states),
             });
         }
         Ok((env, lts))
@@ -601,7 +565,7 @@ mod tests {
     #[test]
     fn parallel_verification_matches_serial_verdicts_and_state_counts() {
         let mut parallel = Verifier::new();
-        parallel.parallelism = 4;
+        parallel.explore.parallelism = 4;
         let serial = Verifier::new();
         let env = payment_env();
         let ty = payment_applied();
@@ -623,7 +587,7 @@ mod tests {
     fn state_bound_overshoot_is_clamped_for_every_worker_count() {
         for parallelism in [1, 4] {
             let mut verifier = Verifier::with_max_states(5);
-            verifier.parallelism = parallelism;
+            verifier.explore.parallelism = parallelism;
             let env = payment_env();
             let ty = payment_applied();
             let err = verifier
@@ -694,12 +658,12 @@ mod tests {
         ];
         let baseline = Verifier::new();
         for strategy in [
-            Strategy::Dfs,
-            Strategy::Beam { width: 8 },
-            Strategy::RandomWalk { seed: 42 },
+            lts::Strategy::Dfs,
+            lts::Strategy::Beam { width: 8 },
+            lts::Strategy::RandomWalk { seed: 42 },
         ] {
             let mut verifier = Verifier::new();
-            verifier.strategy = strategy;
+            verifier.explore.strategy = strategy;
             for p in &props {
                 let b = baseline.verify(&env, &ty, p).unwrap();
                 let v = verifier.verify(&env, &ty, p).unwrap();
@@ -731,10 +695,10 @@ mod tests {
     fn a_flipped_cancel_token_fails_verification_with_cancelled() {
         for parallelism in [1, 4] {
             let mut verifier = Verifier::new();
-            verifier.parallelism = parallelism;
-            let token = CancelToken::new();
+            verifier.explore.parallelism = parallelism;
+            let token = lts::CancelToken::new();
             token.cancel();
-            verifier.cancel = Some(token);
+            verifier.explore.cancel = Some(token);
             let err = verifier
                 .verify(
                     &payment_env(),

@@ -12,19 +12,23 @@
 //! numbering plus every transition triple) built through
 //! `Session::build_term_lts`.
 //!
-//! The same contract covers the exploration memory layer (`lts::memory`):
-//! the id-indexed bitmap seen-set vs the hash fallback, and the
-//! disk-spilling frontier behind `memory_budget` vs the all-in-RAM one, are
-//! operational choices that must be invisible in every report — see the
-//! "memory layer" section at the bottom. (Corrupt or truncated spill
-//! segments failing *loudly* is pinned at the unit level in `lts::memory`,
-//! where a segment file can be torn byte by byte; `bench::big` is the
-//! out-of-core-scale CI edition of the zero-drift clause.)
+//! The same contract covers the engine's memory layer: the bitmap state
+//! table the `TypeLts` / `TermLts` builds run on vs the hash table the
+//! generic `lts::explore` family runs on, and the disk-spilling frontier
+//! behind `memory_budget` vs the all-in-RAM one, are choices the engine
+//! makes from the state type and the config and must be invisible in every
+//! result — see the "memory layer" section at the bottom. (Corrupt or
+//! truncated spill segments failing *loudly* is pinned at the unit level in
+//! `lts`'s `memory` module, where a segment file can be torn byte by byte;
+//! `bench::big` is the out-of-core-scale CI edition of the zero-drift
+//! clause.)
 
 use effpi::protocols::{fig9_scenarios, mobile_code, open_terms};
 use effpi::spec::parse_spec;
-use effpi::{SeenSet, Session, SessionBuilder, Strategy, TermLabel, TermRef};
-use lts::Lts;
+use effpi::{
+    ExploreConfig, Session, SessionBuilder, Strategy, TermLabel, TermLts, TermRef, TyRef, TypeLts,
+};
+use lts::{CandidatePolicy, Exploration, ExploreStatus, Lts};
 
 const MAX_STATES: usize = 60_000;
 const WORKERS: usize = 4;
@@ -89,7 +93,8 @@ fn every_strategy_reports_identically_on_complete_runs() {
     // renumbering into BFS discovery order erases the order again — so every
     // strategy, serial or parallel, must reproduce the serial BFS report
     // byte for byte. (Only bounded runs may differ per strategy, and those
-    // say so in the report.)
+    // say so in the report.) Likewise under a 1-byte memory budget: BFS and
+    // the parallel runs spill, the serial in-RAM disciplines ignore it.
     let strategies = [
         Strategy::Bfs,
         Strategy::Dfs,
@@ -108,19 +113,26 @@ fn every_strategy_reports_identically_on_complete_runs() {
         );
         for strategy in strategies {
             for workers in [1, WORKERS] {
-                let line = Session::builder()
-                    .max_states(MAX_STATES)
-                    .parallelism(workers)
-                    .strategy(strategy)
-                    .build()
-                    .run_scenario(scenario)
-                    .summary()
-                    .stable_line();
-                assert_eq!(
-                    expect, line,
-                    "{}: {strategy} x{workers} workers differs from serial BFS",
-                    scenario.name
-                );
+                for budgeted in [false, true] {
+                    let mut builder = Session::builder()
+                        .max_states(MAX_STATES)
+                        .parallelism(workers)
+                        .strategy(strategy);
+                    if budgeted {
+                        builder = builder.memory_budget(1);
+                    }
+                    let line = builder
+                        .build()
+                        .run_scenario(scenario)
+                        .summary()
+                        .stable_line();
+                    assert_eq!(
+                        expect, line,
+                        "{}: {strategy} x{workers} workers (budgeted: {budgeted}) differs \
+                         from serial BFS",
+                        scenario.name
+                    );
+                }
             }
         }
     }
@@ -192,8 +204,8 @@ fn every_open_term_scenario_reports_identically_serial_and_parallel() {
 }
 
 // ---------------------------------------------------------------------------
-// The memory layer: seen-set representation and the exploration memory
-// budget are operational knobs, never observable in a report.
+// The memory layer: the state table and the exploration memory budget are
+// the engine's own choices, never observable in a result.
 // ---------------------------------------------------------------------------
 
 /// One scenario per protocol family — enough shape diversity to exercise
@@ -228,18 +240,75 @@ fn memory_corpus_lines(configure: impl Fn(SessionBuilder) -> SessionBuilder) -> 
         .collect()
 }
 
-#[test]
-fn the_bitmap_seen_set_is_byte_identical_to_the_hash_engine() {
-    // `SeenSet::Bitmap` (the default: two-level lazily-paged bit array over
-    // canonical state ids) and `SeenSet::Hash` (the prior engine, kept as
-    // the fallback) must agree byte for byte, serially and with 4 workers.
-    for workers in [1, WORKERS] {
-        let bitmap = memory_corpus_lines(|b| b.seen_set(SeenSet::Bitmap).parallelism(workers));
-        let hash = memory_corpus_lines(|b| b.seen_set(SeenSet::Hash).parallelism(workers));
+/// Asserts that two explorations agree on everything a run produces: how it
+/// ended, the states in canonical numbering, every transition, and the
+/// discovery tree witnesses are read from.
+fn assert_same_exploration<S, L>(a: &Exploration<S, L>, b: &Exploration<S, L>, what: &str)
+where
+    S: Clone + Eq + std::hash::Hash + std::fmt::Debug,
+    L: Clone + PartialEq + std::fmt::Debug,
+{
+    assert_eq!(a.status, ExploreStatus::Complete, "{what}");
+    assert_eq!(a.status, b.status, "{what}");
+    assert_eq!(a.lts.states(), b.lts.states(), "{what}: states");
+    for i in 0..a.lts.num_states() {
         assert_eq!(
-            bitmap, hash,
-            "seen-set representation leaked into a {workers}-worker report"
+            a.lts.transitions_from(i),
+            b.lts.transitions_from(i),
+            "{what}: transitions of state {i}"
         );
+    }
+    assert_eq!(a.parents, b.parents, "{what}: discovery tree");
+}
+
+#[test]
+fn the_bitmap_table_is_byte_identical_to_the_hash_table() {
+    // No option selects the state table: `TypeLts` / `TermLts` states are
+    // interner references, so their builds run on the bitmap table, while
+    // the generic `lts::explore` family runs the same drivers on the hash
+    // table over any state type — interner references included. Handing it
+    // a builder's own successor function must therefore reproduce the
+    // builder's exploration exactly — not just its stable line — serially
+    // and with 4 workers.
+    let session = session(1);
+    let verifier = session.verifier();
+    for workers in [1, WORKERS] {
+        let config = ExploreConfig::new(workers, MAX_STATES);
+        for scenario in memory_corpus() {
+            let what = format!("{} x{workers} workers", scenario.name);
+            // The builder verification explores with: the probed
+            // environment, the probes as the only early-input candidates,
+            // and the scenario's visible channels plus the probes.
+            let (env, probes) = verifier.probe_env(&scenario.env, &scenario.ty);
+            let mut visible = scenario.visible.clone();
+            visible.extend(probes.iter().cloned());
+            let builder = TypeLts::with_checker(env, verifier.checker().clone())
+                .with_candidate_policy(CandidatePolicy::Only(probes))
+                .with_visible_subjects(Some(visible));
+            let bitmap = builder.build_exploration(&scenario.ty, &config);
+            let hash = lts::explore(
+                builder.canonical_ref(&TyRef::intern(&scenario.ty)),
+                |state: &TyRef| builder.visible_successors(state),
+                &config,
+            );
+            assert_same_exploration(&bitmap, &hash, &what);
+            assert_eq!(
+                bitmap.lts.num_states(),
+                session.run_scenario(&scenario).states(),
+                "{what}: not the LTS verification decides on"
+            );
+        }
+        for scenario in open_terms::corpus() {
+            let what = format!("{} x{workers} workers", scenario.name);
+            let builder = TermLts::with_checker(scenario.env.clone(), session.checker().clone());
+            let bitmap = builder.build_exploration(&scenario.term, &config);
+            let hash = lts::explore(
+                TermRef::intern(&scenario.term),
+                |state: &TermRef| builder.successors(state).to_vec(),
+                &config,
+            );
+            assert_same_exploration(&bitmap, &hash, &what);
+        }
     }
 }
 
@@ -256,18 +325,6 @@ fn a_memory_budget_is_byte_identical_to_an_unbudgeted_run() {
             "the memory budget leaked into a {workers}-worker report"
         );
     }
-}
-
-#[test]
-fn hash_fallback_budget_and_parallelism_compose_without_drift() {
-    // The knob matrix pairwise-agrees above; pin one fully-combined corner.
-    let baseline = memory_corpus_lines(|b| b);
-    let everything = memory_corpus_lines(|b| {
-        b.seen_set(SeenSet::Hash)
-            .memory_budget(1)
-            .parallelism(WORKERS)
-    });
-    assert_eq!(baseline, everything);
 }
 
 #[test]

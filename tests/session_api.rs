@@ -32,14 +32,14 @@ fn builder_defaults_match_the_legacy_defaults() {
     let default_verifier = Verifier::default();
     let default_checker = Checker::default();
 
-    assert_eq!(config.max_states, default_verifier.max_states);
+    assert_eq!(config.max_states, default_verifier.explore.max_states);
     assert_eq!(config.auto_probe, default_verifier.auto_probe);
     assert_eq!(config.visible, default_verifier.visible);
     assert_eq!(config.max_depth, default_checker.max_depth);
     assert_eq!(config.max_unfold, default_checker.max_unfold);
 
     // The cached verifier/checker really carry those settings.
-    assert_eq!(session.verifier().max_states, default_verifier.max_states);
+    assert_eq!(session.verifier().explore, default_verifier.explore);
     assert_eq!(session.verifier().auto_probe, default_verifier.auto_probe);
     assert_eq!(session.checker().max_depth, default_checker.max_depth);
     assert_eq!(session.checker().max_unfold, default_checker.max_unfold);
@@ -57,7 +57,7 @@ fn builder_knobs_propagate_to_the_cached_components() {
         .auto_probe(false)
         .visible(["a", "b"])
         .build();
-    assert_eq!(session.verifier().max_states, 1234);
+    assert_eq!(session.verifier().explore.max_states, 1234);
     assert!(!session.verifier().auto_probe);
     assert_eq!(
         session.verifier().visible,
