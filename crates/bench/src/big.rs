@@ -30,7 +30,7 @@ use std::time::Instant;
 use effpi::protocols::{pingpong, ring, Scenario};
 use effpi::Session;
 
-use crate::json::Json;
+use wire::Json;
 
 /// The schema tag written into every out-of-core bench record.
 pub const SCHEMA: &str = "bench-big/v1";

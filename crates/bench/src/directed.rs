@@ -29,7 +29,7 @@ use std::time::Instant;
 use effpi::{ExploreConfig, Name, Strategy, TypeEnv, TypeLabel, TypeLts};
 use lambdapi::{TyRef, Type};
 
-use crate::json::Json;
+use wire::Json;
 
 /// The schema tag written into every directed-search record.
 pub const SCHEMA: &str = "bench-directed/v1";

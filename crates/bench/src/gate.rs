@@ -64,7 +64,7 @@
 use std::collections::BTreeMap;
 
 use crate::fig9::Fig9Row;
-use crate::json::Json;
+use wire::Json;
 
 /// The schema tag written into (and required of) every bench record.
 pub const SCHEMA: &str = "bench-fig9/v1";

@@ -25,7 +25,7 @@ use std::time::Instant;
 use effpi::protocols::fig9_scenarios;
 use effpi::{TyRef, Verifier};
 
-use crate::json::Json;
+use wire::Json;
 
 /// The schema tag written into (and required of) every intern-bench record.
 pub const SCHEMA: &str = "bench-intern/v1";

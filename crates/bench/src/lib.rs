@@ -1,5 +1,5 @@
 //! Shared infrastructure for the benchmark harness: the table generators
-//! behind the `fig8` and `fig9` binaries and the Criterion benches.
+//! behind the `fig8` and `fig9` binaries and the [`harness`]-timed benches.
 //!
 //! * [`fig8`] — the runtime benchmarks of the paper's Figure 8: the seven
 //!   Savina-derived workloads, measured on the two Effpi-style schedulers and
@@ -35,9 +35,8 @@
 //!   verification service: N clients × M specs against an in-process server,
 //!   reporting requests/sec and the verdict-cache hit rate
 //!   (`BENCH_serve.json`).
-//! * [`json`] — the dependency-free JSON reader/writer behind the artifacts
-//!   (now the shared [`wire`] crate, re-exported here under its historic
-//!   name).
+//!
+//! The artifacts are written and read with the shared [`wire`] crate's JSON.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,5 +52,4 @@ pub mod obs_bench;
 pub mod serve_load;
 pub mod term_bench;
 
-pub use wire as json;
 pub use wire::flags;

@@ -25,7 +25,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use crate::json::Json;
+use wire::Json;
 
 /// The schema tag written into (and required of) every obs-bench record.
 pub const SCHEMA: &str = "bench-obs/v1";

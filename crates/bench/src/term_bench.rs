@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use effpi::{ExploreConfig, TermLts};
 
-use crate::json::Json;
+use wire::Json;
 
 /// The schema tag written into (and required of) every term-bench record.
 pub const SCHEMA: &str = "bench-term/v1";

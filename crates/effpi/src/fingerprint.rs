@@ -37,61 +37,18 @@
 //! wide enough that collisions are not a practical concern for a bounded
 //! cache.
 
-use std::fmt;
-
 use lambdapi::{TyRef, Type};
+use obs::hash::Fnv128;
 
 use crate::session::SessionConfig;
 use crate::spec::Spec;
+
+pub use obs::hash::CacheKey;
 
 /// The version tag mixed into every key; bump it whenever the canonical
 /// rendering (or anything that feeds it, e.g. `Type::normalize` or the
 /// property grammar) changes meaning, so stale caches can never replay.
 pub const KEY_SCHEMA: &str = "effpi-cache-key/v1";
-
-/// A 128-bit content address of a verification request.
-///
-/// Obtained from [`Session::cache_key`](crate::Session::cache_key) (or
-/// [`spec_cache_key`] when no session is at hand); rendered as 32 lowercase
-/// hex digits.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct CacheKey(pub u128);
-
-impl fmt::Display for CacheKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:032x}", self.0)
-    }
-}
-
-impl CacheKey {
-    /// Parses the 32-hex-digit rendering back into a key.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the text is not exactly 32 hex digits.
-    pub fn parse(text: &str) -> Result<CacheKey, String> {
-        // `from_str_radix` alone would also admit a leading '+'; require
-        // literally 32 hex digits so parsing accepts exactly what Display
-        // renders.
-        if text.len() != 32 || !text.bytes().all(|b| b.is_ascii_hexdigit()) {
-            return Err(format!("cache key must be 32 hex digits, got {text:?}"));
-        }
-        u128::from_str_radix(text, 16)
-            .map(CacheKey)
-            .map_err(|e| format!("malformed cache key {text:?}: {e}"))
-    }
-
-    /// The 16-byte little-endian encoding — the fixed-width form persistent
-    /// stores (e.g. the `store` crate's record log) embed in binary records.
-    pub fn to_bytes(self) -> [u8; 16] {
-        self.0.to_le_bytes()
-    }
-
-    /// Decodes the [`CacheKey::to_bytes`] encoding.
-    pub fn from_bytes(bytes: [u8; 16]) -> CacheKey {
-        CacheKey(u128::from_le_bytes(bytes))
-    }
-}
 
 /// Computes the content address of running `spec` under `config` — the key
 /// under which a verdict cache may store (and replay) the resulting report.
@@ -184,29 +141,6 @@ pub fn spec_cache_key(config: &SessionConfig, spec: &Spec) -> CacheKey {
 /// before hash consing existed — `tests/cache_key.rs` pins known key values.
 fn normal_form(ty: &Type) -> TyRef {
     TyRef::intern(ty).normalized()
-}
-
-/// 128-bit FNV-1a: tiny, dependency-free, stable everywhere.
-struct Fnv128(u128);
-
-impl Fnv128 {
-    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-    const PRIME: u128 = 0x0000000001000000000000000000013b;
-
-    fn new() -> Self {
-        Fnv128(Self::OFFSET)
-    }
-
-    fn write(&mut self, text: &str) {
-        for byte in text.bytes() {
-            self.0 ^= u128::from(byte);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    fn finish(&self) -> u128 {
-        self.0
-    }
 }
 
 #[cfg(test)]

@@ -64,11 +64,6 @@ impl Value {
     pub fn is_err(&self) -> bool {
         matches!(self, Value::Err)
     }
-
-    /// Wraps the value back into a term.
-    pub fn into_term(self) -> Term {
-        Term::Val(self)
-    }
 }
 
 impl fmt::Display for Value {

@@ -173,11 +173,6 @@ impl Type {
         }
     }
 
-    /// Returns `true` if the type is a channel type constructor (`cio`, `ci`, `co`).
-    pub fn is_channel(&self) -> bool {
-        matches!(self, Type::ChanIO(_) | Type::ChanIn(_) | Type::ChanOut(_))
-    }
-
     // ----- free variables -----------------------------------------------------------
 
     /// The set of free *term* variables occurring in the type (the `x` of Def. 3.1).

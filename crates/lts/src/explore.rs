@@ -10,7 +10,7 @@
 //! * **The state table** (`StateTable`) — the seen-set, which also resolves a
 //!   32-bit key back to its state. Two implementations: the *hash* table
 //!   (any `S: Eq + Hash`; hash-partitioned shards, each under its own
-//!   [`runtime::sync::Mutex`], keys drawn densely from the run's state
+//!   [`obs::sync::Mutex`], keys drawn densely from the run's state
 //!   counter) and the *bitmap* table (states whose identity is a dense
 //!   interner id — `TyRef`/`TermRef`; ~1 bit per state in lazily allocated
 //!   pages, the key is the id itself). See the `memory` module.
@@ -39,7 +39,7 @@
 //! * **Cooperative early exit** — the run ends as soon as the state bound
 //!   trips (parallel; a serial run keeps expanding what it registered), as
 //!   soon as an optional *monitor* decides the question being asked
-//!   on-the-fly (see [`explore_until`]), or as soon as an external
+//!   on-the-fly (see [`explore_guided`]), or as soon as an external
 //!   [`CancelToken`] is flipped (the abort hook behind `effpi-serve`'s
 //!   `cancel` request); workers check between expansions instead of draining
 //!   their queues.
@@ -73,7 +73,8 @@ use std::hash::{BuildHasher, Hash};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use runtime::sync::{Condvar, Mutex};
+use obs::hash::SplitMix64;
+use obs::sync::{Condvar, Mutex};
 
 use crate::generic::Lts;
 use crate::memory::{Entry, SpillFrontier, ENTRY_BYTES};
@@ -350,23 +351,15 @@ impl FrontierDiscipline for BeamFrontier {
 /// pop sequences exactly.
 struct RandomWalkFrontier {
     pool: Vec<Entry>,
-    rng: u64,
+    rng: SplitMix64,
 }
 
 impl RandomWalkFrontier {
     fn new(seed: u64) -> Self {
         RandomWalkFrontier {
             pool: Vec::new(),
-            rng: seed,
+            rng: SplitMix64::new(seed),
         }
-    }
-
-    fn next_rand(&mut self) -> u64 {
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
     }
 }
 
@@ -378,7 +371,7 @@ impl FrontierDiscipline for RandomWalkFrontier {
         if self.pool.is_empty() {
             return None;
         }
-        let k = (self.next_rand() % self.pool.len() as u64) as usize;
+        let k = self.rng.below(self.pool.len() as u64) as usize;
         Some(self.pool.swap_remove(k))
     }
     fn len(&self) -> usize {
@@ -566,7 +559,7 @@ pub enum ExploreStatus {
     Complete,
     /// The state bound tripped; the LTS is a prefix of the real one.
     Truncated,
-    /// The monitor of [`explore_until`] decided the question early.
+    /// The monitor of [`explore_guided`] decided the question early.
     Cancelled,
     /// An external [`CancelToken`] aborted the run; the LTS is a partial,
     /// scheduling-dependent prefix and carries no determinism guarantee.
@@ -671,24 +664,8 @@ where
     explore_until(initial, succ, config, |_: &S, _: &[(L, usize)]| false)
 }
 
-/// Like [`explore`], with an on-the-fly *monitor*: after each state is
-/// expanded, `monitor(state, transitions)` may return `true` to declare the
-/// question decided, which cooperatively stops every worker
-/// ([`ExploreStatus::Cancelled`]).
-///
-/// The monitor sees the expanded state and its outgoing transitions (targets
-/// as provisional keys — useful for counting, not for indexing). Because
-/// workers race, a cancelled run's state *set* is nondeterministic; only
-/// complete runs carry the determinism guarantee.
-///
-/// This is the hook for on-the-fly property checking (e.g. a reachability
-/// violation deciding non-usage the moment it is seen): combined with a
-/// directed [`Strategy`] it is the engine's counterexample *search* mode —
-/// see [`explore_guided`] for the heuristic-driven variant. The `mucalc`
-/// verifier evaluates its µ-calculus properties globally on the finished LTS
-/// (several properties share one build), so its in-tree exercisers are the
-/// engine tests and the `bench` crate's directed-search case.
-pub fn explore_until<S, L, F, M>(
+/// [`explore_guided`] without a heuristic (every priority is 0).
+pub(crate) fn explore_until<S, L, F, M>(
     initial: S,
     succ: F,
     config: &ExploreConfig,
@@ -703,11 +680,28 @@ where
     explore_guided(initial, succ, config, monitor, |_: &S| 0)
 }
 
-/// Like [`explore_until`], with a *heuristic*: `heuristic(state)` assigns
-/// each discovered state a priority (lower = expanded sooner), which
-/// [`Strategy::Beam`] uses to steer the frontier toward likely-violating
-/// states. The other strategies ignore priorities; the heuristic must be a
-/// pure function of the state.
+/// Like [`explore`], with an on-the-fly *monitor* and a *heuristic*.
+///
+/// After each state is expanded, `monitor(state, transitions)` may return
+/// `true` to declare the question decided, which cooperatively stops every
+/// worker ([`ExploreStatus::Cancelled`]). The monitor sees the expanded state
+/// and its outgoing transitions (targets as provisional keys — useful for
+/// counting, not for indexing). Because workers race, a cancelled run's state
+/// *set* is nondeterministic; only complete runs carry the determinism
+/// guarantee.
+///
+/// `heuristic(state)` assigns each discovered state a priority (lower =
+/// expanded sooner), which [`Strategy::Beam`] uses to steer the frontier
+/// toward likely-violating states. The other strategies ignore priorities;
+/// the heuristic must be a pure function of the state.
+///
+/// This is the hook for on-the-fly property checking (e.g. a reachability
+/// violation deciding non-usage the moment it is seen): combined with a
+/// directed [`Strategy`] it is the engine's counterexample *search* mode. The
+/// `mucalc` verifier evaluates its µ-calculus properties globally on the
+/// finished LTS (several properties share one build), so its in-tree
+/// exercisers are the engine tests and the `bench` crate's directed-search
+/// case.
 ///
 /// ```
 /// use lts::explore::{explore_guided, ExploreConfig, ExploreStatus, Strategy};

@@ -53,8 +53,7 @@ mod term_lts;
 mod type_lts;
 
 pub use explore::{
-    explore, explore_guided, explore_until, CancelToken, Exploration, ExploreConfig, ExploreStats,
-    ExploreStatus, Strategy,
+    explore, CancelToken, Exploration, ExploreConfig, ExploreStats, ExploreStatus, Strategy,
 };
 pub use generic::Lts;
 pub use label::{TermLabel, TypeLabel};

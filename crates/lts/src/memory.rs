@@ -38,7 +38,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use lambdapi::{TermId, TermRef, TyRef, TypeId};
-use runtime::sync::Mutex;
+use obs::hash::fnv64;
+use obs::sync::Mutex;
 
 use crate::explore::{ExploreStats, FrontierDiscipline, StateTable};
 
@@ -229,17 +230,6 @@ pub(crate) const ENTRY_BYTES: usize = SPILL_RECORD_BYTES;
 /// (32 KiB of records each), small enough that a reloaded segment cannot
 /// blow a budget by itself.
 const SPILL_CHUNK: usize = 4096;
-
-/// 64-bit FNV-1a — the same dependency-free hash family `effpi-store`'s log
-/// and the serve cache key use.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
-}
 
 /// Writes one segment: `magic | u32 LE count | u64 LE FNV-1a(payload) |
 /// payload` where payload is `count` fixed-width records. Returns the
@@ -591,6 +581,26 @@ mod tests {
     }
 
     #[test]
+    fn the_segment_format_is_pinned_byte_for_byte() {
+        // Generated before the checksum moved to `obs::hash::fnv64`: a
+        // changed magic, layout or hash would orphan segments mid-run.
+        let dir = tmp_dir("golden");
+        let path = dir.join("golden.spill");
+        write_segment(&path, &[(1, 0), (0x0102_0304, 7), (u32::MAX, 65_536)]);
+        #[rustfmt::skip]
+        let golden: [u8; 44] = [
+            b'E', b'F', b'S', b'P', b'I', b'L', b'L', b'1', // magic
+            3, 0, 0, 0, // count
+            10, 209, 50, 225, 250, 83, 123, 218, // FNV-1a-64 of the payload
+            1, 0, 0, 0, 0, 0, 0, 0,
+            4, 3, 2, 1, 7, 0, 0, 0,
+            255, 255, 255, 255, 0, 0, 1, 0,
+        ];
+        assert_eq!(fs::read(&path).unwrap(), golden);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn truncated_and_corrupt_spill_segments_fail_loudly() {
         let dir = tmp_dir("corrupt");
         let entries: Vec<(u32, u32)> = (0..500u32).map(|i| (i, i / 3)).collect();
@@ -866,7 +876,7 @@ mod tests {
     }
 
     #[test]
-    fn hash_fallback_paths_still_work_through_the_indexed_entry_point() {
+    fn non_bfs_strategies_run_on_the_bitmap_table() {
         // Serial DFS, beam and random walk — which a bitmap run once fell
         // back to the hash table for — run on the bitmap table like BFS
         // does; on a complete run every one is byte-identical to BFS.

@@ -49,7 +49,7 @@ use std::sync::Arc;
 
 use dbt_types::{Checker, TypeEnv};
 use lambdapi::{Reducer, Term, TermRef, Type, Value};
-use runtime::sync::Mutex;
+use obs::sync::Mutex;
 
 use crate::explore::{self, Exploration, ExploreConfig, Strategy};
 use crate::generic::Lts;

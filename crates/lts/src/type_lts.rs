@@ -47,7 +47,7 @@ use std::sync::Arc;
 
 use dbt_types::{Checker, TypeEnv};
 use lambdapi::{Name, TyRef, Type};
-use runtime::sync::Mutex;
+use obs::sync::Mutex;
 
 use crate::explore::{self, Exploration, ExploreConfig, Strategy};
 use crate::generic::Lts;
@@ -430,11 +430,6 @@ impl TypeLts {
                 }
             },
         )
-    }
-
-    /// Builds the LTS with the default state bound.
-    pub fn build_default(&self, ty: &Type) -> Lts<TyRef, TypeLabel> {
-        self.build(ty, DEFAULT_MAX_STATES)
     }
 }
 

@@ -1,7 +1,9 @@
-//! **obs** — dependency-free telemetry for the effpi workspace.
+//! **obs** — the dependency-free base of the effpi workspace: telemetry,
+//! plus the shared lock, hash and PRNG primitives ([`sync`], [`hash`]) that
+//! every threaded or persisting crate above would otherwise copy.
 //!
 //! The ROADMAP's north star is a daemon that runs for months under heavy
-//! traffic; this crate is the instrument panel it reads its own behaviour
+//! traffic; the telemetry is the instrument panel it reads its own behaviour
 //! from. Three layers, all zero-dependency and `O(1)` on the hot path:
 //!
 //! * **Metrics** ([`Registry`]): process-wide named [`Counter`]s, [`Gauge`]s
@@ -51,8 +53,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod hash;
 mod registry;
 mod span;
+pub mod sync;
 
 pub use registry::{
     Clock, Counter, FlushGuard, Gauge, Histogram, HistogramSnapshot, MonotonicClock, Registry,

@@ -5,10 +5,11 @@
 use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::span::Span;
+use crate::sync::Mutex;
 
 /// A microsecond clock. Injectable so golden tests are byte-deterministic;
 /// the epoch is arbitrary (only differences are meaningful).
@@ -222,20 +223,8 @@ pub struct Registry {
     next_span_id: AtomicU64,
 }
 
-/// FNV-1a, the workspace's standard dependency-free hash.
 fn shard_of(name: &str) -> usize {
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for &byte in name.as_bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    (hash as usize) % SHARDS
-}
-
-/// Locks ignoring poisoning: metrics must never propagate a panic from an
-/// unrelated thread, and every guarded value is valid at all times.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|poison| poison.into_inner())
+    (crate::hash::fnv64(name.as_bytes()) as usize) % SHARDS
 }
 
 impl Registry {
@@ -262,8 +251,8 @@ impl Registry {
 
     /// The counter named `name`, created (at zero) on first use.
     pub fn counter(&self, name: &str) -> Counter {
-        let shard = &self.shards[shard_of(name)];
-        lock(&shard.counters)
+        let mut counters = self.shards[shard_of(name)].counters.lock();
+        counters
             .entry(name.to_string())
             .or_insert_with(|| Counter(Arc::new(AtomicU64::new(0))))
             .clone()
@@ -271,8 +260,8 @@ impl Registry {
 
     /// The gauge named `name`, created (at zero) on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let shard = &self.shards[shard_of(name)];
-        lock(&shard.gauges)
+        let mut gauges = self.shards[shard_of(name)].gauges.lock();
+        gauges
             .entry(name.to_string())
             .or_insert_with(|| Gauge(Arc::new(AtomicU64::new(0))))
             .clone()
@@ -292,8 +281,8 @@ impl Registry {
             boundaries.windows(2).all(|w| w[0] < w[1]),
             "histogram boundaries must be strictly increasing"
         );
-        let shard = &self.shards[shard_of(name)];
-        lock(&shard.histograms)
+        let mut histograms = self.shards[shard_of(name)].histograms.lock();
+        histograms
             .entry(name.to_string())
             .or_insert_with(|| {
                 Histogram(Arc::new(HistogramCore {
@@ -321,7 +310,7 @@ impl Registry {
     /// is installed every span close and [`Registry::trace_event`] appends
     /// one JSON object line; with none, tracing costs one atomic load.
     pub fn set_trace(&self, sink: Option<Box<dyn Write + Send>>) {
-        let mut guard = lock(&self.trace);
+        let mut guard = self.trace.lock();
         self.trace_enabled.store(sink.is_some(), Ordering::SeqCst);
         *guard = sink;
     }
@@ -333,7 +322,7 @@ impl Registry {
 
     /// Flushes the trace sink, if any.
     pub fn flush_trace(&self) {
-        if let Some(sink) = lock(&self.trace).as_mut() {
+        if let Some(sink) = self.trace.lock().as_mut() {
             let _ = sink.flush();
         }
     }
@@ -403,7 +392,7 @@ impl Registry {
     }
 
     fn write_trace_line(&self, line: &str) {
-        if let Some(sink) = lock(&self.trace).as_mut() {
+        if let Some(sink) = self.trace.lock().as_mut() {
             let _ = writeln!(sink, "{line}");
         }
     }
@@ -414,13 +403,13 @@ impl Registry {
     pub fn snapshot(&self) -> Snapshot {
         let mut snapshot = Snapshot::default();
         for shard in &self.shards {
-            for (name, counter) in lock(&shard.counters).iter() {
+            for (name, counter) in shard.counters.lock().iter() {
                 snapshot.counters.insert(name.clone(), counter.get());
             }
-            for (name, gauge) in lock(&shard.gauges).iter() {
+            for (name, gauge) in shard.gauges.lock().iter() {
                 snapshot.gauges.insert(name.clone(), gauge.get());
             }
-            for (name, histogram) in lock(&shard.histograms).iter() {
+            for (name, histogram) in shard.histograms.lock().iter() {
                 let core = &histogram.0;
                 snapshot.histograms.insert(
                     name.clone(),

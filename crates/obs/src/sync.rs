@@ -1,10 +1,10 @@
 //! Minimal `parking_lot`-style synchronisation primitives over [`std::sync`].
 //!
 //! The build environment is offline, so the workspace carries no external
-//! dependencies; this module provides the two primitives the schedulers need
-//! with `parking_lot`'s panic-free calling convention (`lock()` returns the
-//! guard directly). Lock poisoning is ignored: a panicking worker already
-//! aborts the run, and the schedulers never rely on poisoning for correctness.
+//! dependencies; this is its one definition of the two primitives its
+//! threaded code needs, with `parking_lot`'s panic-free calling convention
+//! (`lock()` returns the guard directly). Lock poisoning is ignored: no
+//! caller relies on it, and every guarded value is valid at every step.
 
 use std::sync::{self, MutexGuard};
 
@@ -14,7 +14,7 @@ pub struct Mutex<T>(sync::Mutex<T>);
 
 impl<T> Mutex<T> {
     /// Creates a mutex protecting `value`.
-    pub fn new(value: T) -> Self {
+    pub const fn new(value: T) -> Self {
         Mutex(sync::Mutex::new(value))
     }
 

@@ -60,13 +60,6 @@ impl Mailbox {
         Proc::recv(&self.chan, k)
     }
 
-    /// The actor reference for this mailbox (to hand out to other actors).
-    pub fn actor_ref(&self) -> ActorRef {
-        ActorRef {
-            chan: self.chan.clone(),
-        }
-    }
-
     /// The underlying channel.
     pub fn channel(&self) -> ChanRef {
         self.chan.clone()

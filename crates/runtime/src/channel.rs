@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::sync::{Condvar, Mutex};
+use obs::sync::{Condvar, Mutex};
 
 use crate::msg::Msg;
 

@@ -50,7 +50,6 @@ mod channel;
 mod msg;
 mod process;
 mod sched;
-pub mod sync;
 
 pub mod savina;
 

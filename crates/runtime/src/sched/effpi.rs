@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::sync::{Condvar, Mutex};
+use obs::sync::{Condvar, Mutex};
 
 use crate::channel::Waiter;
 use crate::msg::Msg;

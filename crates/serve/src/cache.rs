@@ -78,7 +78,7 @@ struct Entry {
 /// A bounded, LRU, content-addressed verdict cache (see the module docs).
 ///
 /// Not internally synchronised: the server wraps it in one
-/// `runtime::sync::Mutex`, which is also what makes the hit/miss counters
+/// `obs::sync::Mutex`, which is also what makes the hit/miss counters
 /// coherent with the entries they describe.
 pub struct VerdictCache {
     config: CacheConfig,

@@ -21,9 +21,9 @@ use std::net::TcpStream;
 use std::path::Path;
 use std::time::Duration;
 
+use obs::hash::splitmix64;
 use wire::Json;
 
-use crate::faults::splitmix64;
 use crate::protocol::{ErrorKind, MetricsFormat, Request, VerifyOptions, WireReport};
 
 /// An error talking to the server.

@@ -26,6 +26,8 @@
 
 use std::fmt;
 
+use obs::hash::splitmix64;
+
 /// Where in the request path a fault fires.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FaultPoint {
@@ -140,17 +142,6 @@ impl FaultPlan {
             fires.then_some(rule.action)
         })
     }
-}
-
-/// SplitMix64 — the same dependency-free mixing function the exploration
-/// engine's seeded random walk uses. Full-avalanche: every input bit flips
-/// each output bit with probability ~1/2, which is what makes `one_in`
-/// selection unbiased across consecutive pass counters.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -54,7 +54,7 @@
 //!   the worker boundary. A panic anywhere in the engine becomes a typed
 //!   `internal-error` response, the worker thread survives, and the event is
 //!   counted (`requests.panics_caught`). The shared locks tolerate this by
-//!   construction: `runtime::sync::Mutex` recovers poisoned guards, and
+//!   construction: `obs::sync::Mutex` recovers poisoned guards, and
 //!   fault-injection decisions are made while no lock is held.
 //! * **Deadlines.** A `verify` may carry `deadline_ms`; a housekeeper thread
 //!   flips the job's [`CancelToken`] when the budget elapses (queued or
@@ -80,7 +80,7 @@ use std::time::{Duration, Instant};
 
 use effpi::spec::parse_spec;
 use effpi::{CancelToken, Session};
-use runtime::sync::{Condvar, Mutex};
+use obs::sync::{Condvar, Mutex};
 use store::{StoreConfig, VerdictStore};
 use wire::Json;
 
@@ -1224,10 +1224,8 @@ fn sync_registry(shared: &Shared) {
 /// registry, and an interleaved sync from another server must not bleed its
 /// values into this server's snapshot.
 fn synced_snapshot(shared: &Shared) -> obs::Snapshot {
-    static SYNC: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _guard = SYNC
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    static SYNC: Mutex<()> = Mutex::new(());
+    let _guard = SYNC.lock();
     sync_registry(shared);
     obs::global().snapshot()
 }
@@ -1418,7 +1416,7 @@ fn process(shared: &Shared, job: Job) {
     // failure, not the daemon's — the worker survives, the client gets a
     // typed `internal-error`, and the event is counted. (The phase collector
     // unwinds cleanly — its thread-local stack pops via a drop guard — and
-    // `runtime::sync::Mutex` recovers poisoned guards, so an unwound lock
+    // `obs::sync::Mutex` recovers poisoned guards, so an unwound lock
     // can never wedge later requests.)
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
         obs::phases::collect(|| verify_response(shared, &job))

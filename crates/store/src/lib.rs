@@ -2,7 +2,7 @@
 //!
 //! The `effpi-serve` daemon memoises verification verdicts in a bounded
 //! in-memory LRU (the `serve` crate's `VerdictCache`); this crate is the durable tier
-//! underneath it: verdicts keyed by [`effpi::CacheKey`] — the stable 128-bit
+//! underneath it: verdicts keyed by [`CacheKey`] — `effpi`'s stable 128-bit
 //! content address of the *normalised* request — survive the process, so a
 //! restarted daemon answers previously-verified requests from request one,
 //! byte-identically, without re-exploring a single state.
@@ -62,7 +62,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use effpi::CacheKey;
+use obs::hash::{fnv64, CacheKey};
 
 /// The file-format magic, written (and required) at offset 0 of `store.log`.
 /// Bump the version whenever the record layout changes meaning.
@@ -783,16 +783,6 @@ fn read_exact_or_eof<R: Read>(reader: &mut R, buf: &mut [u8]) -> io::Result<usiz
     Ok(filled)
 }
 
-/// 64-bit FNV-1a — the same dependency-free hash family the cache key uses.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -813,6 +803,26 @@ mod tests {
             max_entries: 1024,
             max_states: 1_000_000,
         }
+    }
+
+    #[test]
+    fn the_record_format_is_pinned_byte_for_byte() {
+        // Generated before the checksum and key moved to `obs::hash`: a
+        // changed layout or hash would make every existing log unreadable.
+        let record = encode_record(0x0123456789abcdef_fedcba9876543210, 42, "{\"passed\":true}");
+        #[rustfmt::skip]
+        let golden: [u8; 51] = [
+            39, 0, 0, 0, // payload length
+            101, 231, 13, 223, 136, 191, 131, 29, // FNV-1a-64 of the payload
+            16, 50, 84, 118, 152, 186, 220, 254, 239, 205, 171, 137, 103, 69, 35, 1, // key
+            42, 0, 0, 0, 0, 0, 0, 0, // states
+            b'{', b'"', b'p', b'a', b's', b's', b'e', b'd', b'"', b':', b't', b'r', b'u', b'e', b'}',
+        ];
+        assert_eq!(record, golden);
+        assert_eq!(
+            decode_record(&golden),
+            Some((0x0123456789abcdef_fedcba9876543210, 42, "{\"passed\":true}"))
+        );
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use std::path::{Path, PathBuf};
 
-use effpi::CacheKey;
+use obs::hash::CacheKey;
 use store::{StoreConfig, VerdictStore, LOG_NAME, MAGIC};
 
 /// A distinct temp directory per test (tests run concurrently).

@@ -25,32 +25,18 @@
 use std::sync::Arc;
 
 use lambdapi::{par_components, BinOp, Name, Reducer, Term, TermRef, Type};
+use obs::hash::SplitMix64 as Rng;
 
 const CASES: u64 = 128;
 
-/// SplitMix64 — same deterministic PRNG as the sibling property suites.
-struct Rng(u64);
+/// A SplitMix64 stream per case; the multiply spreads the suites' small
+/// consecutive seeds across the state space.
+fn seeded(seed: u64) -> Rng {
+    Rng::new(seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1))
+}
 
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
-
-    fn bool(&mut self) -> bool {
-        self.next() & 1 == 1
-    }
+fn coin(rng: &mut Rng) -> bool {
+    rng.next_u64() & 1 == 1
 }
 
 /// Open process terms over the channel variables `x`/`y` — parallel
@@ -61,7 +47,7 @@ fn arb_process_term(rng: &mut Rng, depth: usize) -> Term {
         return Term::End;
     }
     let d = depth - 1;
-    let chan = if rng.bool() { "x" } else { "y" };
+    let chan = if coin(rng) { "x" } else { "y" };
     match rng.below(6) {
         0 => Term::send(
             Term::var(chan),
@@ -74,7 +60,7 @@ fn arb_process_term(rng: &mut Rng, depth: usize) -> Term {
         ),
         2 => Term::par(arb_process_term(rng, d), arb_process_term(rng, d)),
         3 => Term::ite(
-            Term::bool(rng.bool()),
+            Term::bool(coin(rng)),
             arb_process_term(rng, d),
             arb_process_term(rng, d),
         ),
@@ -137,14 +123,14 @@ fn arb_reducing_term(rng: &mut Rng, depth: usize) -> Term {
                 Term::recv(Term::var("c"), Term::lam("v", Type::Int, Term::End)),
             ),
         ),
-        _ => Term::not(Term::bool(rng.bool())),
+        _ => Term::not(Term::bool(coin(rng))),
     }
 }
 
 #[test]
 fn intern_identity_iff_structural_identity() {
     for seed in 0..CASES {
-        let mut rng = Rng::new(seed);
+        let mut rng = seeded(seed);
         let a = arb_process_term(&mut rng, 4);
         let b = arb_process_term(&mut rng, 4);
         assert_eq!(
@@ -162,7 +148,7 @@ fn intern_identity_iff_structural_identity() {
 fn interned_reduction_agrees_step_for_step_with_the_tree_reducer() {
     let reducer = Reducer::new();
     for seed in 0..CASES {
-        let mut rng = Rng::new(seed ^ 0x51e9);
+        let mut rng = seeded(seed ^ 0x51e9);
         let t = arb_reducing_term(&mut rng, 4);
         let mut tree = t.clone();
         let mut interned = TermRef::intern(&t);
@@ -203,7 +189,7 @@ fn interned_reduction_agrees_step_for_step_with_the_tree_reducer() {
 #[test]
 fn par_components_memoization_never_changes_component_sequences() {
     for seed in 0..CASES {
-        let mut rng = Rng::new(seed ^ 0xbeef);
+        let mut rng = seeded(seed ^ 0xbeef);
         let t = arb_process_term(&mut rng, 5);
         let plain = par_components(&t);
         let interned: Vec<Term> = TermRef::intern(&t)
@@ -231,7 +217,7 @@ fn par_components_memoization_never_changes_component_sequences() {
 #[test]
 fn free_vars_memoization_matches_the_plain_query() {
     for seed in 0..CASES {
-        let mut rng = Rng::new(seed ^ 0xf00d);
+        let mut rng = seeded(seed ^ 0xf00d);
         let t = arb_process_term(&mut rng, 5);
         let r = TermRef::intern(&t);
         assert_eq!(*r.free_vars(), t.free_vars(), "seed {seed}: {t}");
@@ -242,7 +228,7 @@ fn free_vars_memoization_matches_the_plain_query() {
 fn sharing_substitution_is_semantically_invisible() {
     let x = Name::new("x");
     for seed in 0..CASES {
-        let mut rng = Rng::new(seed ^ 0x5b57);
+        let mut rng = seeded(seed ^ 0x5b57);
         let t = arb_process_term(&mut rng, 4);
         let v = Term::int(seed as i64);
         let s = t.subst(&x, &v);

@@ -23,32 +23,18 @@
 
 use effpi::spec::parse_spec;
 use lambdapi::{TyRef, Type};
+use obs::hash::SplitMix64 as Rng;
 
 const CASES: u64 = 128;
 
-/// SplitMix64 — same deterministic PRNG as the sibling property suites.
-struct Rng(u64);
+/// A SplitMix64 stream per case; the multiply spreads the suites' small
+/// consecutive seeds across the state space.
+fn seeded(seed: u64) -> Rng {
+    Rng::new(seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1))
+}
 
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
-
-    fn bool(&mut self) -> bool {
-        self.next() & 1 == 1
-    }
+fn coin(rng: &mut Rng) -> bool {
+    rng.next_u64() & 1 == 1
 }
 
 /// Process types over channel variables `x`/`y` — unions and parallels
@@ -58,7 +44,7 @@ fn arb_process_type(rng: &mut Rng, depth: usize) -> Type {
         return Type::Nil;
     }
     let d = depth - 1;
-    let chan = if rng.bool() { "x" } else { "y" };
+    let chan = if coin(rng) { "x" } else { "y" };
     match rng.below(5) {
         0 => Type::out(
             Type::var(chan),
@@ -115,7 +101,7 @@ fn assert_intern_iff_normalize(a: &Type, b: &Type, ctx: &str) {
 #[test]
 fn interned_normal_forms_agree_with_plain_normalize_structurally() {
     for seed in 0..CASES {
-        let mut rng = Rng::new(seed);
+        let mut rng = seeded(seed);
         let t = if seed % 3 == 0 {
             arb_value_type(&mut rng, 5)
         } else {
@@ -138,7 +124,7 @@ fn interned_normal_forms_agree_with_plain_normalize_structurally() {
 #[test]
 fn intern_equality_iff_normalize_equality_over_generated_pairs() {
     for seed in 0..CASES {
-        let mut rng = Rng::new(seed);
+        let mut rng = seeded(seed);
         let a = arb_process_type(&mut rng, 4);
         let b = arb_process_type(&mut rng, 4);
         assert_intern_iff_normalize(&a, &b, &format!("seed {seed} (independent pair)"));
@@ -162,7 +148,7 @@ fn intern_equality_iff_normalize_equality_over_generated_pairs() {
 #[test]
 fn intern_identity_iff_structural_identity() {
     for seed in 0..CASES {
-        let mut rng = Rng::new(seed);
+        let mut rng = seeded(seed);
         let a = arb_process_type(&mut rng, 4);
         let b = arb_process_type(&mut rng, 4);
         assert_eq!(
@@ -177,7 +163,7 @@ fn intern_identity_iff_structural_identity() {
 #[test]
 fn canonical_forms_agree_with_normalize_then_unfold_head() {
     for seed in 0..CASES {
-        let mut rng = Rng::new(seed);
+        let mut rng = seeded(seed);
         let t = arb_process_type(&mut rng, 5);
         for max_unfold in [1, 4, 16] {
             assert_eq!(
@@ -234,7 +220,7 @@ fn parser_shaped_types_satisfy_the_intern_contract() {
         collected.extend(spec_types(seed_text));
     }
     for seed in 0..CASES {
-        let mut rng = Rng::new(seed ^ 0xabcdef);
+        let mut rng = seeded(seed ^ 0xabcdef);
         let base = SEEDS[(seed % SEEDS.len() as u64) as usize];
         let mut mutated = String::new();
         let mut chars = base.chars().collect::<Vec<_>>();

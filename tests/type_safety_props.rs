@@ -18,38 +18,22 @@
 use dbt_types::{Checker, TypeEnv};
 use lambdapi::{BinOp, Name, Reducer, Term, Type};
 use lts::TypeLts;
+use obs::hash::SplitMix64 as Rng;
 
 const CASES: u64 = 128;
 
-/// SplitMix64: a tiny, high-quality deterministic PRNG (public-domain
-/// algorithm), enough to drive structural generators.
-struct Rng(u64);
+/// A SplitMix64 stream per case; the multiply spreads the suites' small
+/// consecutive seeds across the state space.
+fn seeded(seed: u64) -> Rng {
+    Rng::new(seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1))
+}
 
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1))
-    }
+fn coin(rng: &mut Rng) -> bool {
+    rng.next_u64() & 1 == 1
+}
 
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-
-    /// A uniformly chosen value in `0..bound`.
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
-
-    fn bool(&mut self) -> bool {
-        self.next() & 1 == 1
-    }
-
-    fn small_int(&mut self) -> i64 {
-        (self.below(200) as i64) - 100
-    }
+fn small_int(rng: &mut Rng) -> i64 {
+    (rng.below(200) as i64) - 100
 }
 
 /// Simple data expressions of type int or bool (possibly ill-typed on
@@ -57,8 +41,8 @@ impl Rng {
 fn arb_data_term(rng: &mut Rng, depth: usize) -> Term {
     if depth == 0 || rng.below(4) == 0 {
         return match rng.below(4) {
-            0 => Term::bool(rng.bool()),
-            1 => Term::int(rng.small_int()),
+            0 => Term::bool(coin(rng)),
+            1 => Term::int(small_int(rng)),
             2 => Term::unit(),
             _ => Term::str("hello"),
         };
@@ -116,7 +100,7 @@ fn arb_process_type(rng: &mut Rng, depth: usize) -> Type {
         return Type::Nil;
     }
     let d = depth - 1;
-    let chan = if rng.bool() { "x" } else { "y" };
+    let chan = if coin(rng) { "x" } else { "y" };
     match rng.below(4) {
         0 => Type::out(
             Type::var(chan),
@@ -145,7 +129,7 @@ fn two_channel_env() -> TypeEnv {
 fn well_typed_data_terms_are_safe() {
     let checker = Checker::new();
     for seed in 0..CASES {
-        let t = arb_data_term(&mut Rng::new(seed), 4);
+        let t = arb_data_term(&mut seeded(seed), 4);
         if checker.type_of(&TypeEnv::new(), &t).is_ok() {
             let result = Reducer::new().eval(&t, 10_000);
             assert!(
@@ -165,7 +149,7 @@ fn well_typed_data_terms_are_safe() {
 fn evaluation_is_deterministic() {
     let r = Reducer::new();
     for seed in 0..CASES {
-        let t = arb_data_term(&mut Rng::new(seed), 4);
+        let t = arb_data_term(&mut seeded(seed), 4);
         let a = r.eval(&t, 10_000);
         let b = r.eval(&t, 10_000);
         assert_eq!(a.term, b.term, "seed {seed}");
@@ -179,7 +163,7 @@ fn subtyping_is_reflexive() {
     let checker = Checker::new();
     let env = TypeEnv::new();
     for seed in 0..CASES {
-        let t = arb_value_type(&mut Rng::new(seed), 3);
+        let t = arb_value_type(&mut seeded(seed), 3);
         assert!(checker.is_subtype(&env, &t, &t), "seed {seed}: {t} ⩽̸ {t}");
     }
 }
@@ -192,7 +176,7 @@ fn subtyping_chains_through_unions() {
     let checker = Checker::new();
     let env = TypeEnv::new();
     for seed in 0..CASES {
-        let mut rng = Rng::new(seed);
+        let mut rng = seeded(seed);
         let t = arb_value_type(&mut rng, 3);
         let u = arb_value_type(&mut rng, 3);
         let s = arb_value_type(&mut rng, 3);
@@ -210,7 +194,7 @@ fn top_and_bottom_bound_everything() {
     let checker = Checker::new();
     let env = TypeEnv::new();
     for seed in 0..CASES {
-        let t = arb_value_type(&mut Rng::new(seed), 3);
+        let t = arb_value_type(&mut seeded(seed), 3);
         assert!(checker.is_subtype(&env, &t, &Type::Top), "seed {seed}");
         assert!(checker.is_subtype(&env, &Type::Bottom, &t), "seed {seed}");
     }
@@ -220,7 +204,7 @@ fn top_and_bottom_bound_everything() {
 #[test]
 fn normalisation_is_idempotent() {
     for seed in 0..CASES {
-        let t = arb_process_type(&mut Rng::new(seed), 4);
+        let t = arb_process_type(&mut seeded(seed), 4);
         let n1 = t.normalize();
         let n2 = n1.normalize();
         assert_eq!(&n1, &n2, "seed {seed}");
@@ -235,7 +219,7 @@ fn congruent_process_types_are_equivalent() {
     let checker = Checker::new();
     let env = two_channel_env();
     for seed in 0..CASES {
-        let mut rng = Rng::new(seed);
+        let mut rng = seeded(seed);
         let t = arb_process_type(&mut rng, 4);
         let u = arb_process_type(&mut rng, 4);
         let left = Type::par(t.clone(), u.clone());
@@ -251,7 +235,7 @@ fn congruent_process_types_are_equivalent() {
 #[test]
 fn substitution_removes_the_variable() {
     for seed in 0..CASES {
-        let t = arb_process_type(&mut Rng::new(seed), 4);
+        let t = arb_process_type(&mut seeded(seed), 4);
         let subst = t.subst_var(&Name::new("x"), &Type::chan_io(Type::Int));
         assert!(!subst.free_vars().contains(&Name::new("x")), "seed {seed}");
         // And it leaves other variables alone.
@@ -268,7 +252,7 @@ fn type_lts_construction_is_deterministic() {
     let env = two_channel_env();
     let builder = TypeLts::new(env);
     for seed in 0..CASES {
-        let t = arb_process_type(&mut Rng::new(seed), 4);
+        let t = arb_process_type(&mut seeded(seed), 4);
         let a = builder.build(&t, 2_000);
         let b = builder.build(&t, 2_000);
         assert_eq!(a.num_states(), b.num_states(), "seed {seed}");
@@ -284,7 +268,7 @@ fn process_types_stay_process_types_along_transitions() {
     let checker = Checker::new();
     let env = two_channel_env();
     for seed in 0..CASES {
-        let t = arb_process_type(&mut Rng::new(seed), 4);
+        let t = arb_process_type(&mut seeded(seed), 4);
         assert!(checker.check_pi_type(&env, &t).is_ok(), "seed {seed}: {t}");
         let lts = TypeLts::new(env.clone()).build(&t, 500);
         for state in lts.states().iter().take(50) {
