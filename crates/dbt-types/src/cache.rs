@@ -8,6 +8,9 @@
 //! two trees; now a derivation runs once per distinct *(environment, type
 //! pair)* and every repeat is a hash lookup on interned 32-bit ids.
 //!
+//! The cache is three [`Memo`] tables — subtyping, `▷◁`, typing — of the
+//! interner's one sharded memo type, each sharded by the left id of its key.
+//!
 //! ## Keys
 //!
 //! * types and terms are keyed by their interned ids
@@ -27,18 +30,14 @@
 //! counters are exported through [`stats`] for the `effpi-serve` `stats`
 //! endpoint.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
 
+use lambdapi::intern::Memo;
 use lambdapi::{TermRef, TyRef, Type};
 
 use crate::env::TypeEnv;
 use crate::error::TypeResult;
 use crate::Checker;
-
-/// Number of lock shards per table; a power of two.
-const SHARDS: usize = 16;
 
 /// A `(max_depth, max_unfold, env, left id, right id)` cache key. The ids are
 /// `TypeId` indices for the subtype/interact tables and a `TermId` index (with
@@ -84,60 +83,14 @@ pub fn stats() -> CheckerStats {
     }
 }
 
-/// The sharded memo tables of one checker lineage (shared by clones).
+/// The memo tables of one checker lineage (shared by clones). Each is
+/// sharded by the left id of its key, not the environment: a whole build
+/// shares one environment, and sharding on it would serialise every worker.
 #[derive(Debug, Default)]
 pub(crate) struct DerivationCache {
-    subtype: CacheTable<bool>,
-    interact: CacheTable<bool>,
-    typing: CacheTable<TypeResult<Type>>,
-}
-
-#[derive(Debug)]
-struct CacheTable<V> {
-    shards: Vec<Mutex<HashMap<Key, V>>>,
-}
-
-impl<V> Default for CacheTable<V> {
-    fn default() -> Self {
-        CacheTable {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-        }
-    }
-}
-
-/// Panic-free lock (same rationale as the interner's: the tables are
-/// append-only maps, never left half-updated).
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-impl<V: Clone> CacheTable<V> {
-    fn get_or_insert_with(
-        &self,
-        key: Key,
-        hits: &AtomicU64,
-        misses: &AtomicU64,
-        compute: impl FnOnce() -> V,
-    ) -> V {
-        // Shard by the left id, not the env key: a whole build shares one
-        // environment, and sharding on it would serialise every worker.
-        let shard = &self.shards[key.2 as usize & (SHARDS - 1)];
-        if let Some(hit) = lock(shard).get(&key) {
-            hits.fetch_add(1, Ordering::Relaxed);
-            return hit.clone();
-        }
-        misses.fetch_add(1, Ordering::Relaxed);
-        let value = compute();
-        lock(shard).entry(key).or_insert(value).clone()
-    }
-}
-
-impl DerivationCache {
-    pub(crate) fn new() -> Arc<DerivationCache> {
-        Arc::new(DerivationCache::default())
-    }
+    subtype: Memo<Key, bool>,
+    interact: Memo<Key, bool>,
+    typing: Memo<Key, TypeResult<Type>>,
 }
 
 impl Checker {
@@ -167,7 +120,7 @@ impl Checker {
         );
         self.cache
             .subtype
-            .get_or_insert_with(key, &SUBTYPE_HITS, &SUBTYPE_MISSES, compute)
+            .counted(key.2, key, &SUBTYPE_HITS, &SUBTYPE_MISSES, compute)
     }
 
     /// Memoizes a `▷◁` derivation (see [`Checker::might_interact`]).
@@ -186,7 +139,7 @@ impl Checker {
         );
         self.cache
             .interact
-            .get_or_insert_with(key, &INTERACT_HITS, &INTERACT_MISSES, compute)
+            .counted(key.2, key, &INTERACT_HITS, &INTERACT_MISSES, compute)
     }
 
     /// Memoizes a typing derivation (see [`Checker::type_of`]). The right id
@@ -200,6 +153,29 @@ impl Checker {
         let key = (self.limits_key(), env.intern_key(), t.id().index(), 0);
         self.cache
             .typing
-            .get_or_insert_with(key, &TYPING_HITS, &TYPING_MISSES, compute)
+            .counted(key.2, key, &TYPING_HITS, &TYPING_MISSES, compute)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn limits_are_part_of_every_key() {
+        // `cio[int] ⩽ co[int]` holds under the default limits (the
+        // `Checker::is_subtype` doctest), but its payload step recurses past
+        // depth 0. A clone with `max_depth = 0` shares the cache, so it must
+        // answer like a fresh checker with those limits — never replay the
+        // entry cached under the defaults.
+        let env = TypeEnv::new();
+        let (t, u) = (Type::chan_io(Type::Int), Type::chan_out(Type::Int));
+        let checker = Checker::new();
+        assert!(checker.is_subtype(&env, &t, &u));
+        let mut shallow = checker.clone();
+        shallow.max_depth = 0;
+        assert!(!Checker::with_limits(0, 16).is_subtype(&env, &t, &u));
+        assert!(!shallow.is_subtype(&env, &t, &u));
+        assert!(checker.is_subtype(&env, &t, &u));
     }
 }

@@ -80,7 +80,7 @@ impl Default for Checker {
         Checker {
             max_depth: 256,
             max_unfold: 16,
-            cache: cache::DerivationCache::new(),
+            cache: Default::default(),
         }
     }
 }
@@ -96,7 +96,7 @@ impl Checker {
         Checker {
             max_depth,
             max_unfold,
-            cache: cache::DerivationCache::new(),
+            cache: Default::default(),
         }
     }
 }

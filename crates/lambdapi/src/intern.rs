@@ -1,5 +1,5 @@
-//! Hash-consed interning of [`Type`]s and [`Term`]s: the allocation-free
-//! backbone of the verification hot path.
+//! Hash-consed interning of [`Type`]s and [`Term`]s, and the one sharded
+//! table every cache of the core is built from.
 //!
 //! The exploration engine (`lts::explore`) treats every state as a λπ⩽
 //! [`Type`] (Fig. 6 pipeline) or an open [`Term`] (Fig. 5 pipeline); before
@@ -7,51 +7,59 @@
 //! trees, and every successor re-ran full-tree traversals. This module
 //! provides:
 //!
-//! * [`TyRef`] — a handle to an interned type: structurally deduplicated on
-//!   construction, so two structurally equal types **always** share one
-//!   [`TypeId`], and `Eq`/`Hash` are O(1) integer operations;
-//! * [`TermRef`] / [`TermId`] — the same contract for terms, with memoized
-//!   [`TermRef::par_components`] (the ≡-flattening every `||` expansion
-//!   performs) and [`TermRef::free_vars`] (the [R-letgc] / candidate-probe
-//!   query) keyed by id;
-//! * a process-wide interner with **sharded** tables (one mutex per shard),
-//!   so concurrent exploration workers intern without a global lock;
-//! * memoized [`TyRef::normalized`] and [`TyRef::canonical`], keyed by id:
-//!   each distinct (sub)tree is normalised exactly once per process, after
-//!   which both operations are hash lookups.
+//! * [`Interned`] — a handle to a hash-consed tree ([`TyRef`] for types,
+//!   [`TermRef`] for terms): structurally deduplicated on construction, so
+//!   two structurally equal trees **always** share one [`Id`] ([`TypeId`] /
+//!   [`TermId`], two disjoint spaces), and `Eq`/`Hash` are O(1) integer
+//!   operations;
+//! * memoized [`TyRef::normalized`] / [`TyRef::canonical`] and
+//!   [`TermRef::par_components`] / [`TermRef::free_vars`], keyed by id: each
+//!   distinct (sub)tree is processed once per process, after which every
+//!   call is a hash lookup;
+//! * the two sharded tables the interner is made of — and that every other
+//!   cache of the core (the checker's derivation cache, the LTS builders'
+//!   successor memos, the exploration engine's hash state table) is an
+//!   instance of. [`Memo`] maps keys to computed values, its shard picked
+//!   from a 32-bit id the caller already holds; [`Arena`] maps values to
+//!   dense 32-bit ids and back, the id allocated by the caller under the
+//!   shard lock. Both have 64 lock shards, so concurrent exploration workers
+//!   never meet on a global lock.
 //!
 //! ## Determinism
 //!
-//! [`TypeId`]s are assigned in first-intern order, which is **racy** under
+//! [`Id`]s are assigned in first-intern order, which is **racy** under
 //! concurrent exploration — two runs of the same workload may assign
-//! different ids to the same type. Nothing user-visible may therefore depend
+//! different ids to the same tree. Nothing user-visible may therefore depend
 //! on id *values* or id *order*:
 //!
 //! * `Eq`/`Hash` are sound (equal structure ⇔ equal id, per process);
-//! * `TyRef` deliberately does **not** implement `Ord`, and its `Debug`
-//!   delegates to the underlying [`Type`], so sorting by either stays
+//! * [`Interned`] deliberately does **not** implement `Ord`, and its `Debug`
+//!   delegates to the underlying tree, so sorting by either stays
 //!   structural. Consumers that need an order must compare
-//!   [`TyRef::as_type`] (see `TypeLts::successors`).
+//!   [`TyRef::as_type`] / [`TermRef::as_term`] (see `TypeLts::successors`).
 //!
 //! The memo tables are keyed by id but their *values* are pure functions of
-//! the type's structure, so memoisation can never leak allocation order into
+//! the tree's structure, so memoisation can never leak allocation order into
 //! a result.
 //!
 //! ## Memory
 //!
 //! The interner is append-only and process-wide: it retains every distinct
-//! type ever interned (a long-running `effpi-serve` daemon can watch its
+//! tree ever interned (a long-running `effpi-serve` daemon can watch its
 //! growth through [`stats`], which the daemon's `stats` request exposes).
-//! Alongside the structural tables it keeps an id-indexed reverse table
-//! ([`TyRef::from_id`] / [`TermRef::from_id`]), which is what lets id-keyed
-//! consumers — the exploration engine's bitmap seen-sets and disk-spilled
-//! frontiers — store bare 32-bit indices instead of references and rehydrate
-//! them on demand. Per-run arenas that can be dropped with their request are
-//! a known follow-up (see ROADMAP).
+//! Each [`Arena`] keeps an id-indexed reverse slab next to its structural
+//! map ([`Interned::from_id`]), which is what lets id-keyed consumers — the
+//! exploration engine's bitmap seen-sets and disk-spilled frontiers — store
+//! bare 32-bit indices instead of references and rehydrate them on demand.
+//! Per-run arenas that can be dropped with their request are a known
+//! follow-up (see ROADMAP).
 
+use std::borrow::Borrow;
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{BuildHasher, Hash, Hasher};
+use std::marker::PhantomData;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -60,82 +68,369 @@ use crate::name::Name;
 use crate::term::Term;
 use crate::ty::Type;
 
-/// Number of shards in each interner table: comfortably above any plausible
-/// worker count, so concurrent registrations of distinct types rarely collide
-/// on a lock. Must be a power of two.
+/// Lock shards per table: comfortably above any plausible worker count, so
+/// concurrent callers rarely collide on a lock.
 const SHARDS: usize = 64;
 
-/// log2 of [`SHARDS`] — the shift that turns an id into its slab slot in the
-/// id-indexed reverse tables (`shard = id & (SHARDS - 1)`,
-/// `slot = id >> SHARD_BITS`).
-const SHARD_BITS: u32 = SHARDS.trailing_zeros();
+/// Panic-free lock: a panicking worker already aborts its run, and every
+/// table here is append-only, never left half-updated.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
-/// The identity of an interned type: a dense 32-bit index.
+// ---------------------------------------------------------------------------
+// The two tables
+// ---------------------------------------------------------------------------
+
+/// A sharded memo table `K → V` for values that are pure functions of their
+/// key.
 ///
-/// Two `TypeId`s are equal **iff** the types they name are structurally equal
+/// The shard is picked from a 32-bit id the caller already holds (an
+/// interned id), never from a second hash of the key. Values are computed
+/// *outside* the lock — a computation may recurse into the same table — so
+/// racing callers may each compute, and the first to insert wins: every
+/// caller gets the stored value.
+pub struct Memo<K, V> {
+    shards: Vec<Mutex<HashMap<K, V>>>,
+}
+
+impl<K, V> Default for Memo<K, V> {
+    fn default() -> Self {
+        Memo {
+            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
+        }
+    }
+}
+
+impl<K, V> fmt::Debug for Memo<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Memo").finish_non_exhaustive()
+    }
+}
+
+impl<K: Eq + Hash, V: Clone> Memo<K, V> {
+    /// The value stored under `key` in `shard`'s shard, computing and
+    /// inserting it on a miss.
+    pub fn get_or_insert_with(&self, shard: u32, key: K, compute: impl FnOnce() -> V) -> V {
+        let shard = &self.shards[shard as usize % SHARDS];
+        if let Some(hit) = lock(shard).get(&key) {
+            return hit.clone();
+        }
+        let value = compute();
+        lock(shard).entry(key).or_insert(value).clone()
+    }
+
+    /// [`Memo::get_or_insert_with`], counting the call in `hits` or `misses`.
+    pub fn counted(
+        &self,
+        shard: u32,
+        key: K,
+        hits: &AtomicU64,
+        misses: &AtomicU64,
+        compute: impl FnOnce() -> V,
+    ) -> V {
+        let mut counter = hits;
+        let value = self.get_or_insert_with(shard, key, || {
+            counter = misses;
+            compute()
+        });
+        counter.fetch_add(1, Ordering::Relaxed);
+        value
+    }
+
+    /// Records `value` under `key` unless an entry is already there.
+    pub(crate) fn insert(&self, shard: u32, key: K, value: V) {
+        lock(&self.shards[shard as usize % SHARDS])
+            .entry(key)
+            .or_insert(value);
+    }
+}
+
+/// A sharded, append-only bijection between values and dense 32-bit ids.
+///
+/// The structural map `value → id` is sharded by the value's hash; the
+/// reverse slab `id → value` is striped by the id's low bits
+/// (`stripe = id % 64`, `slot = id / 64`). Ids are not drawn here: on a miss
+/// [`Arena::register`] asks the caller, under the shard lock, so a caller can
+/// refuse (a state bound) and ids stay dense in the caller's own counter.
+pub struct Arena<T> {
+    hasher: RandomState,
+    shards: Vec<Mutex<HashMap<T, u32>>>,
+    slabs: Vec<Mutex<Vec<Option<T>>>>,
+}
+
+impl<T> Default for Arena<T> {
+    fn default() -> Self {
+        Arena {
+            hasher: RandomState::new(),
+            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
+            slabs: (0..SHARDS).map(|_| Mutex::default()).collect(),
+        }
+    }
+}
+
+impl<T: Eq + Hash + Clone> Arena<T> {
+    /// Looks `value` up, registering it when absent, and hands the *stored*
+    /// value and its id to `found` under the shard lock. Returns `found`'s
+    /// answer and whether this call registered the value.
+    ///
+    /// `alloc` is called at most once, only for an absent value, under the
+    /// lock that makes lookup-then-insert atomic: it returns the new entry's
+    /// id and the value to store, or `None` to refuse — then nothing is
+    /// registered and `register` returns `None`.
+    pub fn register<Q, R>(
+        &self,
+        value: &Q,
+        alloc: impl FnOnce() -> Option<(u32, T)>,
+        found: impl FnOnce(&T, u32) -> R,
+    ) -> Option<(R, bool)>
+    where
+        T: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
+        let mut shard = lock(&self.shards[self.hasher.hash_one(value) as usize % SHARDS]);
+        if let Some((stored, &id)) = shard.get_key_value(value) {
+            return Some((found(stored, id), false));
+        }
+        let (id, stored) = alloc()?;
+        let answer = found(&stored, id);
+        let mut slab = lock(&self.slabs[id as usize % SHARDS]);
+        // Ids of one stripe arrive roughly in order; the `None` padding
+        // covers ids still being registered by racing threads.
+        let slot = id as usize / SHARDS;
+        if slab.len() <= slot {
+            slab.resize_with(slot + 1, || None);
+        }
+        slab[slot] = Some(stored.clone());
+        drop(slab);
+        shard.insert(stored, id);
+        Some((answer, true))
+    }
+
+    /// The value registered under `id`, in O(1) (one stripe lock plus an
+    /// indexed load); `None` for an id never registered.
+    pub fn resolve(&self, id: u32) -> Option<T> {
+        lock(&self.slabs[id as usize % SHARDS])
+            .get(id as usize / SHARDS)?
+            .clone()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Ids and handles
+// ---------------------------------------------------------------------------
+
+/// The identity of an interned tree: a dense 32-bit index. [`TypeId`] and
+/// [`TermId`] are two disjoint spaces.
+///
+/// Two ids are equal **iff** the trees they name are structurally equal
 /// (within one process). The numeric value is an allocation-order artifact —
 /// never persist it, never order by it where determinism matters.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct TypeId(u32);
+#[derive(PartialEq, Eq, Hash)]
+pub struct Id<T>(u32, PhantomData<fn() -> T>);
 
-impl TypeId {
+/// The identity of an interned [`Type`].
+pub type TypeId = Id<Type>;
+
+/// The identity of an interned [`Term`].
+pub type TermId = Id<Term>;
+
+impl<T> Id<T> {
     /// The raw index (for diagnostics and for sharding id-keyed side tables).
     pub fn index(self) -> u32 {
         self.0
     }
 
-    /// Reassembles an id from its raw index (the inverse of
-    /// [`TypeId::index`], for id-keyed side tables that store raw `u32`s —
-    /// e.g. the exploration engine's spill files). The id is only meaningful
-    /// within the process that produced the index; resolving one that was
-    /// never allocated yields `None` from [`TyRef::from_id`].
-    pub fn from_index(index: u32) -> TypeId {
-        TypeId(index)
+    /// Reassembles an id from its raw index (the inverse of [`Id::index`],
+    /// for id-keyed side tables that store raw `u32`s — e.g. the exploration
+    /// engine's spill files). The id is only meaningful within the process
+    /// that produced the index; resolving one that was never allocated
+    /// yields `None` from [`Interned::from_id`].
+    pub fn from_index(index: u32) -> Self {
+        Id(index, PhantomData)
     }
 }
 
-/// A handle to an interned [`Type`]: cheap to clone, O(1) `Eq`/`Hash` (by
-/// [`TypeId`]), dereferences to the underlying type.
+impl<T> Clone for Id<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for Id<T> {}
+
+impl<T> fmt::Debug for Id<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Id({})", self.0)
+    }
+}
+
+/// The trees the interner hash-conses: [`Type`] and [`Term`] (sealed).
+pub trait Internable:
+    sealed::Sealed + Clone + Eq + Hash + fmt::Debug + fmt::Display + 'static
+{
+}
+
+impl Internable for Type {}
+impl Internable for Term {}
+
+mod sealed {
+    use super::*;
+
+    pub trait Sealed: Sized {
+        /// This tree kind's arena and id counter in the process interner.
+        fn table() -> (&'static Arena<Arc<Self>>, &'static AtomicU64);
+    }
+
+    impl Sealed for Type {
+        fn table() -> (&'static Arena<Arc<Type>>, &'static AtomicU64) {
+            (&interner().types, &interner().type_count)
+        }
+    }
+
+    impl Sealed for Term {
+        fn table() -> (&'static Arena<Arc<Term>>, &'static AtomicU64) {
+            (&interner().terms, &interner().term_count)
+        }
+    }
+}
+
+/// A handle to an interned tree: cheap to clone, O(1) `Eq`/`Hash` (by
+/// [`Id`]), dereferences to the underlying tree. [`TyRef`] and [`TermRef`]
+/// are its two instances — the state representations of the type LTS
+/// (Def. 4.2, Fig. 6) and the open-term LTS (Def. 4.1, Fig. 5).
 ///
-/// Obtain one with [`TyRef::intern`] (borrowed input) or [`TyRef::new`]
-/// (owned input, avoids one clone on first intern).
+/// Obtain one with [`Interned::intern`] (borrowed input) or
+/// [`Interned::new`] (owned input, avoids one clone on first intern).
 #[derive(Clone)]
-pub struct TyRef {
-    id: TypeId,
-    ty: Arc<Type>,
+pub struct Interned<T> {
+    id: Id<T>,
+    value: Arc<T>,
 }
 
-impl TyRef {
-    /// Interns a borrowed type, cloning it only if it was never seen before.
-    pub fn intern(ty: &Type) -> TyRef {
-        interner().intern_arc_or(ty, None)
+/// A handle to an interned [`Type`].
+pub type TyRef = Interned<Type>;
+
+/// A handle to an interned [`Term`].
+pub type TermRef = Interned<Term>;
+
+impl<T: Internable> Interned<T> {
+    /// Interns a borrowed tree, cloning it only if it was never seen before.
+    pub fn intern(value: &T) -> Self {
+        Self::register(value, || Arc::new(value.clone()))
     }
 
-    /// Interns an owned type (no clone on first intern).
-    pub fn new(ty: Type) -> TyRef {
-        let arc = Arc::new(ty);
-        interner().intern_arc_or(&arc.clone(), Some(arc))
+    /// Interns an owned tree (no clone on first intern).
+    pub fn new(value: T) -> Self {
+        Self::from_arc(Arc::new(value))
     }
 
-    /// Interns a type already behind an [`Arc`], sharing the allocation.
-    pub fn from_arc(ty: Arc<Type>) -> TyRef {
-        interner().intern_arc_or(&ty.clone(), Some(ty))
+    /// Interns a tree already behind an [`Arc`], sharing the allocation.
+    pub fn from_arc(value: Arc<T>) -> Self {
+        Self::register(&value, || Arc::clone(&value))
     }
 
-    /// The interned type's identity.
-    pub fn id(&self) -> TypeId {
+    /// Looks `value` up; on a miss, registers the `Arc` that `owned` makes.
+    fn register(value: &T, owned: impl FnOnce() -> Arc<T>) -> Self {
+        let (arena, count) = T::table();
+        let alloc = || {
+            // The counter is 64-bit so it can never wrap in practice; the
+            // assert turns id-space exhaustion into a loud abort instead of
+            // silently reassigning a live 32-bit id (which would alias
+            // structurally distinct trees and corrupt every id-keyed table
+            // downstream).
+            let raw = count.fetch_add(1, Ordering::Relaxed);
+            assert!(
+                raw < u64::from(u32::MAX),
+                "interner exhausted its 32-bit id space"
+            );
+            Some((raw as u32, owned()))
+        };
+        let found = |arc: &Arc<T>, id| Interned {
+            id: Id::from_index(id),
+            value: Arc::clone(arc),
+        };
+        arena
+            .register(value, alloc, found)
+            .expect("ids are never refused")
+            .0
+    }
+
+    /// The interned tree's identity.
+    pub fn id(&self) -> Id<T> {
         self.id
-    }
-
-    /// The underlying type.
-    pub fn as_type(&self) -> &Type {
-        &self.ty
     }
 
     /// The underlying shared allocation (lets callers build parent nodes
     /// without re-cloning the subtree).
-    pub fn as_arc(&self) -> &Arc<Type> {
-        &self.ty
+    pub fn as_arc(&self) -> &Arc<T> {
+        &self.value
+    }
+
+    /// Resolves an id back to its interned tree — the inverse of
+    /// [`Interned::id`], in O(1) (see [`Arena::resolve`]).
+    ///
+    /// This is what lets id-keyed structures shed the reference itself: the
+    /// exploration engine's disk-spilled frontiers persist bare `u32` indices
+    /// and rehydrate them through this table when the segment streams back
+    /// in. Returns `None` for an id this process never allocated.
+    pub fn from_id(id: Id<T>) -> Option<Self> {
+        T::table()
+            .0
+            .resolve(id.0)
+            .map(|value| Interned { id, value })
+    }
+}
+
+impl<T> PartialEq for Interned<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.id.0 == other.id.0
+    }
+}
+
+impl<T> Eq for Interned<T> {}
+
+/// Structural comparison against a plain tree (used heavily in tests).
+impl<T: PartialEq> PartialEq<T> for Interned<T> {
+    fn eq(&self, other: &T) -> bool {
+        *self.value == *other
+    }
+}
+
+impl<T> Hash for Interned<T> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.id.0.hash(state);
+    }
+}
+
+impl<T> Deref for Interned<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.value
+    }
+}
+
+impl<T: fmt::Display> fmt::Display for Interned<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.value.fmt(f)
+    }
+}
+
+/// Structural, id-free `Debug`: interned states must print (and sort, when a
+/// caller sorts by debug text) exactly like the plain trees they stand for.
+impl<T: fmt::Debug> fmt::Debug for Interned<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.value.fmt(f)
+    }
+}
+
+impl Interned<Type> {
+    /// The underlying type.
+    pub fn as_type(&self) -> &Type {
+        &self.value
     }
 
     /// The normalised form of this type (see [`Type::normalize`]), memoized:
@@ -144,7 +439,18 @@ impl TyRef {
     /// memo, so shared components of parallel compositions are normalised
     /// once, not once per enclosing state.
     pub fn normalized(&self) -> TyRef {
-        interner().normalized(self)
+        let i = interner();
+        let (hits, misses) = (&i.normalize_hits, &i.normalize_misses);
+        i.normalized.counted(self.id.0, self.id, hits, misses, || {
+            let normal = self.compute_normalized();
+            // The normal form is its own normal form (normalisation is
+            // idempotent — pinned by `ty.rs` tests): record it so future
+            // normalisations of already-normal states are O(1) without a walk.
+            if normal.id != self.id {
+                i.normalized.insert(normal.id.0, normal.id, normal.clone());
+            }
+            normal
+        })
     }
 
     /// `true` when this type is already in normal form (which the interner
@@ -153,158 +459,129 @@ impl TyRef {
         self.normalized().id == self.id
     }
 
+    /// One level of [`Type::normalize`], recursing through the memo. The
+    /// result is structurally identical to `self.as_type().normalize()` (the
+    /// property suite asserts this over generated types).
+    fn compute_normalized(&self) -> TyRef {
+        let child = |arc: &Arc<Type>| TyRef::from_arc(Arc::clone(arc)).normalized();
+        match self.as_type() {
+            Type::Union(..) => {
+                let mut members: Vec<Type> = self
+                    .union_members()
+                    .iter()
+                    .flat_map(|m| TyRef::intern(m).normalized().as_type().union_members())
+                    .collect();
+                members.sort();
+                members.dedup();
+                TyRef::new(Type::union_all(members))
+            }
+            Type::Par(..) => {
+                let mut members: Vec<Type> = self
+                    .par_members()
+                    .iter()
+                    .flat_map(|m| TyRef::intern(m).normalized().as_type().par_members())
+                    .collect();
+                members.retain(|m| !matches!(m, Type::Nil));
+                members.sort();
+                TyRef::new(Type::par_all(members))
+            }
+            Type::Pi(x, dom, body) => TyRef::new(Type::Pi(
+                x.clone(),
+                Arc::clone(child(dom).as_arc()),
+                Arc::clone(child(body).as_arc()),
+            )),
+            Type::Rec(x, body) => {
+                TyRef::new(Type::Rec(x.clone(), Arc::clone(child(body).as_arc())))
+            }
+            Type::ChanIO(inner) => TyRef::new(Type::ChanIO(Arc::clone(child(inner).as_arc()))),
+            Type::ChanIn(inner) => TyRef::new(Type::ChanIn(Arc::clone(child(inner).as_arc()))),
+            Type::ChanOut(inner) => TyRef::new(Type::ChanOut(Arc::clone(child(inner).as_arc()))),
+            Type::Out(a, b, c) => TyRef::new(Type::Out(
+                Arc::clone(child(a).as_arc()),
+                Arc::clone(child(b).as_arc()),
+                Arc::clone(child(c).as_arc()),
+            )),
+            Type::In(a, b) => TyRef::new(Type::In(
+                Arc::clone(child(a).as_arc()),
+                Arc::clone(child(b).as_arc()),
+            )),
+            _ => self.clone(),
+        }
+    }
+
     /// The canonical LTS-state form: [`Type::normalize`] followed by
     /// [`Type::unfold_head`] with the given unfold budget. Memoized per
     /// `(type, max_unfold)`; types that are already canonical hit the memo
     /// without any tree walk.
     pub fn canonical(&self, max_unfold: usize) -> TyRef {
-        interner().canonical(self, max_unfold)
-    }
-
-    /// Resolves an id back to its interned type — the inverse of
-    /// [`TyRef::id`], in O(1) (one shard lock plus an indexed load).
-    ///
-    /// This is what lets id-keyed structures shed the reference itself: the
-    /// exploration engine's disk-spilled frontiers persist bare `u32` indices
-    /// and rehydrate them through this table when the segment streams back
-    /// in. Returns `None` for an id this process never allocated.
-    pub fn from_id(id: TypeId) -> Option<TyRef> {
-        interner().resolve_type(id)
-    }
-}
-
-impl PartialEq for TyRef {
-    fn eq(&self, other: &Self) -> bool {
-        self.id == other.id
-    }
-}
-
-impl Eq for TyRef {}
-
-/// Structural comparison against a plain [`Type`] (used heavily in tests).
-impl PartialEq<Type> for TyRef {
-    fn eq(&self, other: &Type) -> bool {
-        *self.ty == *other
+        let i = interner();
+        let (hits, misses) = (&i.canonical_hits, &i.canonical_misses);
+        let key = (self.id, max_unfold as u64);
+        i.canonical.counted(self.id.0, key, hits, misses, || {
+            let normal = self.normalized();
+            if matches!(normal.as_type(), Type::Rec(..)) {
+                // An *unfolded* result is not recorded as its own canonical
+                // form: `unfold_head` substitutes into sorted unions/pars and
+                // can leave them unsorted, so its output is not necessarily
+                // normal and has to go through a real normalisation when
+                // first canonicalised in its own right.
+                return TyRef::new(normal.as_type().unfold_head(max_unfold));
+            }
+            // With nothing to unfold the canonical form is a *normal* form
+            // and hence a fixpoint: record it as its own canonical form so
+            // re-canonicalising already-canonical states is an O(1) hit.
+            if normal.id != self.id {
+                let back_key = (normal.id, max_unfold as u64);
+                i.canonical.insert(normal.id.0, back_key, normal.clone());
+            }
+            normal
+        })
     }
 }
 
-impl Hash for TyRef {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.id.0.hash(state);
-    }
-}
-
-impl Deref for TyRef {
-    type Target = Type;
-
-    fn deref(&self) -> &Type {
-        &self.ty
-    }
-}
-
-impl fmt::Display for TyRef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.ty.fmt(f)
-    }
-}
-
-/// Structural, id-free `Debug`: interned states must print (and sort, when a
-/// caller sorts by debug text) exactly like the plain types they stand for.
-impl fmt::Debug for TyRef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.ty.fmt(f)
-    }
-}
-
-/// The identity of an interned term: a dense 32-bit index, disjoint from the
-/// [`TypeId`] space.
-///
-/// Two `TermId`s are equal **iff** the terms they name are structurally equal
-/// (within one process). The numeric value is an allocation-order artifact —
-/// never persist it, never order by it where determinism matters.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct TermId(u32);
-
-impl TermId {
-    /// The raw index (for diagnostics and for sharding id-keyed side tables).
-    pub fn index(self) -> u32 {
-        self.0
-    }
-
-    /// Reassembles an id from its raw index (the inverse of
-    /// [`TermId::index`]; see [`TypeId::from_index`] for the contract).
-    pub fn from_index(index: u32) -> TermId {
-        TermId(index)
-    }
-}
-
-/// A handle to an interned [`Term`]: cheap to clone, O(1) `Eq`/`Hash` (by
-/// [`TermId`]), dereferences to the underlying term — the term-side mirror of
-/// [`TyRef`], used as the state representation of the open-term LTS
-/// (Def. 4.1, Fig. 5).
-///
-/// Like [`TyRef`], a `TermRef` deliberately does **not** implement `Ord` and
-/// its `Debug` is structural: nothing user-visible may depend on allocation
-/// order. Consumers that need an order must compare [`TermRef::as_term`].
-#[derive(Clone)]
-pub struct TermRef {
-    id: TermId,
-    term: Arc<Term>,
-}
-
-impl TermRef {
-    /// Interns a borrowed term, cloning it only if it was never seen before.
-    pub fn intern(t: &Term) -> TermRef {
-        interner().intern_term_or(t, None)
-    }
-
-    /// Interns an owned term (no clone on first intern).
-    pub fn new(t: Term) -> TermRef {
-        let arc = Arc::new(t);
-        interner().intern_term_or(&arc.clone(), Some(arc))
-    }
-
-    /// Interns a term already behind an [`Arc`], sharing the allocation.
-    pub fn from_arc(t: Arc<Term>) -> TermRef {
-        interner().intern_term_or(&t.clone(), Some(t))
-    }
-
-    /// The interned term's identity.
-    pub fn id(&self) -> TermId {
-        self.id
-    }
-
+impl Interned<Term> {
     /// The underlying term.
     pub fn as_term(&self) -> &Term {
-        &self.term
-    }
-
-    /// The underlying shared allocation (lets callers build parent nodes
-    /// without re-cloning the subtree).
-    pub fn as_arc(&self) -> &Arc<Term> {
-        &self.term
+        &self.value
     }
 
     /// The ≡-flattened parallel components of the term (see
     /// [`crate::par_components`]), memoized per [`TermId`]: a `||` state is
     /// flattened once per process, after which every expansion is a hash
     /// lookup. The component multiset is exactly what the plain function
-    /// returns (the property suite pins this).
+    /// returns (the property suite pins this), reproduced member-by-member
+    /// so every distinct `||` subtree lands in the memo too.
     pub fn par_components(&self) -> Arc<[TermRef]> {
-        interner().term_par_components(self)
+        let i = interner();
+        let (hits, misses) = (&i.par_hits, &i.par_misses);
+        i.par_components
+            .counted(self.id.0, self.id, hits, misses, || match self.as_term() {
+                Term::Par(a, b) => {
+                    let left = TermRef::from_arc(Arc::clone(a)).par_components();
+                    let right = TermRef::from_arc(Arc::clone(b)).par_components();
+                    let non_end: Vec<TermRef> = left
+                        .iter()
+                        .chain(right.iter())
+                        .filter(|c| !matches!(c.as_term(), Term::End))
+                        .cloned()
+                        .collect();
+                    if non_end.is_empty() {
+                        [TermRef::new(Term::End)].into()
+                    } else {
+                        non_end.into()
+                    }
+                }
+                _ => [self.clone()].into(),
+            })
     }
 
     /// The free term variables `fv(t)` (Def. 2.1), memoized per [`TermId`].
     pub fn free_vars(&self) -> Arc<BTreeSet<Name>> {
-        interner().term_free_vars(self)
-    }
-
-    /// Resolves an id back to its interned term — the inverse of
-    /// [`TermRef::id`], in O(1) (one shard lock plus an indexed load); the
-    /// term-side mirror of [`TyRef::from_id`]. Returns `None` for an id this
-    /// process never allocated.
-    pub fn from_id(id: TermId) -> Option<TermRef> {
-        interner().resolve_term(id)
+        let i = interner();
+        let (hits, misses) = (&i.fv_hits, &i.fv_misses);
+        i.free_vars.counted(self.id.0, self.id, hits, misses, || {
+            Arc::new(self.as_term().free_vars())
+        })
     }
 
     /// Rebuilds a parallel composition from components (inverse of
@@ -319,49 +596,6 @@ impl TermRef {
             [only] => (*only).clone(),
             many => TermRef::new(Term::par_all(many.iter().map(|c| c.as_term().clone()))),
         }
-    }
-}
-
-impl PartialEq for TermRef {
-    fn eq(&self, other: &Self) -> bool {
-        self.id == other.id
-    }
-}
-
-impl Eq for TermRef {}
-
-/// Structural comparison against a plain [`Term`] (used heavily in tests).
-impl PartialEq<Term> for TermRef {
-    fn eq(&self, other: &Term) -> bool {
-        *self.term == *other
-    }
-}
-
-impl Hash for TermRef {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.id.0.hash(state);
-    }
-}
-
-impl Deref for TermRef {
-    type Target = Term;
-
-    fn deref(&self) -> &Term {
-        &self.term
-    }
-}
-
-impl fmt::Display for TermRef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.term.fmt(f)
-    }
-}
-
-/// Structural, id-free `Debug`: interned states must print (and sort, when a
-/// caller sorts by debug text) exactly like the plain terms they stand for.
-impl fmt::Debug for TermRef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.term.fmt(f)
     }
 }
 
@@ -394,48 +628,34 @@ pub struct InternStats {
 /// hook for long-running services.
 pub fn stats() -> InternStats {
     let i = interner();
+    let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
     InternStats {
-        types: i.count.load(Ordering::Relaxed) as usize,
-        normalize_hits: i.normalize_hits.load(Ordering::Relaxed),
-        normalize_misses: i.normalize_misses.load(Ordering::Relaxed),
-        canonical_hits: i.canonical_hits.load(Ordering::Relaxed),
-        canonical_misses: i.canonical_misses.load(Ordering::Relaxed),
-        terms: i.term_count.load(Ordering::Relaxed) as usize,
-        par_hits: i.par_hits.load(Ordering::Relaxed),
-        par_misses: i.par_misses.load(Ordering::Relaxed),
-        fv_hits: i.fv_hits.load(Ordering::Relaxed),
-        fv_misses: i.fv_misses.load(Ordering::Relaxed),
+        types: load(&i.type_count) as usize,
+        normalize_hits: load(&i.normalize_hits),
+        normalize_misses: load(&i.normalize_misses),
+        canonical_hits: load(&i.canonical_hits),
+        canonical_misses: load(&i.canonical_misses),
+        terms: load(&i.term_count) as usize,
+        par_hits: load(&i.par_hits),
+        par_misses: load(&i.par_misses),
+        fv_hits: load(&i.fv_hits),
+        fv_misses: load(&i.fv_misses),
     }
 }
 
-// ---------------------------------------------------------------------------
-// The interner
-// ---------------------------------------------------------------------------
-
+/// The process interner: one [`Arena`] per tree kind (each with the id
+/// counter its allocations draw from) and the four id-keyed memos.
+#[derive(Default)]
 struct Interner {
-    /// Structural table: `type -> id`, hash-partitioned. All shards hash with
-    /// this one state so a type's shard is stable.
-    hasher: std::collections::hash_map::RandomState,
-    shards: Vec<Mutex<HashMap<Arc<Type>, TyRef>>>,
-    /// `id -> normalised form`, partitioned by id.
-    normalized: Vec<Mutex<HashMap<u32, TyRef>>>,
-    /// `(id, max_unfold) -> canonical form`, partitioned by id.
-    canonical: Vec<Mutex<HashMap<(u32, u64), TyRef>>>,
-    /// Structural term table: `term -> id`, hash-partitioned (same hasher).
-    term_shards: Vec<Mutex<HashMap<Arc<Term>, TermRef>>>,
-    /// `term id -> ≡-flattened parallel components`, partitioned by id.
-    par_components: Vec<Mutex<HashMap<u32, Arc<[TermRef]>>>>,
-    /// `term id -> free variable set`, partitioned by id.
-    free_vars: Vec<Mutex<HashMap<u32, Arc<BTreeSet<Name>>>>>,
-    /// `type id -> interned type`, partitioned by id low bits with dense
-    /// per-shard slabs (`slot = id >> SHARD_BITS`): the O(1) reverse of the
-    /// structural table, appended under the structural shard lock on every
-    /// first intern.
-    by_id: Vec<Mutex<Vec<Option<TyRef>>>>,
-    /// `term id -> interned term`, same layout as `by_id`.
-    term_by_id: Vec<Mutex<Vec<Option<TermRef>>>>,
-    count: AtomicU64,
+    types: Arena<Arc<Type>>,
+    type_count: AtomicU64,
+    terms: Arena<Arc<Term>>,
     term_count: AtomicU64,
+    normalized: Memo<TypeId, TyRef>,
+    /// Keyed by `(type, max_unfold)`.
+    canonical: Memo<(TypeId, u64), TyRef>,
+    par_components: Memo<TermId, Arc<[TermRef]>>,
+    free_vars: Memo<TermId, Arc<BTreeSet<Name>>>,
     normalize_hits: AtomicU64,
     normalize_misses: AtomicU64,
     canonical_hits: AtomicU64,
@@ -448,280 +668,7 @@ struct Interner {
 
 fn interner() -> &'static Interner {
     static INTERNER: OnceLock<Interner> = OnceLock::new();
-    INTERNER.get_or_init(|| Interner {
-        hasher: std::collections::hash_map::RandomState::new(),
-        shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-        normalized: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-        canonical: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-        term_shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-        par_components: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-        free_vars: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-        by_id: (0..SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
-        term_by_id: (0..SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
-        count: AtomicU64::new(0),
-        term_count: AtomicU64::new(0),
-        normalize_hits: AtomicU64::new(0),
-        normalize_misses: AtomicU64::new(0),
-        canonical_hits: AtomicU64::new(0),
-        canonical_misses: AtomicU64::new(0),
-        par_hits: AtomicU64::new(0),
-        par_misses: AtomicU64::new(0),
-        fv_hits: AtomicU64::new(0),
-        fv_misses: AtomicU64::new(0),
-    })
-}
-
-/// Panic-free lock: a panicking worker already aborts its run; the interner's
-/// tables are append-only maps that are never left half-updated.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Appends `value` at `id`'s slot of an id-indexed slab table. Ids are
-/// allocated monotonically, so within one shard the slab only ever grows at
-/// the tail; the `None` padding covers ids of the shard that are still being
-/// registered by racing threads.
-fn record_by_id<R: Clone>(table: &[Mutex<Vec<Option<R>>>], id: u32, value: &R) {
-    let mut slab = lock(&table[id as usize & (SHARDS - 1)]);
-    let slot = id as usize >> SHARD_BITS;
-    if slab.len() <= slot {
-        slab.resize(slot + 1, None);
-    }
-    slab[slot] = Some(value.clone());
-}
-
-/// Looks an id up in an id-indexed slab table.
-fn lookup_by_id<R: Clone>(table: &[Mutex<Vec<Option<R>>>], id: u32) -> Option<R> {
-    lock(&table[id as usize & (SHARDS - 1)])
-        .get(id as usize >> SHARD_BITS)
-        .and_then(|slot| slot.clone())
-}
-
-impl Interner {
-    fn shard_of(&self, ty: &Type) -> usize {
-        (self.hasher.hash_one(ty) as usize) & (SHARDS - 1)
-    }
-
-    fn resolve_type(&self, id: TypeId) -> Option<TyRef> {
-        lookup_by_id(&self.by_id, id.0)
-    }
-
-    fn resolve_term(&self, id: TermId) -> Option<TermRef> {
-        lookup_by_id(&self.term_by_id, id.0)
-    }
-
-    /// Looks `ty` up; on a miss, registers either the provided owned `Arc`
-    /// (no tree clone) or a fresh clone of `ty`.
-    fn intern_arc_or(&self, ty: &Type, owned: Option<Arc<Type>>) -> TyRef {
-        let mut shard = lock(&self.shards[self.shard_of(ty)]);
-        if let Some(found) = shard.get(ty) {
-            return found.clone();
-        }
-        let arc = owned.unwrap_or_else(|| Arc::new(ty.clone()));
-        // The counter is 64-bit so it can never wrap in practice; the assert
-        // turns id-space exhaustion into a loud abort instead of silently
-        // reassigning a live 32-bit id (which would alias structurally
-        // distinct types and corrupt every id-keyed table downstream).
-        let raw = self.count.fetch_add(1, Ordering::Relaxed);
-        assert!(
-            raw < u64::from(u32::MAX),
-            "type interner exhausted its 32-bit id space"
-        );
-        let id = TypeId(raw as u32);
-        let tyref = TyRef {
-            id,
-            ty: Arc::clone(&arc),
-        };
-        shard.insert(arc, tyref.clone());
-        record_by_id(&self.by_id, id.0, &tyref);
-        tyref
-    }
-
-    /// Looks `term` up; on a miss, registers either the provided owned `Arc`
-    /// (no tree clone) or a fresh clone of `term`.
-    fn intern_term_or(&self, term: &Term, owned: Option<Arc<Term>>) -> TermRef {
-        let shard_of = (self.hasher.hash_one(term) as usize) & (SHARDS - 1);
-        let mut shard = lock(&self.term_shards[shard_of]);
-        if let Some(found) = shard.get(term) {
-            return found.clone();
-        }
-        let arc = owned.unwrap_or_else(|| Arc::new(term.clone()));
-        // Same overflow discipline as the type table: aliasing two distinct
-        // terms under one 32-bit id would corrupt every id-keyed seen-set
-        // and memo downstream, so exhaustion aborts loudly.
-        let raw = self.term_count.fetch_add(1, Ordering::Relaxed);
-        assert!(
-            raw < u64::from(u32::MAX),
-            "term interner exhausted its 32-bit id space"
-        );
-        let id = TermId(raw as u32);
-        let termref = TermRef {
-            id,
-            term: Arc::clone(&arc),
-        };
-        shard.insert(arc, termref.clone());
-        record_by_id(&self.term_by_id, id.0, &termref);
-        termref
-    }
-
-    /// Memoized ≡-flattening of parallel components; reproduces
-    /// `crate::par_components` exactly, member-by-member, so every distinct
-    /// `||` subtree lands in the memo too.
-    fn term_par_components(&self, t: &TermRef) -> Arc<[TermRef]> {
-        let shard = &self.par_components[t.id.0 as usize & (SHARDS - 1)];
-        if let Some(hit) = lock(shard).get(&t.id.0) {
-            self.par_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        self.par_misses.fetch_add(1, Ordering::Relaxed);
-        let computed: Arc<[TermRef]> = match t.as_term() {
-            Term::Par(a, b) => {
-                let left = self.term_par_components(&TermRef::from_arc(Arc::clone(a)));
-                let right = self.term_par_components(&TermRef::from_arc(Arc::clone(b)));
-                let non_end: Vec<TermRef> = left
-                    .iter()
-                    .chain(right.iter())
-                    .filter(|c| !matches!(c.as_term(), Term::End))
-                    .cloned()
-                    .collect();
-                if non_end.is_empty() {
-                    [TermRef::new(Term::End)].into()
-                } else {
-                    non_end.into()
-                }
-            }
-            _ => [t.clone()].into(),
-        };
-        lock(shard).entry(t.id.0).or_insert(computed).clone()
-    }
-
-    /// Memoized free-variable sets (`fv(t)`, Def. 2.1).
-    fn term_free_vars(&self, t: &TermRef) -> Arc<BTreeSet<Name>> {
-        let shard = &self.free_vars[t.id.0 as usize & (SHARDS - 1)];
-        if let Some(hit) = lock(shard).get(&t.id.0) {
-            self.fv_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        self.fv_misses.fetch_add(1, Ordering::Relaxed);
-        let computed: Arc<BTreeSet<Name>> = Arc::new(t.as_term().free_vars());
-        lock(shard).entry(t.id.0).or_insert(computed).clone()
-    }
-
-    fn lookup_normalized(&self, id: TypeId) -> Option<TyRef> {
-        lock(&self.normalized[id.0 as usize & (SHARDS - 1)])
-            .get(&id.0)
-            .cloned()
-    }
-
-    fn store_normalized(&self, id: TypeId, value: &TyRef) {
-        lock(&self.normalized[id.0 as usize & (SHARDS - 1)]).insert(id.0, value.clone());
-    }
-
-    /// Memoized [`Type::normalize`]. Reproduces the plain function exactly —
-    /// member-by-member, so every distinct subtree lands in the memo too.
-    fn normalized(&self, t: &TyRef) -> TyRef {
-        if let Some(hit) = self.lookup_normalized(t.id) {
-            self.normalize_hits.fetch_add(1, Ordering::Relaxed);
-            return hit;
-        }
-        self.normalize_misses.fetch_add(1, Ordering::Relaxed);
-        let normal = self.compute_normalized(t);
-        self.store_normalized(t.id, &normal);
-        // The normal form is its own normal form (normalisation is
-        // idempotent — pinned by `ty.rs` tests): record it so future
-        // normalisations of already-normal states are O(1) without a walk.
-        if normal.id != t.id {
-            self.store_normalized(normal.id, &normal);
-        }
-        normal
-    }
-
-    /// One level of [`Type::normalize`], recursing through the memo. The
-    /// result is structurally identical to `t.as_type().normalize()` (the
-    /// property suite asserts this over generated types).
-    fn compute_normalized(&self, t: &TyRef) -> TyRef {
-        let child = |arc: &Arc<Type>| self.normalized(&TyRef::from_arc(Arc::clone(arc)));
-        match t.as_type() {
-            Type::Union(..) => {
-                let mut members: Vec<Type> = t
-                    .union_members()
-                    .iter()
-                    .flat_map(|m| self.normalized(&TyRef::intern(m)).as_type().union_members())
-                    .collect();
-                members.sort();
-                members.dedup();
-                TyRef::new(Type::union_all(members))
-            }
-            Type::Par(..) => {
-                let mut members: Vec<Type> = t
-                    .par_members()
-                    .iter()
-                    .flat_map(|m| self.normalized(&TyRef::intern(m)).as_type().par_members())
-                    .collect();
-                members.retain(|m| !matches!(m, Type::Nil));
-                members.sort();
-                TyRef::new(Type::par_all(members))
-            }
-            Type::Pi(x, dom, body) => TyRef::new(Type::Pi(
-                x.clone(),
-                Arc::clone(child(dom).as_arc()),
-                Arc::clone(child(body).as_arc()),
-            )),
-            Type::Rec(x, body) => {
-                TyRef::new(Type::Rec(x.clone(), Arc::clone(child(body).as_arc())))
-            }
-            Type::ChanIO(inner) => TyRef::new(Type::ChanIO(Arc::clone(child(inner).as_arc()))),
-            Type::ChanIn(inner) => TyRef::new(Type::ChanIn(Arc::clone(child(inner).as_arc()))),
-            Type::ChanOut(inner) => TyRef::new(Type::ChanOut(Arc::clone(child(inner).as_arc()))),
-            Type::Out(a, b, c) => TyRef::new(Type::Out(
-                Arc::clone(child(a).as_arc()),
-                Arc::clone(child(b).as_arc()),
-                Arc::clone(child(c).as_arc()),
-            )),
-            Type::In(a, b) => TyRef::new(Type::In(
-                Arc::clone(child(a).as_arc()),
-                Arc::clone(child(b).as_arc()),
-            )),
-            _ => t.clone(),
-        }
-    }
-
-    /// Memoized `normalize().unfold_head(max_unfold)` — the canonical
-    /// LTS-state representation.
-    fn canonical(&self, t: &TyRef, max_unfold: usize) -> TyRef {
-        let key = (t.id.0, max_unfold as u64);
-        let shard = &self.canonical[t.id.0 as usize & (SHARDS - 1)];
-        if let Some(hit) = lock(shard).get(&key) {
-            self.canonical_hits.fetch_add(1, Ordering::Relaxed);
-            return hit.clone();
-        }
-        self.canonical_misses.fetch_add(1, Ordering::Relaxed);
-        let normal = self.normalized(t);
-        let unfolded = matches!(normal.as_type(), Type::Rec(..));
-        let canon = if unfolded {
-            TyRef::new(normal.as_type().unfold_head(max_unfold))
-        } else {
-            normal
-        };
-        lock(shard).insert(key, canon.clone());
-        // When no unfolding happened, the canonical form is a *normal* form
-        // and hence a fixpoint (normalisation is idempotent, nothing to
-        // unfold): record it as its own canonical form so re-canonicalising
-        // already-canonical states is an O(1) fast-path hit. An *unfolded*
-        // result must NOT be recorded this way: `unfold_head` substitutes
-        // into sorted unions/pars and can leave them unsorted, so its output
-        // is not necessarily normal and has to go through a real
-        // normalisation when first canonicalised in its own right.
-        if canon.id != t.id && !unfolded {
-            let back_key = (canon.id.0, max_unfold as u64);
-            lock(&self.canonical[canon.id.0 as usize & (SHARDS - 1)])
-                .entry(back_key)
-                .or_insert_with(|| canon.clone());
-        }
-        canon
-    }
+    INTERNER.get_or_init(Interner::default)
 }
 
 #[cfg(test)]
@@ -1000,5 +947,110 @@ mod tests {
         assert!(after.par_hits + after.par_misses > 0);
         assert!(after.fv_hits + after.fv_misses > 0);
         let _ = Name::new("keep-name-import");
+    }
+
+    #[test]
+    fn racing_memo_callers_all_get_the_stored_value() {
+        let memo: Memo<u32, Arc<String>> = Memo::default();
+        // Every caller waits inside its computation until all eight are
+        // computing: nothing can be stored before all eight have missed, so
+        // the computation provably runs eight times.
+        let all_missed = std::sync::Barrier::new(8);
+        let values: Vec<Arc<String>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        memo.get_or_insert_with(7, 7, || {
+                            all_missed.wait();
+                            Arc::new("computed".to_string())
+                        })
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        // The first insert wins, and every caller — later ones too — gets
+        // that one allocation.
+        assert!(values.iter().all(|v| Arc::ptr_eq(v, &values[0])));
+        let later = memo.get_or_insert_with(7, 7, || unreachable!("the key is stored"));
+        assert!(Arc::ptr_eq(&later, &values[0]));
+    }
+
+    #[test]
+    fn a_panicking_computation_leaves_the_memo_usable() {
+        let memo: Memo<u32, u32> = Memo::default();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            memo.get_or_insert_with(3, 3, || panic!("compute failed"))
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(memo.get_or_insert_with(3, 3, || 42), 42);
+        assert_eq!(
+            memo.get_or_insert_with(3, 3, || 0),
+            42,
+            "the retry was stored"
+        );
+    }
+
+    #[test]
+    fn arena_registers_overlapping_values_once_with_dense_ids() {
+        let arena: Arena<u64> = Arena::default();
+        let next = AtomicU64::new(0);
+        let start = std::sync::Barrier::new(8);
+        // Eight threads over overlapping ranges: each value of 0..1100 is
+        // registered concurrently by up to four threads.
+        let fresh: Vec<u64> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8u64)
+                .map(|t| {
+                    let (arena, next, start) = (&arena, &next, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let mut fresh = Vec::new();
+                        for v in t * 100..t * 100 + 400 {
+                            let alloc = || Some((next.fetch_add(1, Ordering::Relaxed) as u32, v));
+                            let (id, is_fresh) = arena
+                                .register(&v, alloc, |stored, id| {
+                                    assert_eq!(*stored, v);
+                                    id
+                                })
+                                .unwrap();
+                            if is_fresh {
+                                fresh.push(v);
+                            }
+                            assert_eq!(arena.resolve(id), Some(v));
+                        }
+                        fresh
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        let mut fresh = fresh;
+        fresh.sort_unstable();
+        let distinct: Vec<u64> = (0..1100).collect();
+        assert_eq!(fresh, distinct, "`fresh` exactly once per distinct value");
+        let n = next.load(Ordering::Relaxed) as u32;
+        assert_eq!(n, 1100, "one allocation per distinct value");
+        let mut resolved: Vec<u64> = (0..n)
+            .map(|id| arena.resolve(id).expect("ids are dense"))
+            .collect();
+        resolved.sort_unstable();
+        assert_eq!(resolved, distinct);
+        assert_eq!(arena.resolve(n), None);
+        assert_eq!(arena.resolve(u32::MAX - 1), None);
+    }
+
+    #[test]
+    fn a_refusing_allocator_registers_nothing_and_sees_no_present_value() {
+        let arena: Arena<String> = Arena::default();
+        assert_eq!(arena.register("a", || None, |_, id| id), None);
+        assert_eq!(arena.resolve(0), None);
+        let alloc = || Some((0, "a".to_string()));
+        assert_eq!(arena.register("a", alloc, |_, id| id), Some((0, true)));
+        let refuse = || unreachable!("the allocator is never called for a present value");
+        assert_eq!(arena.register("a", refuse, |_, id| id), Some((0, false)));
+        assert_eq!(arena.resolve(0).as_deref(), Some("a"));
     }
 }

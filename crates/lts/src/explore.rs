@@ -9,8 +9,8 @@
 //!
 //! * **The state table** (`StateTable`) — the seen-set, which also resolves a
 //!   32-bit key back to its state. Two implementations: the *hash* table
-//!   (any `S: Eq + Hash`; hash-partitioned shards, each under its own
-//!   [`obs::sync::Mutex`], keys drawn densely from the run's state
+//!   (any `S: Eq + Hash`; an [`Arena`] — the interner's sharded
+//!   `value ↔ id` table — whose ids are drawn densely from the run's state
 //!   counter) and the *bitmap* table (states whose identity is a dense
 //!   interner id — `TyRef`/`TermRef`; ~1 bit per state in lazily allocated
 //!   pages, the key is the id itself). See the `memory` module.
@@ -66,13 +66,13 @@
 //! [`TermLts::build`]: crate::TermLts::build
 
 use std::cmp::Reverse;
-use std::collections::hash_map::RandomState;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
-use std::hash::{BuildHasher, Hash};
+use std::hash::Hash;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
+use lambdapi::intern::Arena;
 use obs::hash::SplitMix64;
 use obs::sync::{Condvar, Mutex};
 
@@ -788,7 +788,8 @@ where
 pub(crate) trait StateTable: Sync {
     /// The states this table registers.
     type State;
-    /// An empty table sharded for `workers` concurrent registrars.
+    /// An empty table for `workers` concurrent registrars (the bitmap table
+    /// sizes its shards by it; the hash table's [`Arena`] has a fixed 64).
     fn new(workers: usize) -> Self;
     /// Looks `state` up, registering it when absent: its key, and whether
     /// this call discovered it. A state is only registered once `admit`
@@ -808,18 +809,10 @@ pub(crate) trait StateTable: Sync {
 
 /// The hash implementation of [`StateTable`]: works for any `S: Eq + Hash`,
 /// and is the reference the bitmap table is differentially tested against.
-/// Keys are the dense numbers `admit` draws from the run's state counter.
+/// It is an [`Arena`] whose ids are the dense numbers `admit` draws from the
+/// run's state counter.
 pub(crate) struct HashTable<S> {
-    /// `state -> key`, hash-partitioned. Shard count is a power of two
-    /// several times the worker count, so concurrent registrations of
-    /// distinct states rarely collide on a lock.
-    shards: Vec<Mutex<HashMap<S, u32>>>,
-    /// All shards hash with this one state, so a state's shard and its map
-    /// slot agree across workers.
-    hasher: RandomState,
-    /// `key -> state`, striped by the key's low bits (`stripe = key & mask`,
-    /// `slot = key / stripes`).
-    stripes: Vec<Mutex<Vec<Option<S>>>>,
+    arena: Arena<S>,
     registered: AtomicUsize,
 }
 
@@ -829,41 +822,26 @@ where
 {
     type State = S;
 
-    fn new(workers: usize) -> Self {
-        let shard_count = (workers * 8).next_power_of_two();
+    fn new(_workers: usize) -> Self {
         HashTable {
-            shards: (0..shard_count)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            hasher: RandomState::new(),
-            stripes: (0..shard_count).map(|_| Mutex::new(Vec::new())).collect(),
+            arena: Arena::default(),
             registered: AtomicUsize::new(0),
         }
     }
 
     fn register(&self, state: &S, admit: impl FnOnce() -> Option<usize>) -> Option<(u32, bool)> {
-        let hash = self.hasher.hash_one(state) as usize;
-        let mut shard = self.shards[hash & (self.shards.len() - 1)].lock();
-        if let Some(&key) = shard.get(state) {
-            return Some((key, false));
-        }
-        let key = u32::try_from(admit()?).expect("the state bound is clamped to u32::MAX");
-        shard.insert(state.clone(), key);
-        let mut stripe = self.stripes[key as usize & (self.stripes.len() - 1)].lock();
-        let slot = key as usize / self.stripes.len();
-        if stripe.len() <= slot {
-            stripe.resize_with(slot + 1, || None);
-        }
-        stripe[slot] = Some(state.clone());
-        self.registered.fetch_add(1, Ordering::Relaxed);
-        Some((key, true))
+        let alloc = || {
+            let key = u32::try_from(admit()?).expect("the state bound is clamped to u32::MAX");
+            self.registered.fetch_add(1, Ordering::Relaxed);
+            Some((key, state.clone()))
+        };
+        self.arena.register(state, alloc, |_, key| key)
     }
 
     fn state(&self, key: u32) -> S {
-        self.stripes[key as usize & (self.stripes.len() - 1)].lock()
-            [key as usize / self.stripes.len()]
-        .clone()
-        .expect("every frontier key names a registered state")
+        self.arena
+            .resolve(key)
+            .expect("every frontier key names a registered state")
     }
 
     fn resident_bytes(&self) -> usize {

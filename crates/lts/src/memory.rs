@@ -37,7 +37,7 @@ use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use lambdapi::{TermId, TermRef, TyRef, TypeId};
+use lambdapi::intern::{Id, Internable, Interned};
 use obs::hash::fnv64;
 use obs::sync::Mutex;
 
@@ -69,23 +69,15 @@ pub(crate) trait IndexedState: Clone + Eq + Hash {
     fn from_index_id(id: u32) -> Self;
 }
 
-impl IndexedState for TyRef {
+/// Interner references — `TyRef` and `TermRef` alike — are indexed states:
+/// the id is the interner's own, and the interner resolves it back.
+impl<T: Internable> IndexedState for Interned<T> {
     fn index_id(&self) -> u32 {
         self.id().index()
     }
     fn from_index_id(id: u32) -> Self {
-        TyRef::from_id(TypeId::from_index(id))
-            .expect("exploration frontier names a type id the interner never allocated")
-    }
-}
-
-impl IndexedState for TermRef {
-    fn index_id(&self) -> u32 {
-        self.id().index()
-    }
-    fn from_index_id(id: u32) -> Self {
-        TermRef::from_id(TermId::from_index(id))
-            .expect("exploration frontier names a term id the interner never allocated")
+        Interned::from_id(Id::from_index(id))
+            .expect("exploration frontier names an id the interner never allocated")
     }
 }
 

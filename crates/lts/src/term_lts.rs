@@ -28,10 +28,12 @@
 //!
 //! * seen-set `Eq`/`Hash` are 32-bit id operations — the exploration engine
 //!   never re-hashes a term tree;
-//! * per-builder caches keyed by [`lambdapi::TermId`] memoize the *open*
-//!   successor list of every sub-state (so a `||` product state reuses its
-//!   components' transitions), the full successor list of every state, and
-//!   the early-input candidate vector of every receive subject;
+//! * three per-builder [`Memo`]s keyed by [`lambdapi::TermId`] — the
+//!   interner's one sharded memo type, no hit counters on this parallel hot
+//!   path — hold the *open* successor list of every sub-state (so a `||`
+//!   product state reuses its components' transitions), the full successor
+//!   list of every state, and the early-input candidate vector of every
+//!   receive subject;
 //! * the ≡-flattening of `||` states and the free-variable queries hit the
 //!   process-wide memos of [`lambdapi::intern`]
 //!   ([`TermRef::par_components`] / [`TermRef::free_vars`]);
@@ -44,60 +46,36 @@
 //! `(label, target term)` — never by interner ids, whose allocation order is
 //! racy under parallel exploration and must not leak into state numbering.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use dbt_types::{Checker, TypeEnv};
+use lambdapi::intern::Memo;
 use lambdapi::{Reducer, Term, TermRef, Type, Value};
-use obs::sync::Mutex;
 
 use crate::explore::{self, Exploration, ExploreConfig, Strategy};
 use crate::generic::Lts;
 use crate::label::TermLabel;
 use crate::memory::IdTable;
 
-/// Number of lock shards in each per-builder cache; a power of two.
-const CACHE_SHARDS: usize = 16;
-
 /// A memoized successor list, shared between the cache and its consumers.
 type SuccessorList = Arc<[(TermLabel, TermRef)]>;
 
-/// The per-builder memo tables, shared by every worker of a build (and by
-/// clones of the builder).
-#[derive(Debug)]
-struct Caches {
-    /// state [`lambdapi::TermId`] → full successor list ([SR-→] + open rules).
-    successors: Vec<Mutex<HashMap<u32, SuccessorList>>>,
-    /// state [`lambdapi::TermId`] → open-rule successors only (the list the
-    /// `||` interleaving and [SR-Comm] matching reuse per component).
-    open: Vec<Mutex<HashMap<u32, SuccessorList>>>,
-    /// receive-subject [`lambdapi::TermId`] → early-input payload candidates.
-    candidates: Vec<Mutex<HashMap<u32, Arc<[Term]>>>>,
-}
-
-impl Caches {
-    fn new() -> Arc<Caches> {
-        Arc::new(Caches {
-            successors: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            open: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            candidates: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        })
-    }
-}
-
 /// Builder for the open-term LTS of Def. 4.1.
+///
+/// The memos are shared by every worker of a build (and by clones of the
+/// builder).
 #[derive(Clone, Debug)]
 pub struct TermLts {
     env: TypeEnv,
     checker: Checker,
     reducer: Reducer,
-    caches: Arc<Caches>,
+    /// state id → full successor list ([SR-→] + open rules).
+    successor_memo: Arc<Memo<u32, SuccessorList>>,
+    /// state id → open-rule successors only (the list the `||`
+    /// interleaving and [SR-Comm] matching reuse per component).
+    open_memo: Arc<Memo<u32, SuccessorList>>,
+    /// receive-subject id → early-input payload candidates.
+    candidate_memo: Arc<Memo<u32, Arc<[Term]>>>,
 }
 
 impl TermLts {
@@ -112,7 +90,9 @@ impl TermLts {
             env,
             checker,
             reducer: Reducer::new(),
-            caches: Caches::new(),
+            successor_memo: Arc::default(),
+            open_memo: Arc::default(),
+            candidate_memo: Arc::default(),
         }
     }
 
@@ -132,16 +112,9 @@ impl TermLts {
     /// composition reuse their components' open-successor lists instead of
     /// re-deriving them.
     pub fn successors(&self, t: &TermRef) -> SuccessorList {
-        let shard = &self.caches.successors[t.id().index() as usize & (CACHE_SHARDS - 1)];
-        if let Some(hit) = shard.lock().get(&t.id().index()) {
-            return Arc::clone(hit);
-        }
-        let computed = self.compute_successors(t);
-        shard
-            .lock()
-            .entry(t.id().index())
-            .or_insert(computed)
-            .clone()
+        let id = t.id().index();
+        self.successor_memo
+            .get_or_insert_with(id, id, || self.compute_successors(t))
     }
 
     /// Convenience over a plain term (interning it on the way).
@@ -175,16 +148,9 @@ impl TermLts {
     /// (this is the list the `||` case reuses per component, so it excludes
     /// the whole-term [SR-→] step).
     fn open_successors(&self, t: &TermRef) -> SuccessorList {
-        let shard = &self.caches.open[t.id().index() as usize & (CACHE_SHARDS - 1)];
-        if let Some(hit) = shard.lock().get(&t.id().index()) {
-            return Arc::clone(hit);
-        }
-        let computed = self.compute_open_successors(t);
-        shard
-            .lock()
-            .entry(t.id().index())
-            .or_insert(computed)
-            .clone()
+        let id = t.id().index();
+        self.open_memo
+            .get_or_insert_with(id, id, || self.compute_open_successors(t))
     }
 
     fn compute_open_successors(&self, t: &TermRef) -> SuccessorList {
@@ -320,40 +286,37 @@ impl TermLts {
     /// subtype probing of the environment runs once per distinct channel
     /// position instead of once per expansion.
     fn receive_candidates(&self, chan: &Term) -> Arc<[Term]> {
-        let key = TermRef::intern(chan).id().index();
-        let shard = &self.caches.candidates[key as usize & (CACHE_SHARDS - 1)];
-        if let Some(hit) = shard.lock().get(&key) {
-            return Arc::clone(hit);
-        }
-        let payload_ty = match chan {
-            Term::Var(x) => self
-                .env
-                .lookup(x)
-                .and_then(|t| self.checker.resolve_channel(&self.env, t))
-                .map(|(_, p)| p),
-            Term::Val(Value::Chan(_, p)) => Some(p.clone()),
-            _ => None,
-        };
-        let mut candidates = Vec::new();
-        if let Some(payload_ty) = payload_ty {
-            for (x, _) in self.env.iter() {
-                if self
-                    .checker
-                    .is_subtype(&self.env, &Type::Var(x.clone()), &payload_ty)
-                {
-                    candidates.push(Term::Var(x.clone()));
+        let id = TermRef::intern(chan).id().index();
+        self.candidate_memo.get_or_insert_with(id, id, || {
+            let payload_ty = match chan {
+                Term::Var(x) => self
+                    .env
+                    .lookup(x)
+                    .and_then(|t| self.checker.resolve_channel(&self.env, t))
+                    .map(|(_, p)| p),
+                Term::Val(Value::Chan(_, p)) => Some(p.clone()),
+                _ => None,
+            };
+            let mut candidates = Vec::new();
+            if let Some(payload_ty) = payload_ty {
+                for (x, _) in self.env.iter() {
+                    if self
+                        .checker
+                        .is_subtype(&self.env, &Type::Var(x.clone()), &payload_ty)
+                    {
+                        candidates.push(Term::Var(x.clone()));
+                    }
+                }
+                match payload_ty.normalize() {
+                    Type::Int => candidates.push(Term::int(0)),
+                    Type::Bool => candidates.push(Term::bool(true)),
+                    Type::Str => candidates.push(Term::str("")),
+                    Type::Unit => candidates.push(Term::unit()),
+                    _ => {}
                 }
             }
-            match payload_ty.normalize() {
-                Type::Int => candidates.push(Term::int(0)),
-                Type::Bool => candidates.push(Term::bool(true)),
-                Type::Str => candidates.push(Term::str("")),
-                Type::Unit => candidates.push(Term::unit()),
-                _ => {}
-            }
-        }
-        let candidates: Arc<[Term]> = candidates.into();
-        shard.lock().entry(key).or_insert(candidates).clone()
+            candidates.into()
+        })
     }
 
     /// Builds the explicit LTS reachable from `t`, bounded by `max_states`,

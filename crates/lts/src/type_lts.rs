@@ -32,22 +32,22 @@
 //! * [`TypeLts::canonical_ref`] is a memo hit for every state after its
 //!   first canonicalisation (the interner also knows when a type is already
 //!   canonical and skips the walk entirely);
-//! * per-builder caches keyed by [`lambdapi::TypeId`] memoize the successor
-//!   list of every sub-state (so a `p[...]` product state reuses its
-//!   components' transitions) and the early-input candidate vector of every
-//!   input domain (so the subtype probing runs once per domain, not once per
-//!   expansion).
+//! * two per-builder [`Memo`]s keyed by [`lambdapi::TypeId`] — the
+//!   interner's one sharded memo type, no hit counters on this parallel hot
+//!   path — hold the successor list of every sub-state (so a `p[...]` product
+//!   state reuses its components' transitions) and the early-input candidate
+//!   vector of every input domain (so the subtype probing runs once per
+//!   domain, not once per expansion).
 //!
 //! Successor lists are sorted by the **structural** order of
 //! `(label, target type)` — never by interner ids, whose allocation order is
 //! racy under parallel exploration and must not leak into state numbering.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use dbt_types::{Checker, TypeEnv};
+use lambdapi::intern::Memo;
 use lambdapi::{Name, TyRef, Type};
-use obs::sync::Mutex;
 
 use crate::explore::{self, Exploration, ExploreConfig, Strategy};
 use crate::generic::Lts;
@@ -69,36 +69,13 @@ pub enum CandidatePolicy {
     Only(Vec<Name>),
 }
 
-/// Number of lock shards in each per-builder cache; a power of two.
-const CACHE_SHARDS: usize = 16;
-
 /// A memoized successor list, shared between the cache and its consumers.
 type SuccessorList = Arc<[(TypeLabel, TyRef)]>;
 
-/// The per-builder memo tables, shared by every worker of a build (and by
-/// clones of the builder, as long as no cache-relevant knob changes).
-#[derive(Debug)]
-struct Caches {
-    /// input-domain [`lambdapi::TypeId`] → early-input payload candidates.
-    candidates: Vec<Mutex<HashMap<u32, Arc<[Type]>>>>,
-    /// canonical-state [`lambdapi::TypeId`] → successor transitions.
-    successors: Vec<Mutex<HashMap<u32, SuccessorList>>>,
-}
-
-impl Caches {
-    fn new() -> Arc<Caches> {
-        Arc::new(Caches {
-            candidates: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            successors: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        })
-    }
-}
-
 /// Builder for the type-level LTS of Def. 4.2.
+///
+/// The memos are shared by every worker of a build (and by clones of the
+/// builder, as long as no cache-relevant knob changes).
 #[derive(Clone, Debug)]
 pub struct TypeLts {
     env: TypeEnv,
@@ -106,7 +83,10 @@ pub struct TypeLts {
     candidates: CandidatePolicy,
     visible: Option<Vec<Name>>,
     priority_targets: Vec<Name>,
-    caches: Arc<Caches>,
+    /// input-domain id → early-input payload candidates.
+    candidate_memo: Arc<Memo<u32, Arc<[Type]>>>,
+    /// canonical-state id → successor transitions.
+    successor_memo: Arc<Memo<u32, SuccessorList>>,
 }
 
 /// Default bound on the number of explored type states.
@@ -126,7 +106,8 @@ impl TypeLts {
             candidates: CandidatePolicy::default(),
             visible: None,
             priority_targets: Vec::new(),
-            caches: Caches::new(),
+            candidate_memo: Arc::default(),
+            successor_memo: Arc::default(),
         }
     }
 
@@ -144,8 +125,9 @@ impl TypeLts {
     pub fn with_candidate_policy(mut self, candidates: CandidatePolicy) -> Self {
         self.candidates = candidates;
         // The memoized candidate vectors (and the successor lists derived
-        // from them) depend on the policy: start the caches over.
-        self.caches = Caches::new();
+        // from them) depend on the policy: start the memos over.
+        self.candidate_memo = Arc::default();
+        self.successor_memo = Arc::default();
         self
     }
 
@@ -181,12 +163,6 @@ impl TypeLts {
         ty.canonical(self.checker.max_unfold)
     }
 
-    /// Canonicalises a plain type (interning it on the way); see
-    /// [`TypeLts::canonical_ref`] for the allocation-free variant.
-    pub fn canonical(&self, ty: &Type) -> Type {
-        self.canonical_ref(&TyRef::intern(ty)).as_type().clone()
-    }
-
     /// Computes the successor transitions `Γ ⊢ T --α--> T'` of a type.
     ///
     /// The result is memoized per canonical state: product states of a
@@ -194,16 +170,9 @@ impl TypeLts {
     /// re-deriving them.
     pub fn successors(&self, ty: &TyRef) -> SuccessorList {
         let t = self.canonical_ref(ty);
-        let shard = &self.caches.successors[t.id().index() as usize & (CACHE_SHARDS - 1)];
-        if let Some(hit) = shard.lock().get(&t.id().index()) {
-            return Arc::clone(hit);
-        }
-        let computed = self.compute_successors(&t);
-        shard
-            .lock()
-            .entry(t.id().index())
-            .or_insert(computed)
-            .clone()
+        let id = t.id().index();
+        self.successor_memo
+            .get_or_insert_with(id, id, || self.compute_successors(&t))
     }
 
     /// The uncached successor derivation; `t` is canonical.
@@ -323,30 +292,24 @@ impl TypeLts {
     /// domain, so the subtype probing of the environment runs once per
     /// distinct domain instead of once per input expansion.
     fn input_candidates(&self, dom: &Type) -> Arc<[Type]> {
-        let key = TyRef::intern(dom).id().index();
-        let shard = &self.caches.candidates[key as usize & (CACHE_SHARDS - 1)];
-        if let Some(hit) = shard.lock().get(&key) {
-            return Arc::clone(hit);
-        }
-        let mut candidates = vec![dom.clone()];
-        let allowed: Box<dyn Fn(&Name) -> bool> = match &self.candidates {
-            CandidatePolicy::AllEnvVariables => Box::new(|_| true),
-            CandidatePolicy::Only(list) => {
-                let list = list.clone();
-                Box::new(move |x| list.contains(x))
+        let id = TyRef::intern(dom).id().index();
+        self.candidate_memo.get_or_insert_with(id, id, || {
+            let allowed = |x: &Name| match &self.candidates {
+                CandidatePolicy::AllEnvVariables => true,
+                CandidatePolicy::Only(list) => list.contains(x),
+            };
+            let mut candidates = vec![dom.clone()];
+            for (x, _) in self.env.iter() {
+                if !allowed(x) {
+                    continue;
+                }
+                let var = Type::Var(x.clone());
+                if self.checker.is_subtype(&self.env, &var, dom) {
+                    candidates.push(var);
+                }
             }
-        };
-        for (x, _) in self.env.iter() {
-            if !allowed(x) {
-                continue;
-            }
-            let var = Type::Var(x.clone());
-            if self.checker.is_subtype(&self.env, &var, dom) {
-                candidates.push(var);
-            }
-        }
-        let candidates: Arc<[Type]> = candidates.into();
-        shard.lock().entry(key).or_insert(candidates).clone()
+            candidates.into()
+        })
     }
 
     /// The transitions exploration follows out of `state`: its

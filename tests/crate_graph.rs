@@ -4,11 +4,13 @@
 //! (`crates/*/Cargo.toml`, no `cargo metadata`) and pins the edges that keep
 //! the paper's two halves separable — the verifier (`lts`, `mucalc`, `serve`,
 //! `store`, `cli`) never reaches the actor runtime, and the base crates stay
-//! dependency-free. Crates are named by directory, as in the drawing.
+//! dependency-free. Crates are named by directory, as in the drawing. It also
+//! reads the crates' sources for one layering rule the manifests cannot
+//! show: the core's sharded tables have one definition.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Every crate directory with the sibling crates its manifest names as path
 /// dependencies (any section: build, dev and plain dependencies alike).
@@ -64,4 +66,43 @@ fn only_the_front_door_and_the_bench_harness_reach_the_runtime() {
         .map(|(name, _)| name)
         .collect();
     assert_eq!(dependents, set(&["bench", "effpi"]));
+}
+
+#[test]
+fn sharded_tables_have_one_definition() {
+    // Every sharded cache or id table of the core is a `Memo` or an `Arena`
+    // from `lambdapi::intern`, the lowest crate its users depend on. The one
+    // exemption is `obs`'s registry: a name-keyed handle registry in a base
+    // crate that `lambdapi` does not depend on, so it cannot use them.
+    const EXEMPT: [&str; 2] = ["lambdapi/src/intern.rs", "obs/src/registry.rs"];
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap();
+    let mut pending: Vec<PathBuf> = fs::read_dir(crates)
+        .unwrap()
+        .map(|entry| entry.unwrap().path().join("src"))
+        .collect();
+    let mut offenders = Vec::new();
+    while let Some(path) = pending.pop() {
+        if path.is_dir() {
+            pending.extend(fs::read_dir(&path).unwrap().map(|e| e.unwrap().path()));
+            continue;
+        }
+        let rel = path.strip_prefix(crates).unwrap().to_string_lossy();
+        if !rel.ends_with(".rs") || EXEMPT.contains(&rel.as_ref()) {
+            continue;
+        }
+        let text = fs::read_to_string(&path).unwrap();
+        if text.contains("Vec<Mutex<HashMap")
+            || text.contains("Vec<Mutex<Vec<Option")
+            || text
+                .lines()
+                .any(|line| line.contains("const ") && line.contains("SHARDS:"))
+        {
+            offenders.push(rel.into_owned());
+        }
+    }
+    offenders.sort();
+    assert!(
+        offenders.is_empty(),
+        "hand-rolled sharded tables (use lambdapi::intern::{{Memo, Arena}}): {offenders:?}"
+    );
 }
