@@ -16,8 +16,7 @@
 //! * [`mobile_code`] — the higher-order data-analysis server of Ex. 3.4.
 //!
 //! [`open_terms`] is the term-side sibling: the open-term (Fig. 5)
-//! conformance corpus shared by the determinism suite and the `term_bench`
-//! CI gate.
+//! conformance corpus of the determinism suite.
 
 pub mod dining;
 pub mod mobile_code;
@@ -48,7 +47,7 @@ pub struct Scenario {
     /// deadlock-free, ev-usage, forwarding, non-usage, reactive, responsive.
     pub properties: Vec<Property>,
     /// The verdicts reported by the paper for this row (same order), when the
-    /// row appears in Fig. 9; used by the benchmark harness to compare shapes.
+    /// row appears in Fig. 9; the `fig9` example compares shapes with it.
     pub paper_verdicts: Option<[bool; 6]>,
     /// The approximate state count reported by the paper, when available.
     pub paper_states: Option<usize>,
@@ -65,7 +64,7 @@ impl Scenario {
     /// returning one outcome per property (a full Fig. 9 row).
     ///
     /// This is a convenience wrapper over [`Session::run_scenario`]; to reuse
-    /// a configured session across scenarios (the benchmark harness does),
+    /// a configured session across scenarios (the `fig9` example does),
     /// call that method directly.
     pub fn run(&self, max_states: usize) -> Result<Vec<VerificationOutcome>, VerifyError> {
         let report = Self::session(max_states).run_scenario(self);

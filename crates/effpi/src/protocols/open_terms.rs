@@ -4,10 +4,9 @@
 //! Where the sibling modules compose behavioural *types* for the Fig. 9
 //! rows, each entry here is an open λπ⩽ *term* with its typing environment,
 //! explored through the over-approximating semantics of Def. 4.1
-//! (`TermLts` / [`crate::Session::build_term_lts`]). This is the single
-//! source of truth shared by the determinism suite (serial vs parallel
-//! byte-identity) and the `term_bench` CI gate — editing a scenario here
-//! changes both in lockstep.
+//! (`TermLts` / [`crate::Session::build_term_lts`]). The determinism suite
+//! checks each one serial vs parallel byte for byte and pins its state and
+//! transition counts — editing a scenario here means updating those pins.
 
 use dbt_types::TypeEnv;
 use lambdapi::{examples, Term, Type};

@@ -59,6 +59,6 @@ pub use generic::Lts;
 pub use label::{TermLabel, TypeLabel};
 pub use term_lts::TermLts;
 pub use type_lts::{
-    is_imprecise_comm, is_input_use, is_output_use, restrict_to_interfaces, type_priority,
-    CandidatePolicy, TypeLts, DEFAULT_MAX_STATES,
+    is_imprecise_comm, is_input_use, is_output_use, restrict_to_interfaces, CandidatePolicy,
+    TypeLts, DEFAULT_MAX_STATES,
 };

@@ -113,9 +113,10 @@ impl TypeLts {
 
     /// Names the channels a [`Strategy::Beam`] exploration should steer
     /// toward: states whose type syntactically contains an output on one of
-    /// these variables are expanded first, shallowest occurrence first (see
-    /// [`type_priority`]). Ignored by the other strategies; an empty list
-    /// (the default) leaves even a beam run unguided.
+    /// these variables are expanded first, shallowest occurrence first (a
+    /// purely syntactic ranking, computed once per discovered state). Ignored
+    /// by the other strategies; an empty list (the default) leaves even a
+    /// beam run unguided.
     pub fn with_priority_targets(mut self, targets: Vec<Name>) -> Self {
         self.priority_targets = targets;
         self
@@ -414,7 +415,7 @@ fn continuation_body(cont: &Type) -> Type {
 /// state, before the state is ever expanded, so it must not pay for subtyping
 /// queries. It only steers the search order; soundness and completeness come
 /// from the engine (a beam parks states, it never discards them).
-pub fn type_priority(state: &TyRef, targets: &[Name]) -> u64 {
+pub(crate) fn type_priority(state: &TyRef, targets: &[Name]) -> u64 {
     match shallowest_target_out(state.as_type(), targets, 0) {
         Some(depth) => depth,
         None => 1_000 + state.as_type().size().min(1_000_000) as u64,

@@ -269,7 +269,7 @@ impl Registry {
 
     /// The histogram named `name` with the default latency buckets, created
     /// on first use.
-    pub fn histogram(&self, name: &str) -> Histogram {
+    pub(crate) fn histogram(&self, name: &str) -> Histogram {
         self.histogram_with(name, DEFAULT_LATENCY_BUCKETS_US)
     }
 

@@ -1,9 +1,9 @@
 //! The Savina-derived benchmark workloads of §5.2 / Fig. 8.
 //!
 //! Each function builds one workload (a set of initial processes) plus
-//! self-validation data, so the same code serves the unit tests, the Criterion
-//! benches and the `fig8` table generator. The seven workloads are the ones
-//! listed in the paper:
+//! self-validation data, so the same code serves the unit tests and the
+//! `fig8` example's table. The seven workloads are the ones listed in the
+//! paper:
 //!
 //! * **chameneos** — n chameneos meet each other through a central broker that
 //!   pairs requests and hands each peer the other's reference;

@@ -24,7 +24,7 @@ use std::time::Duration;
 use obs::hash::splitmix64;
 use wire::Json;
 
-use crate::protocol::{ErrorKind, MetricsFormat, Request, VerifyOptions, WireReport};
+use crate::protocol::{write_frame, ErrorKind, MetricsFormat, Request, VerifyOptions, WireReport};
 
 /// An error talking to the server.
 #[derive(Debug)]
@@ -238,6 +238,8 @@ impl Client {
     }
 
     fn over_tcp(stream: TcpStream) -> io::Result<Client> {
+        // Requests are whole frames; see `protocol::write_frame`.
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         // Read timeouts are a property of the socket, not of one dup of it,
         // so a retained clone can adjust them after the halves are boxed.
@@ -318,9 +320,7 @@ impl Client {
     }
 
     fn send(&mut self, request: &Request) -> io::Result<()> {
-        self.writer.write_all(request.to_line().as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        write_frame(&mut self.writer, &request.to_line())
     }
 
     fn fresh_id(&mut self) -> u64 {

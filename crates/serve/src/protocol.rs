@@ -17,6 +17,7 @@
 //!   a [`ErrorKind::Protocol`] error.
 
 use std::fmt;
+use std::io::{self, Write};
 
 use effpi::Strategy;
 use wire::Json;
@@ -331,6 +332,19 @@ fn id_json(id: Option<u64>) -> Json {
         Some(id) => Json::Num(id as f64),
         None => Json::Null,
     }
+}
+
+/// Writes one frame — `line` and its terminating newline — as a single
+/// buffer: one `write_all`, one `flush`. Both ends of the wire send through
+/// it. A newline written on its own would leave in a second TCP segment,
+/// which Nagle's algorithm holds until the peer's delayed ACK — a stall of
+/// tens of milliseconds on every exchange.
+pub(crate) fn write_frame<W: Write + ?Sized>(writer: &mut W, line: &str) -> io::Result<()> {
+    let mut frame = Vec::with_capacity(line.len() + 1);
+    frame.extend_from_slice(line.as_bytes());
+    frame.push(b'\n');
+    writer.write_all(&frame)?;
+    writer.flush()
 }
 
 /// Builds a success response carrying `fields` in addition to `id`/`ok`.

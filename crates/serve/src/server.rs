@@ -88,7 +88,7 @@ use crate::cache::{CacheConfig, VerdictCache};
 use crate::faults::{FaultAction, FaultPlan, FaultPoint};
 use crate::protocol::{
     err_response, metrics_response_line, ok_response, overloaded_response, verify_response_line,
-    verify_response_line_profiled, ErrorKind, MetricsFormat, Request, VerifyOptions,
+    verify_response_line_profiled, write_frame, ErrorKind, MetricsFormat, Request, VerifyOptions,
 };
 
 /// How long a blocked read waits before re-checking the shutdown flag, and
@@ -484,11 +484,7 @@ impl Conn {
         if self.dead.load(Ordering::SeqCst) {
             return;
         }
-        let ok = writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush());
-        if ok.is_err() {
+        if write_frame(&mut *writer, line).is_err() {
             self.dead.store(true, Ordering::SeqCst);
         }
     }
@@ -671,6 +667,9 @@ trait SetTimeouts {
 
 impl SetTimeouts for TcpStream {
     fn set_blocking_with_timeouts(&self, read: Duration, write: Duration) -> io::Result<()> {
+        // Every response is one complete frame: send it at once rather than
+        // waiting to coalesce it with bytes that are not coming.
+        self.set_nodelay(true)?;
         self.set_nonblocking(false)?;
         self.set_read_timeout(Some(read))?;
         self.set_write_timeout(Some(write))
@@ -946,8 +945,9 @@ fn handle_frame(shared: &Arc<Shared>, conn: &Arc<Conn>, frame: &str) {
 /// Each field is backed by a registry gauge named `{section}_{field}`,
 /// refreshed from the live subsystems by `sync_registry`; `stats_json`
 /// renders *exactly* this table from the registry snapshot, the `metrics`
-/// surfaces export the same gauges, and `serve_bench` asserts stats replies
-/// against this same table — one source of truth for the stats shape.
+/// surfaces export the same gauges, and the serve end-to-end tests assert
+/// stats replies against this same table in both directions — one source of
+/// truth for the stats shape.
 pub const STATS_SCHEMA: &[(&str, &[&str])] = &[
     (
         "cache",
@@ -1693,5 +1693,57 @@ fn probe_disk(
             shared.counters.store_errors.fetch_add(1, Ordering::SeqCst);
             None
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+
+    /// A writer that records every `write` call it receives.
+    struct WriteLog(Arc<Mutex<Vec<Vec<u8>>>>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.lock().push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_on_each_side() {
+        let server_writes = Arc::new(Mutex::new(Vec::new()));
+        let conn = Conn {
+            writer: Mutex::new(Box::new(WriteLog(Arc::clone(&server_writes)))),
+            pending: Mutex::new(HashMap::new()),
+            dead: AtomicBool::new(false),
+            faults: None,
+        };
+        let reply = ok_response(7, [("pong", Json::Bool(true))]);
+        conn.send(&reply);
+        assert_eq!(*server_writes.lock(), [format!("{reply}\n").into_bytes()]);
+
+        let client_writes = Arc::new(Mutex::new(Vec::new()));
+        let mut client = Client::from_halves(
+            Box::new(io::empty()),
+            Box::new(WriteLog(Arc::clone(&client_writes))),
+        );
+        let id = client
+            .submit_verify("env x : cio[int]", VerifyOptions::default())
+            .expect("a recorded write cannot fail");
+        let request = Request::Verify {
+            id,
+            spec: "env x : cio[int]".to_string(),
+            options: VerifyOptions::default(),
+        };
+        assert_eq!(
+            *client_writes.lock(),
+            [format!("{}\n", request.to_line()).into_bytes()]
+        );
     }
 }

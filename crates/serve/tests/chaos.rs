@@ -498,6 +498,74 @@ fn sheds_are_typed_and_the_retrying_client_honours_retry_after() {
 }
 
 #[test]
+fn a_starved_server_sheds_a_burst_loudly_and_answers_every_request() {
+    // One worker behind an admission queue of depth 1, and six clients that
+    // all submit the same cold spec at once: the worker takes one, the queue
+    // one more, and the rest must be shed — each with a typed `overloaded`
+    // reply the client honours before retrying, until every request lands.
+    const CLIENTS: usize = 6;
+    const RETRY_BUDGET: usize = 64;
+    let (handle, addr) = start(ServerConfig {
+        workers: 1,
+        jobs: 1,
+        max_queue_depth: 1,
+        ..config()
+    });
+    let payment = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/specs/payment.effpi"
+    ))
+    .expect("shipped payment spec");
+    let mut burst = vec![payment.as_str()];
+    burst.extend(specs().iter().map(|(_, text)| *text));
+
+    let start_line = std::sync::Barrier::new(CLIENTS);
+    let shed: u64 = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut client = Client::connect_tcp(&addr).expect("connect");
+                    start_line.wait();
+                    let mut shed = 0;
+                    for text in &burst {
+                        let answered = (0..RETRY_BUDGET).any(|_| {
+                            match client.verify(text, VerifyOptions::default()) {
+                                Ok(_) => true,
+                                Err(ClientError::Server {
+                                    kind,
+                                    retry_after_ms: Some(wait),
+                                    ..
+                                }) if kind == ErrorKind::Overloaded.as_str() => {
+                                    shed += 1;
+                                    std::thread::sleep(Duration::from_millis(wait));
+                                    false
+                                }
+                                Err(e) => panic!("a burst request failed: {e}"),
+                            }
+                        });
+                        assert!(answered, "a request was never admitted");
+                    }
+                    shed
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().expect("burst client"))
+            .sum()
+    });
+    assert!(shed > 0, "the burst never overflowed the admission queue");
+    let mut admin = Client::connect_tcp(&addr).expect("connect");
+    let stats = admin.stats().expect("stats");
+    assert_eq!(
+        stat(&stats, "requests", "shed"),
+        shed,
+        "every shed the server counted is a reply a client saw: {stats}"
+    );
+    handle.shutdown();
+}
+
+#[test]
 fn degraded_servers_refuse_large_jobs_but_keep_serving() {
     // A one-node budget is exceeded by any verification: the watchdog must
     // flip the server into degraded mode without any outage.

@@ -6,13 +6,16 @@
 //! * four concurrent clients over the shipped `examples/specs/*.effpi` all
 //!   get verdicts identical to direct `effpi::Session` runs;
 //! * cancellation, stats, protocol errors and graceful shutdown behave as
-//!   `PROTOCOL.md` documents, over TCP and over a Unix socket.
+//!   `PROTOCOL.md` documents, over TCP and over a Unix socket;
+//! * sequential TCP exchanges never wait on a delayed ACK.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::thread;
 
 use serve::{
-    CacheConfig, Client, ClientError, Endpoints, Request, Server, ServerConfig, VerifyOptions,
+    CacheConfig, Client, ClientError, Endpoints, Request, Server, ServerConfig, StoreTier,
+    VerifyOptions,
 };
 use wire::Json;
 
@@ -156,6 +159,71 @@ fn four_concurrent_clients_match_direct_session_runs() {
     );
 
     handle.shutdown();
+}
+
+#[test]
+fn sequential_tcp_exchanges_do_not_stall() {
+    // A frame split over two writes is held back by Nagle's algorithm until
+    // the peer's delayed ACK: tens of milliseconds per exchange, so these 50
+    // pings would take seconds.
+    let (handle, addr) = start_tcp();
+    let mut client = Client::connect_tcp(&addr).expect("connect");
+    let started = std::time::Instant::now();
+    for _ in 0..50 {
+        client.ping().expect("ping");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "50 sequential pings took {elapsed:?}"
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn stats_replies_have_exactly_the_schema_sections_and_fields() {
+    // `serve::STATS_SCHEMA` is the one source of truth for the reply: every
+    // section and field it declares is present, and nothing else is. With a
+    // store configured, every section is an object.
+    let dir = std::env::temp_dir().join(format!("effpi-serve-stats-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let handle = Server::start(
+        &Endpoints {
+            tcp: Some("127.0.0.1:0".to_string()),
+            unix: None,
+        },
+        ServerConfig {
+            store: Some(StoreTier::at(&dir)),
+            ..server_config()
+        },
+    )
+    .expect("start server with a store");
+    let addr = handle.tcp_addr().expect("tcp endpoint").to_string();
+    let mut client = Client::connect_tcp(&addr).expect("connect");
+    client
+        .verify(&shipped_specs()[0].1, VerifyOptions::default())
+        .expect("verify");
+    let stats = client.stats().expect("stats");
+
+    let names = |json: &Json| -> BTreeSet<String> {
+        match json {
+            Json::Obj(map) => map.keys().cloned().collect(),
+            other => panic!("expected an object, got {other}"),
+        }
+    };
+    let schema_sections: BTreeSet<String> = serve::STATS_SCHEMA
+        .iter()
+        .map(|(section, _)| section.to_string())
+        .collect();
+    assert_eq!(names(&stats), schema_sections, "stats sections");
+    for (section, fields) in serve::STATS_SCHEMA {
+        let schema_fields: BTreeSet<String> = fields.iter().map(|f| f.to_string()).collect();
+        let reply = stats.get(section).expect("section checked above");
+        assert_eq!(names(reply), schema_fields, "fields of stats.{section}");
+    }
+
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1,10 +1,10 @@
-//! Shared command-line flag parsing for the workspace's binaries
-//! (`effpi-cli`, `fig8`, `fig9`, `serve_bench`).
+//! Shared command-line flag parsing for `effpi-cli`, the `fig8`/`fig9`
+//! examples and the standalone `benchmark/` package.
 //!
 //! The policy across every surface: a flag that is *present* must have a
 //! well-formed value — malformed input is an error, never a silent fallback
-//! to the default (a typo'd `--max-regression` must not quietly loosen the
-//! CI gate, a typo'd `--max-states` must not quietly loosen a verification).
+//! to the default (a typo'd `--max-states` must not quietly loosen a
+//! verification).
 
 /// Parses a numeric flag. `Ok(None)` when the flag is absent; a present flag
 /// with a missing or non-numeric value is an error.

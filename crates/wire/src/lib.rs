@@ -3,12 +3,10 @@
 //! The build environment is offline, so the workspace carries no external
 //! dependencies and cannot use serde; this crate implements just enough of
 //! RFC 8259 — objects, arrays, strings (with `\uXXXX` escapes), numbers,
-//! booleans and null — for every JSON surface the repository has:
-//!
-//! * the CI benchmark artifacts (`BENCH_fig9.json`, `BENCH_serve.json`,
-//!   `crates/bench/baseline.json`), where it started life as `bench::json`;
-//! * the `effpi-serve` line-delimited request/response protocol and the
-//!   wire rendering of `effpi::Report` (see `crates/serve/PROTOCOL.md`).
+//! booleans and null — for every JSON surface the repository has: the
+//! `effpi-serve` line-delimited request/response protocol, the wire
+//! rendering of `effpi::Report` (see `crates/serve/PROTOCOL.md`), and the
+//! records of the standalone `benchmark/` package.
 //!
 //! Object keys are kept ordered ([`BTreeMap`]), so rendering is
 //! deterministic: two structurally equal values always produce byte-identical

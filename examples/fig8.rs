@@ -1,12 +1,29 @@
-//! Figure 8 table generator: the Savina-derived runtime benchmarks.
+//! Regenerates the paper's Figure 8: the Savina-derived runtime benchmarks on
+//! the two Effpi-style schedulers and the thread-per-process baseline.
 //!
 //! For every benchmark of §5.2 (chameneos, counting, fork-join creation,
-//! fork-join throughput, ping-pong, ring, streaming ring), the generator runs
-//! the workload at a series of sizes on three schedulers — Effpi default,
-//! Effpi channel-FSM, and the thread-per-process baseline standing in for Akka
-//! Typed — and records the two quantities plotted in the paper's figure:
+//! fork-join throughput, ping-pong, ring, streaming ring), the sweep runs the
+//! workload at a series of sizes on three schedulers — Effpi default, Effpi
+//! channel-FSM, and the thread-per-process baseline standing in for Akka
+//! Typed — and prints the two quantities plotted in the paper's figure:
 //! execution time vs. size, and memory pressure vs. size.
+//!
+//! Usage:
+//!
+//! ```text
+//! cargo run --release --example fig8 -- [--scale N] [--jobs J]
+//! ```
+//!
+//! * `--scale 0` — smoke test (seconds);
+//! * `--scale 1` — small sweep, default (tens of seconds);
+//! * `--scale 2` — sizes up to 10^6 processes (minutes);
+//! * `--jobs J` — pin the Effpi scheduler pools to `J` workers. `0` means
+//!   one per hardware thread (as on the other `--jobs` surfaces); absent
+//!   keeps the scheduler's own default, which is also one per hardware
+//!   thread (unlike fig9/effpi-cli, where absent means serial exploration —
+//!   a scheduler pool has no serial mode worth defaulting to).
 
+use std::process::ExitCode;
 use std::time::Duration;
 
 use runtime::savina::{
@@ -14,10 +31,11 @@ use runtime::savina::{
     Workload,
 };
 use runtime::{EffpiRuntime, Policy, RunStats, Scheduler, ThreadRuntime};
+use wire::flags::parse_flag;
 
 /// The benchmark families of Fig. 8.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Benchmark {
+enum Benchmark {
     /// n chameneos meeting through a broker.
     Chameneos,
     /// One actor streaming n numbers to an adder.
@@ -36,7 +54,7 @@ pub enum Benchmark {
 
 impl Benchmark {
     /// All seven benchmarks, in the order of the paper's figure.
-    pub const ALL: [Benchmark; 7] = [
+    const ALL: [Benchmark; 7] = [
         Benchmark::Chameneos,
         Benchmark::Counting,
         Benchmark::ForkJoinCreate,
@@ -47,7 +65,7 @@ impl Benchmark {
     ];
 
     /// The panel name used in the figure.
-    pub fn name(&self) -> &'static str {
+    fn name(&self) -> &'static str {
         match self {
             Benchmark::Chameneos => "chameneos",
             Benchmark::Counting => "counting",
@@ -60,7 +78,7 @@ impl Benchmark {
     }
 
     /// Builds the workload at the given size parameter (the x-axis of Fig. 8).
-    pub fn workload(&self, size: usize) -> Workload {
+    fn workload(&self, size: usize) -> Workload {
         match self {
             Benchmark::Chameneos => chameneos(size.max(2), size.max(2) * 4),
             Benchmark::Counting => counting(size),
@@ -74,7 +92,7 @@ impl Benchmark {
 
     /// The sizes measured for this benchmark, scaled down from the paper's
     /// ranges by `scale` (0 = smoke test, 1 = small, 2 = full-ish).
-    pub fn sizes(&self, scale: usize) -> Vec<usize> {
+    fn sizes(&self, scale: usize) -> Vec<usize> {
         let caps: &[usize] = match scale {
             0 => &[16, 64],
             1 => &[100, 1_000, 10_000],
@@ -94,7 +112,7 @@ impl Benchmark {
 
 /// Which scheduler a measurement used.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Runner {
+enum Runner {
     /// Effpi-style scheduler, default delivery policy.
     EffpiDefault,
     /// Effpi-style scheduler, channel-FSM delivery policy.
@@ -105,14 +123,14 @@ pub enum Runner {
 
 impl Runner {
     /// The three runners, in the legend order of Fig. 8.
-    pub const ALL: [Runner; 3] = [
+    const ALL: [Runner; 3] = [
         Runner::BaselineThreads,
         Runner::EffpiChannelFsm,
         Runner::EffpiDefault,
     ];
 
     /// Legend name.
-    pub fn name(&self) -> &'static str {
+    fn name(&self) -> &'static str {
         match self {
             Runner::EffpiDefault => "effpi-default",
             Runner::EffpiChannelFsm => "effpi-channel-fsm",
@@ -120,33 +138,25 @@ impl Runner {
         }
     }
 
-    /// Instantiates the scheduler with its default worker count (one per
-    /// hardware thread for the Effpi-style pools).
-    pub fn scheduler(&self) -> Box<dyn Scheduler> {
-        self.scheduler_with_jobs(None)
-    }
-
-    /// Instantiates the scheduler with an explicit worker count for the
-    /// Effpi-style pools (the `--jobs` flag of the `fig8` binary). The
-    /// thread-per-process baseline has no pool, so the knob does not apply.
-    pub fn scheduler_with_jobs(&self, jobs: Option<usize>) -> Box<dyn Scheduler> {
-        match (self, jobs) {
-            (Runner::EffpiDefault, None) => Box::new(EffpiRuntime::new(Policy::Default)),
-            (Runner::EffpiDefault, Some(n)) => {
-                Box::new(EffpiRuntime::with_workers(Policy::Default, n))
-            }
-            (Runner::EffpiChannelFsm, None) => Box::new(EffpiRuntime::new(Policy::ChannelFsm)),
-            (Runner::EffpiChannelFsm, Some(n)) => {
-                Box::new(EffpiRuntime::with_workers(Policy::ChannelFsm, n))
-            }
-            (Runner::BaselineThreads, _) => Box::new(ThreadRuntime::with_small_stacks()),
+    /// Instantiates the scheduler, pinning the Effpi-style pools to `jobs`
+    /// workers (`None`: one per hardware thread). The thread-per-process
+    /// baseline has no pool, so the knob does not apply.
+    fn scheduler(&self, jobs: Option<usize>) -> Box<dyn Scheduler> {
+        let policy = match self {
+            Runner::EffpiDefault => Policy::Default,
+            Runner::EffpiChannelFsm => Policy::ChannelFsm,
+            Runner::BaselineThreads => return Box::new(ThreadRuntime::with_small_stacks()),
+        };
+        match jobs {
+            None => Box::new(EffpiRuntime::new(policy)),
+            Some(n) => Box::new(EffpiRuntime::with_workers(policy, n)),
         }
     }
 
     /// The largest workload size this runner is asked to attempt. The
     /// thread-per-process baseline stops early — exactly the "plots end early"
     /// behaviour of the heavyweight runtime in the paper's figure.
-    pub fn max_size(&self) -> usize {
+    fn max_size(&self) -> usize {
         match self {
             Runner::BaselineThreads => 4_000,
             _ => usize::MAX,
@@ -156,20 +166,21 @@ impl Runner {
 
 /// One measured point of Fig. 8.
 #[derive(Clone, Debug)]
-pub struct Fig8Point {
+struct Fig8Point {
     /// The benchmark family.
-    pub benchmark: &'static str,
+    benchmark: &'static str,
     /// The scheduler used.
-    pub runner: &'static str,
+    runner: &'static str,
     /// The size parameter (x-axis).
-    pub size: usize,
-    /// The measured statistics (time and memory proxies).
-    pub stats: Option<RunStats>,
+    size: usize,
+    /// The measured statistics (time and memory proxies); `None` when the
+    /// size is beyond the runner's limit.
+    stats: Option<RunStats>,
 }
 
 impl Fig8Point {
     /// Formats the point as a table row.
-    pub fn row(&self) -> String {
+    fn row(&self) -> String {
         match &self.stats {
             Some(s) => format!(
                 "{:<22} {:<18} {:>9} {:>12.3?} {:>12} {:>10} {:>14}",
@@ -190,92 +201,100 @@ impl Fig8Point {
 }
 
 /// The table header matching [`Fig8Point::row`].
-pub fn header() -> String {
+fn header() -> String {
     format!(
         "{:<22} {:<18} {:>9} {:>12} {:>12} {:>10} {:>14}",
         "benchmark", "runtime", "size", "time", "messages", "peak-procs", "peak-bytes"
     )
 }
 
-/// Runs the whole Fig. 8 sweep at the given scale and returns every point.
-pub fn run_sweep(scale: usize) -> Vec<Fig8Point> {
-    let mut points = Vec::new();
-    for bench in Benchmark::ALL {
-        for size in bench.sizes(scale) {
-            for runner in Runner::ALL {
-                points.push(run_point(bench, runner, size));
-            }
-        }
-    }
-    points
-}
-
-/// Runs a single (benchmark, runner, size) measurement with the default
-/// scheduler worker count; sizes beyond the runner's limit are skipped
-/// (reported as `None`).
-pub fn run_point(bench: Benchmark, runner: Runner, size: usize) -> Fig8Point {
-    run_point_jobs(bench, runner, size, None)
-}
-
-/// Like [`run_point`], pinning the Effpi scheduler pools to `jobs` workers.
-pub fn run_point_jobs(
-    bench: Benchmark,
-    runner: Runner,
-    size: usize,
-    jobs: Option<usize>,
-) -> Fig8Point {
-    if size > runner.max_size() {
-        return Fig8Point {
-            benchmark: bench.name(),
-            runner: runner.name(),
-            size,
-            stats: None,
-        };
-    }
-    let workload = bench.workload(size);
-    let scheduler = runner.scheduler_with_jobs(jobs);
-    let stats = workload
-        .run_on(scheduler.as_ref())
-        .expect("workload validation");
+/// Runs a single (benchmark, runner, size) measurement; sizes beyond the
+/// runner's limit are skipped (reported as `None`).
+fn run_point(bench: Benchmark, runner: Runner, size: usize, jobs: Option<usize>) -> Fig8Point {
+    let stats = (size <= runner.max_size()).then(|| {
+        bench
+            .workload(size)
+            .run_on(runner.scheduler(jobs).as_ref())
+            .expect("workload validation")
+    });
     Fig8Point {
         benchmark: bench.name(),
         runner: runner.name(),
         size,
-        stats: Some(stats),
+        stats,
     }
 }
 
-/// A convenience summary: for each benchmark, the ratio of baseline time to
-/// Effpi (channel-FSM) time at the largest size both completed — the "who
-/// wins, by what factor" shape of Fig. 8.
-pub fn speedup_summary(points: &[Fig8Point]) -> Vec<(String, f64)> {
+/// For each benchmark, the ratio of baseline time to Effpi (channel-FSM)
+/// time at the largest size both completed — the "who wins, by what factor"
+/// shape of Fig. 8.
+fn speedup_summary(points: &[Fig8Point]) -> Vec<(String, f64)> {
+    let time = |bench: &str, runner: Runner, size: usize| -> Option<Duration> {
+        points
+            .iter()
+            .find(|p| p.benchmark == bench && p.runner == runner.name() && p.size == size)
+            .and_then(|p| p.stats.as_ref())
+            .map(|s| s.duration)
+    };
     let mut out = Vec::new();
     for bench in Benchmark::ALL {
-        let mut best: Option<(usize, Duration, Duration)> = None;
-        for p in points.iter().filter(|p| p.benchmark == bench.name()) {
-            if let Some(stats) = &p.stats {
-                let entry = points.iter().find(|q| {
-                    q.benchmark == p.benchmark
-                        && q.size == p.size
-                        && q.runner == Runner::EffpiChannelFsm.name()
-                        && q.stats.is_some()
-                });
-                if p.runner == Runner::BaselineThreads.name() {
-                    if let Some(q) = entry {
-                        let effpi = q.stats.as_ref().unwrap().duration;
-                        if best.map(|(s, _, _)| p.size > s).unwrap_or(true) {
-                            best = Some((p.size, stats.duration, effpi));
-                        }
-                    }
-                }
-            }
-        }
-        if let Some((size, baseline, effpi)) = best {
+        let largest = points
+            .iter()
+            .filter(|p| p.benchmark == bench.name())
+            .filter_map(|p| {
+                let baseline = time(p.benchmark, Runner::BaselineThreads, p.size)?;
+                let effpi = time(p.benchmark, Runner::EffpiChannelFsm, p.size)?;
+                Some((p.size, baseline, effpi))
+            })
+            .max_by_key(|&(size, _, _)| size);
+        if let Some((size, baseline, effpi)) = largest {
             let ratio = baseline.as_secs_f64() / effpi.as_secs_f64().max(1e-9);
             out.push((format!("{} (size {})", bench.name(), size), ratio));
         }
     }
     out
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().collect();
+    let (scale, jobs) = match (parse_flag(&args, "--scale"), parse_flag(&args, "--jobs")) {
+        (Ok(scale), Ok(jobs)) => (
+            scale.unwrap_or(1),
+            // 0 = one worker per hardware thread (the scheduler's default).
+            jobs.filter(|&j| j > 0),
+        ),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
+    };
+    println!("Figure 8 reproduction — Savina runtime benchmarks (scale {scale})");
+    println!("{}", header());
+    println!("{}", "-".repeat(110));
+
+    let mut points = Vec::new();
+    for bench in Benchmark::ALL {
+        for size in bench.sizes(scale) {
+            for runner in Runner::ALL {
+                let point = run_point(bench, runner, size, jobs);
+                println!("{}", point.row());
+                points.push(point);
+            }
+        }
+        println!();
+    }
+
+    println!("baseline-threads time / effpi-channel-fsm time (largest common size):");
+    for (name, ratio) in speedup_summary(&points) {
+        println!("  {name:<40} {ratio:>8.2}x");
+    }
+    println!(
+        "\nNote: absolute numbers depend on the machine; the shape to compare against the\n\
+         paper is (a) the Effpi-style schedulers keep scaling to very large process counts\n\
+         while the thread-per-process baseline stops early, and (b) the memory-pressure\n\
+         proxy grows with size far more steeply for the baseline."
+    );
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]
@@ -294,16 +313,22 @@ mod tests {
 
     #[test]
     fn smoke_sweep_at_scale_zero_validates_all_points() {
-        let points = run_sweep(0);
+        let mut points = Vec::new();
+        for bench in Benchmark::ALL {
+            for size in bench.sizes(0) {
+                for runner in Runner::ALL {
+                    // Panics unless the workload validates.
+                    points.push(run_point(bench, runner, size, None));
+                }
+            }
+        }
         assert!(!points.is_empty());
-        // Every attempted point validated (run_point panics otherwise) and has
-        // a well-formed table row.
         for p in &points {
             assert!(!p.row().is_empty());
         }
         assert!(!header().is_empty());
-        // The summary can be computed.
-        let _ = speedup_summary(&points);
+        // Every benchmark has a common size on both compared runners.
+        assert_eq!(speedup_summary(&points).len(), Benchmark::ALL.len());
     }
 
     #[test]
@@ -312,6 +337,7 @@ mod tests {
             Benchmark::ForkJoinCreate,
             Runner::BaselineThreads,
             1_000_000,
+            None,
         );
         assert!(p.stats.is_none());
         assert!(p.row().contains("skipped"));

@@ -5,8 +5,9 @@
 //! the paper's two halves separable — the verifier (`lts`, `mucalc`, `serve`,
 //! `store`, `cli`) never reaches the actor runtime, and the base crates stay
 //! dependency-free. Crates are named by directory, as in the drawing. It also
-//! reads the crates' sources for one layering rule the manifests cannot
-//! show: the core's sharded tables have one definition.
+//! pins that `cli` is the only crate with a binary, and reads the crates'
+//! sources for one layering rule the manifests cannot show: the core's
+//! sharded tables have one definition.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -57,15 +58,48 @@ fn runtime_and_store_sit_directly_on_the_base() {
 }
 
 #[test]
-fn only_the_front_door_and_the_bench_harness_reach_the_runtime() {
-    // `effpi` re-exports the runtime DSL for the examples; `bench::fig8`
-    // measures it. Nothing on the verification path may pull it in.
+fn only_the_front_door_reaches_the_runtime() {
+    // `effpi` re-exports the runtime DSL for the examples (the Fig. 8 sweep
+    // among them). Nothing on the verification path may pull it in.
     let dependents: BTreeSet<String> = graph()
         .into_iter()
         .filter(|(_, deps)| deps.contains("runtime"))
         .map(|(name, _)| name)
         .collect();
-    assert_eq!(dependents, set(&["bench", "effpi"]));
+    assert_eq!(dependents, set(&["effpi"]));
+}
+
+#[test]
+fn only_the_cli_builds_binaries() {
+    // One binary, `effpi-cli`; measurements live in the standalone
+    // `benchmark/` package, tables and walkthroughs in `examples/`, checks
+    // in tests. A per-question harness binary or bench target would grow a
+    // second measuring system beside the benchmark.
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap();
+    let mut offenders = Vec::new();
+    for entry in fs::read_dir(crates).unwrap() {
+        let dir = entry.unwrap().path();
+        let Ok(manifest) = fs::read_to_string(dir.join("Cargo.toml")) else {
+            continue;
+        };
+        let name = dir.file_name().unwrap().to_string_lossy().into_owned();
+        if name == "cli" {
+            continue;
+        }
+        // Declared targets, and the ones cargo discovers by file layout.
+        let declares = |table: &str| manifest.lines().any(|line| line.trim() == table);
+        let discovered = ["src/main.rs", "src/bin", "benches"]
+            .iter()
+            .any(|path| dir.join(path).exists());
+        if declares("[[bin]]") || declares("[[bench]]") || discovered {
+            offenders.push(name);
+        }
+    }
+    offenders.sort();
+    assert!(
+        offenders.is_empty(),
+        "crates other than cli with a binary or bench target: {offenders:?}"
+    );
 }
 
 #[test]

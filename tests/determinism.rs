@@ -17,16 +17,19 @@
 //! generic `lts::explore` family runs on, and the disk-spilling frontier
 //! behind `memory_budget` vs the all-in-RAM one, are choices the engine
 //! makes from the state type and the config and must be invisible in every
-//! result — see the "memory layer" section at the bottom. (Corrupt or
+//! result — see the "memory layer" section at the bottom, which also checks
+//! that a budgeted verification really spills and reloads. (Corrupt or
 //! truncated spill segments failing *loudly* is pinned at the unit level in
-//! `lts`'s `memory` module, where a segment file can be torn byte by byte;
-//! `bench::big` is the out-of-core-scale CI edition of the zero-drift
-//! clause.)
+//! `lts`'s `memory` module, where a segment file can be torn byte by byte.)
+//!
+//! Beside the strategy leg sits the one place where strategies *should*
+//! differ: how soon a bounded hunt reaches a seeded safety violation.
 
 use effpi::protocols::{fig9_scenarios, mobile_code, open_terms};
 use effpi::spec::parse_spec;
 use effpi::{
-    ExploreConfig, Session, SessionBuilder, Strategy, TermLabel, TermLts, TermRef, TyRef, TypeLts,
+    ExploreConfig, Name, Session, SessionBuilder, Strategy, TermLabel, TermLts, TermRef, TyRef,
+    Type, TypeEnv, TypeLts, Verifier,
 };
 use lts::{CandidatePolicy, Exploration, ExploreStatus, Lts};
 
@@ -138,6 +141,76 @@ fn every_strategy_reports_identically_on_complete_runs() {
     }
 }
 
+/// A chain of `depth` outputs on `var`, then `tail`.
+fn chain(var: &str, depth: usize, tail: Type) -> Type {
+    let mut ty = tail;
+    for _ in 0..depth {
+        ty = Type::out(Type::var(var), Type::Int, Type::thunk(ty));
+    }
+    ty
+}
+
+/// A seeded safety violation in a space hostile to breadth-first search:
+/// `needle ∨ (hay_0 | hay_1 | …)`, every channel bound to `co[int]`. The
+/// needle is `needle_depth` outputs on `step`, then one on the forbidden
+/// `leak`; the hay is `hay_chains` independent chains of `hay_depth` outputs,
+/// interleaving into `(hay_depth + 1)^hay_chains` states, all shallower than
+/// the needle's end.
+fn needle_in_hay(needle_depth: usize, hay_chains: usize, hay_depth: usize) -> (TypeEnv, Type) {
+    let mut env = TypeEnv::new()
+        .bind("step", Type::chan_out(Type::Int))
+        .bind("leak", Type::chan_out(Type::Int));
+    let needle = chain(
+        "step",
+        needle_depth,
+        Type::out(Type::var("leak"), Type::Int, Type::thunk(Type::Nil)),
+    );
+    let mut hay = Vec::new();
+    for i in 0..hay_chains {
+        let var = format!("hay_{i}");
+        env = env.bind(var.clone(), Type::chan_out(Type::Int));
+        hay.push(chain(&var, hay_depth, Type::Nil));
+    }
+    (env, Type::union(needle, Type::par_all(hay)))
+}
+
+#[test]
+fn the_guided_beam_finds_a_seeded_violation_in_a_tenth_of_the_bfs_states() {
+    // Every strategy hunts with the same monitor — stop at the first
+    // expanded state offering an output on `leak` — so a run's state count
+    // is "states explored until the violation was found". BFS must drain
+    // nearly all 11^4 = 14 641 hay states first; the beam, steered towards
+    // outputs on `leak` by the builder's priority targets, walks down the
+    // needle.
+    let (needle_depth, hay_chains, hay_depth) = (60, 4, 10);
+    let (env, ty) = needle_in_hay(needle_depth, hay_chains, hay_depth);
+    let leak = Name::new("leak");
+    let builder = TypeLts::new(env).with_priority_targets(vec![leak.clone()]);
+    // Room for the whole hay plus the needle: every strategy can finish.
+    let max_states = (hay_depth + 1).pow(hay_chains as u32) + 2 * needle_depth + 16;
+    let hunt = |strategy: Strategy| {
+        let config = ExploreConfig::serial(max_states).with_strategy(strategy);
+        let exploration = builder.build_exploration_until(&ty, &config, |_, out| {
+            out.iter().any(|(label, _)| label.is_output_on(&leak))
+        });
+        assert_eq!(
+            exploration.status,
+            ExploreStatus::Cancelled,
+            "{strategy} did not find the seeded violation within the bound"
+        );
+        exploration.lts.num_states()
+    };
+    let bfs = hunt(Strategy::Bfs);
+    assert_eq!(bfs, 14_703);
+    let beam = hunt(Strategy::Beam { width: 64 });
+    assert!(
+        beam * 10 <= bfs,
+        "beam:64 needed {beam} states vs BFS's {bfs}"
+    );
+    hunt(Strategy::Dfs);
+    hunt(Strategy::RandomWalk { seed: 1 });
+}
+
 #[test]
 fn truncated_runs_report_the_same_clamped_error_serial_and_parallel() {
     // A bound small enough that every payment scenario trips it: the clamped
@@ -182,9 +255,6 @@ fn term_lts_stable_line(lts: &Lts<TermRef, TermLabel>) -> String {
 fn every_open_term_scenario_reports_identically_serial_and_parallel() {
     let serial = session(1);
     let parallel = session(WORKERS);
-    // The corpus is shared with the `term_bench` CI gate
-    // (`effpi::protocols::open_terms`): one source of truth, so the
-    // determinism suite and the gated benchmark can never desynchronise.
     let scenarios = open_terms::corpus();
     assert!(scenarios.len() >= 5);
     for scenario in scenarios {
@@ -201,6 +271,34 @@ fn every_open_term_scenario_reports_identically_serial_and_parallel() {
             scenario.name
         );
     }
+}
+
+#[test]
+fn the_open_term_corpus_explores_to_its_pinned_sizes() {
+    let pinned = [
+        ("Ping-pong (open)", 41, 79),
+        ("Ponger (open)", 6, 7),
+        ("Ex. 3.5 t1", 11, 14),
+        ("Pairs x3", 950, 2981),
+        ("Pairs x4", 9815, 38111),
+        ("Ring x4", 1423, 4614),
+        ("Ring x5", 6818, 25635),
+    ];
+    let session = session(1);
+    let sizes: Vec<(String, usize, usize)> = open_terms::corpus()
+        .into_iter()
+        .map(|scenario| {
+            let lts = session
+                .build_term_lts(&scenario.env, &scenario.term)
+                .unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
+            (scenario.name, lts.num_states(), lts.num_transitions())
+        })
+        .collect();
+    let pinned: Vec<(String, usize, usize)> = pinned
+        .iter()
+        .map(|&(name, states, transitions)| (name.to_string(), states, transitions))
+        .collect();
+    assert_eq!(sizes, pinned);
 }
 
 // ---------------------------------------------------------------------------
@@ -261,6 +359,18 @@ where
     assert_eq!(a.parents, b.parents, "{what}: discovery tree");
 }
 
+/// The builder verification explores `scenario` with: the probed
+/// environment, the probes as the only early-input candidates, and the
+/// scenario's visible channels plus the probes.
+fn verification_builder(verifier: &Verifier, scenario: &effpi::Scenario) -> TypeLts {
+    let (env, probes) = verifier.probe_env(&scenario.env, &scenario.ty);
+    let mut visible = scenario.visible.clone();
+    visible.extend(probes.iter().cloned());
+    TypeLts::with_checker(env, verifier.checker().clone())
+        .with_candidate_policy(CandidatePolicy::Only(probes))
+        .with_visible_subjects(Some(visible))
+}
+
 #[test]
 fn the_bitmap_table_is_byte_identical_to_the_hash_table() {
     // No option selects the state table: `TypeLts` / `TermLts` states are
@@ -271,20 +381,11 @@ fn the_bitmap_table_is_byte_identical_to_the_hash_table() {
     // builder's exploration exactly — not just its stable line — serially
     // and with 4 workers.
     let session = session(1);
-    let verifier = session.verifier();
     for workers in [1, WORKERS] {
         let config = ExploreConfig::new(workers, MAX_STATES);
         for scenario in memory_corpus() {
             let what = format!("{} x{workers} workers", scenario.name);
-            // The builder verification explores with: the probed
-            // environment, the probes as the only early-input candidates,
-            // and the scenario's visible channels plus the probes.
-            let (env, probes) = verifier.probe_env(&scenario.env, &scenario.ty);
-            let mut visible = scenario.visible.clone();
-            visible.extend(probes.iter().cloned());
-            let builder = TypeLts::with_checker(env, verifier.checker().clone())
-                .with_candidate_policy(CandidatePolicy::Only(probes))
-                .with_visible_subjects(Some(visible));
+            let builder = verification_builder(session.verifier(), &scenario);
             let bitmap = builder.build_exploration(&scenario.ty, &config);
             let hash = lts::explore(
                 builder.canonical_ref(&TyRef::intern(&scenario.ty)),
@@ -325,6 +426,65 @@ fn a_memory_budget_is_byte_identical_to_an_unbudgeted_run() {
             "the memory budget leaked into a {workers}-worker report"
         );
     }
+}
+
+/// A two-level fan, `∨ᵢ o[aᵢ, int, ∨ⱼ o[bⱼ, int, o[aᵢ, int, nil]]]` over
+/// `width` channels of each kind: `width²` distinct leaves, all discovered
+/// in one breadth-first layer, in a space of about `width² + 3·width` small
+/// states.
+fn fan(width: usize) -> effpi::Scenario {
+    let out = |chan: &str, then: Type| Type::out(Type::var(chan), Type::Int, Type::thunk(then));
+    let (a, b) = (|i| format!("a{i}"), |j| format!("b{j}"));
+    let mut env = TypeEnv::new();
+    let mut visible = Vec::new();
+    for name in (0..width).flat_map(|i| [a(i), b(i)]) {
+        env = env.bind(name.clone(), Type::chan_out(Type::Int));
+        visible.push(Name::new(name));
+    }
+    let ty = Type::union_all((0..width).map(|i| {
+        let leaves = (0..width).map(|j| out(&b(j), out(&a(i), Type::Nil)));
+        out(&a(i), Type::union_all(leaves))
+    }));
+    effpi::Scenario {
+        name: format!("Fan ({width} x {width})"),
+        env,
+        ty,
+        visible,
+        properties: vec![effpi::Property::DeadlockFree { vars: vec![] }],
+        paper_verdicts: None,
+        paper_states: None,
+    }
+}
+
+#[test]
+fn a_budgeted_verification_spills_reloads_every_segment_and_does_not_drift() {
+    // The corpus above never fills a spill segment (4096 frontier entries),
+    // so its budgeted runs take the spilling path without writing to disk.
+    // The smallest space here that does is a 64 x 64 fan: its 4096 leaves
+    // are one layer. (The smallest spilling Fig. 9 family member, 12
+    // responsive ping-pong pairs, has 28 672 far costlier states.) The
+    // budget must push the layer to disk, stream it back, and change nothing
+    // in the report.
+    let scenario = fan(64);
+    let unbudgeted = session(1);
+    let budgeted = Session::builder()
+        .max_states(MAX_STATES)
+        .memory_budget(1)
+        .build();
+    let line = budgeted.run_scenario(&scenario).summary().stable_line();
+    assert!(!line.contains("error="), "{line}");
+    assert_eq!(
+        line,
+        unbudgeted.run_scenario(&scenario).summary().stable_line()
+    );
+
+    let verifier = budgeted.verifier();
+    let exploration = verification_builder(verifier, &scenario)
+        .build_exploration(&scenario.ty, &verifier.explore);
+    assert_eq!(exploration.status, ExploreStatus::Complete);
+    let stats = exploration.stats;
+    assert!(stats.spill_segments > 0, "nothing spilled: {stats:?}");
+    assert_eq!(stats.spill_reloads, stats.spill_segments, "{stats:?}");
 }
 
 #[test]
