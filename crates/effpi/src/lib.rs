@@ -13,14 +13,14 @@
 //! | term/type transition semantics | [`lts`] | §4 (Defs. 4.1, 4.2) |
 //! | type-level model checking | [`mucalc`] | §4 (Fig. 7, Thm. 4.10) |
 //! | Effpi-style runtime + Savina workloads | [`runtime`] | §5 |
-//! | protocol library & Fig. 9 scenarios | [`protocols`] | §1, §5.2 |
+//! | protocol library & the Fig. 9 table | [`protocols`] | §1, §5.2 |
 //!
 //! ## The two-step method, in code
 //!
 //! Everything routes through a [`Session`] — the counterpart of the paper's
 //! `@effpi.verifier.verify` compiler plugin. Configure it once with
-//! [`Session::builder`], then feed it programs, types, scenarios or `.effpi`
-//! specification files.
+//! [`Session::builder`], then feed it programs, types or `.effpi`
+//! specifications ([`spec`]).
 //!
 //! **Step 1 — enforce the protocol at compile time.** A program (a λπ⩽ term)
 //! is checked against a behavioural type with [`Session::type_check_closed`]:
@@ -43,26 +43,32 @@
 //!
 //! **Step 2 — verify safety/liveness of the protocol itself** (and hence, by
 //! Thm. 4.10, of every program implementing it) with [`Session::verify`] on a
-//! type, or [`Session::run_scenario`] on a whole composed scenario:
+//! type, or [`Session::run_spec_text`] on a whole `.effpi` specification —
+//! the form every Fig. 9 row of [`protocols`] is generated in:
 //!
 //! ```
-//! use effpi::{Property, Session};
 //! use effpi::protocols::payment;
+//! use effpi::Session;
 //!
 //! let session = Session::builder().max_states(50_000).build();
-//! let scenario = payment::payment_with_clients(2);
-//! let outcome = session
-//!     .run_scenario_property(&scenario, &Property::responsive("self"))
-//!     .unwrap();
-//! assert!(outcome.holds); // every payment request gets an answer
-//!
-//! // ...or all six Fig. 9 properties at once, as a structured report:
-//! let report = session.run_scenario(&scenario);
+//! // The "Pay & audit + 2 clients" row: the composed protocol and its six
+//! // Fig. 9 checks, as spec text.
+//! let report = session.run_spec_text(&payment::spec(2)).unwrap();
 //! assert!(report.first_error().is_none());
 //! assert!(report.verdicts()[0], "deadlock-free");
+//! assert!(report.verdicts()[5], "every payment request gets an answer");
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod fingerprint;
@@ -85,7 +91,6 @@ pub use runtime::{
 };
 
 pub use fingerprint::CacheKey;
-pub use protocols::Scenario;
 pub use session::{
     Error, PropertyReport, Report, ReportSummary, Session, SessionBuilder, SessionConfig,
 };

@@ -8,122 +8,54 @@
 //! occur and the composition can deadlock; having one philosopher grab the
 //! right fork first breaks the cycle.
 
-use dbt_types::TypeEnv;
-use lambdapi::{Name, Type};
+use super::{row_spec, Probes};
 
-use super::{standard_properties, Scenario};
-
-fn fork_chan(i: usize) -> String {
-    format!("fork{i}")
-}
-
-/// A fork on channel `chan`: offer the token, wait to get it back, repeat.
-pub fn fork_type(chan: &str) -> Type {
-    Type::rec(
-        "f",
-        Type::out(
-            Type::var(chan),
-            Type::Unit,
-            Type::thunk(Type::inp(
-                Type::var(chan),
-                Type::pi("back", Type::Unit, Type::rec_var("f")),
-            )),
-        ),
-    )
-}
-
-/// A philosopher picking up `first` then `second`, then releasing them in the
-/// same order, forever.
-pub fn philosopher_type(first: &str, second: &str) -> Type {
-    Type::rec(
-        "p",
-        Type::inp(
-            Type::var(first),
-            Type::pi(
-                "l",
-                Type::Unit,
-                Type::inp(
-                    Type::var(second),
-                    Type::pi(
-                        "r",
-                        Type::Unit,
-                        Type::out(
-                            Type::var(first),
-                            Type::Unit,
-                            Type::thunk(Type::out(
-                                Type::var(second),
-                                Type::Unit,
-                                Type::thunk(Type::rec_var("p")),
-                            )),
-                        ),
-                    ),
-                ),
-            ),
-        ),
-    )
-}
-
-/// Builds the dining-philosophers scenario with `n` philosophers and forks.
+/// The "Dining philos. (`n`, …)" row as `.effpi` text: `n` forks on the
+/// channels `fork0…` (offer the token, wait to get it back, repeat) and `n`
+/// philosophers, each picking up a first and a second fork, then releasing
+/// them in the same order, forever.
 ///
-/// With `allow_deadlock = true` every philosopher grabs the left fork first
-/// (the composition can deadlock); with `false`, the last philosopher grabs
-/// the right fork first and the composition is deadlock-free.
-pub fn dining_philosophers(n: usize, allow_deadlock: bool) -> Scenario {
-    assert!(n >= 2, "dining philosophers needs at least two seats");
-    let mut env = TypeEnv::new();
+/// With `deadlock = true` every philosopher grabs the left fork first (the
+/// composition can deadlock); with `false`, the last philosopher grabs the
+/// right fork first and the composition is deadlock-free. The row needs two
+/// seats: for `n < 2` the checks name an undeclared fork and the text is
+/// rejected by [`crate::spec::parse_spec`].
+pub fn spec(n: usize, deadlock: bool) -> String {
+    let env: Vec<_> = (0..n)
+        .map(|i| (format!("fork{i}"), "cio[()]".to_string()))
+        .collect();
+    let mut components: Vec<String> = (0..n)
+        .map(|i| format!("rec f . o[fork{i}, (), Pi() i[fork{i}, Pi(back: ()) f]]"))
+        .collect();
     for i in 0..n {
-        env = env.bind(fork_chan(i).as_str(), Type::chan_io(Type::Unit));
-    }
-
-    let mut components = Vec::new();
-    for i in 0..n {
-        components.push(fork_type(&fork_chan(i)));
-    }
-    for i in 0..n {
-        let left = fork_chan(i);
-        let right = fork_chan((i + 1) % n);
-        let (first, second) = if allow_deadlock || i + 1 < n {
+        let (left, right) = (i, (i + 1) % n);
+        let (first, second) = if deadlock || i + 1 < n {
             (left, right)
         } else {
             // The last philosopher is left-handed: this breaks the cycle.
             (right, left)
         };
-        components.push(philosopher_type(&first, &second));
+        components.push(format!(
+            "rec p . i[fork{first}, Pi(l: ()) i[fork{second}, Pi(r: ())\n    \
+             o[fork{first}, (), Pi() o[fork{second}, (), Pi() p]]]]"
+        ));
     }
-
-    let variant = if allow_deadlock {
-        "deadlock"
-    } else {
-        "no deadlock"
-    };
-    Scenario {
-        name: format!("Dining philos. ({n}, {variant})"),
-        env,
-        ty: Type::par_all(components),
-        visible: vec![Name::new(fork_chan(0)), Name::new(fork_chan(1))],
-        properties: standard_properties(
-            vec![],
-            Name::new(fork_chan(0)),
-            Name::new(fork_chan(0)),
-            Name::new(fork_chan(1)),
-            Name::new(fork_chan(0)),
-        ),
-        paper_verdicts: Some(if allow_deadlock {
-            [false, true, false, false, false, false]
-        } else {
-            [true, true, false, false, false, false]
-        }),
-        paper_states: match n {
-            4 => Some(4_096),
-            5 => Some(32_768),
-            6 => Some(262_144),
-            _ => None,
+    row_spec(
+        &env,
+        ["fork0", "fork1"],
+        &components,
+        Probes {
+            usage: "fork0",
+            from: "fork0",
+            to: "fork1",
+            mailbox: "fork0",
         },
-    }
+    )
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::{parsed, run};
     use super::*;
     use dbt_types::Checker;
 
@@ -131,9 +63,10 @@ mod tests {
     fn both_variants_are_valid_process_types() {
         let checker = Checker::new();
         for deadlock in [true, false] {
-            let s = dining_philosophers(3, deadlock);
-            checker.check_pi_type(&s.env, &s.ty).expect("valid π-type");
-            assert!(s.ty.is_guarded());
+            let (spec, ty) = parsed(&spec(3, deadlock));
+            checker.check_pi_type(&spec.env, &ty).expect("valid π-type");
+            assert!(ty.is_guarded());
+            assert!(!ty.has_par_under_rec());
         }
     }
 
@@ -142,21 +75,19 @@ mod tests {
         // The headline distinction of the Fig. 9 dining rows: the grab-left
         // variant can deadlock, the variant with one left-handed philosopher
         // cannot.
-        let deadlocking = dining_philosophers(3, true);
-        let safe = dining_philosophers(3, false);
-        let d = deadlocking.run(60_000).expect("verification");
-        let s = safe.run(60_000).expect("verification");
-        assert!(!d[0].holds, "grab-left variant must be able to deadlock");
-        assert!(s[0].holds, "left-handed variant must be deadlock-free");
+        let d = run(&spec(3, true), 60_000).verdicts();
+        let s = run(&spec(3, false), 60_000).verdicts();
+        assert!(!d[0], "grab-left variant must be able to deadlock");
+        assert!(s[0], "left-handed variant must be deadlock-free");
         // Forks are used for output in both variants.
-        assert!(!d[3].holds);
-        assert!(!s[3].holds);
+        assert!(!d[3]);
+        assert!(!s[3]);
     }
 
     #[test]
     fn state_space_grows_with_the_table_size() {
-        let small = dining_philosophers(2, true).run(60_000).unwrap()[0].states;
-        let large = dining_philosophers(3, true).run(60_000).unwrap()[0].states;
+        let small = run(&spec(2, true), 60_000).states();
+        let large = run(&spec(3, true), 60_000).states();
         assert!(large > small);
     }
 }

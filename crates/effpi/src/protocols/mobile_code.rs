@@ -4,79 +4,65 @@
 //! values on its output channel.
 //!
 //! The λπ⩽ terms and the type `Tm` live in [`lambdapi::examples`]; this module
-//! re-exports them and adds the verification-oriented view: the behavioural
-//! type of the *instantiated* filter (the `T'srv` discussion of Ex. 3.4) and
-//! the forwarding property it enjoys (Ex. 4.11).
+//! adds the verification-oriented view: the behavioural type of the
+//! *instantiated* filter (the `T'srv` discussion of Ex. 3.4) and the
+//! forwarding property it enjoys (Ex. 4.11).
 
-pub use lambdapi::examples::{m1_term, m2_term, mobile_code_system, tm_type, tsrv_type};
-
-use dbt_types::TypeEnv;
-use lambdapi::{Name, Type};
-use mucalc::Property;
-
-use super::Scenario;
-
-/// The typing environment of the instantiated filter: two input channels, one
-/// output channel (all distinct).
-pub fn filter_env() -> TypeEnv {
-    TypeEnv::new()
-        .bind("in1", Type::chan_io(Type::Int))
-        .bind("in2", Type::chan_io(Type::Int))
-        .bind("out", Type::chan_io(Type::Int))
-}
-
-/// The behaviour of any `Tm`-typed mobile code once instantiated with the
-/// server's channels: `Tm in1 in2 out`.
-pub fn instantiated_filter_type() -> Type {
-    tm_type()
-        .apply_all(&[Type::var("in1"), Type::var("in2"), Type::var("out")])
-        .expect("Tm takes three channel arguments")
-}
-
-/// The verification scenario for the instantiated mobile code: whatever code
-/// the server receives, it forwards one of its inputs to `out` (Ex. 4.11) and
-/// never writes back on its input channels.
-pub fn mobile_code_scenario() -> Scenario {
-    Scenario {
-        name: "Mobile code filter (Ex. 3.4)".to_string(),
-        env: filter_env(),
-        ty: instantiated_filter_type(),
-        visible: vec![Name::new("in1"), Name::new("in2"), Name::new("out")],
-        properties: vec![
-            Property::deadlock_free(["in1", "in2", "out"]),
-            Property::eventual_output(["out"]),
-            // After reading in2, the filter immediately forwards one of the
-            // received values on out — the Ex. 4.11 guarantee. (Forwarding
-            // from in1 is *not* immediate: the filter reads in2 in between,
-            // and the strict Fig. 7(4) template, restricted to {in1, out},
-            // rejects that; see the tests below.)
-            Property::forwarding("in2", "out"),
-            Property::non_usage(["in1", "in2"]),
-            Property::reactive("in1"),
-            Property::responsive("in1"),
-        ],
-        paper_verdicts: None,
-        paper_states: None,
-    }
+/// The instantiated mobile code as `.effpi` text: `Tm` applied to two input
+/// channels and one output channel (all distinct), with the guarantees that
+/// hold whatever code the server receives — it forwards one of its inputs to
+/// `out` (Ex. 4.11) and never writes back on its input channels.
+///
+/// After reading `in2`, the filter immediately forwards one of the received
+/// values on `out`. Forwarding from `in1` is *not* immediate: the filter
+/// reads `in2` in between, and the strict Fig. 7(4) template, restricted to
+/// `{in1, out}`, rejects that.
+pub fn spec() -> String {
+    "env in1 : cio[int]\n\
+     env in2 : cio[int]\n\
+     env out : cio[int]\n\
+     visible in1, in2, out\n\
+     def Tm = Pi(i1: ci[int]) Pi(i2: ci[int]) Pi(o: co[int])\n  \
+     rec t . i[i1, Pi(x: int) i[i2, Pi(y: int) o[o, x | y, Pi() t]]]\n\
+     type Tm in1 in2 out\n\
+     check deadlock_free [in1, in2, out]\n\
+     check eventual_output [out]\n\
+     check forwarding in2 -> out\n\
+     check non_usage [in1, in2]\n\
+     check reactive in1\n\
+     check responsive in1\n"
+        .to_string()
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::{parsed, run};
     use super::*;
+    use crate::Type;
     use dbt_types::Checker;
+    use lambdapi::examples;
 
     #[test]
     fn the_instantiated_filter_is_a_valid_process_type() {
-        let checker = Checker::new();
-        checker
-            .check_pi_type(&filter_env(), &instantiated_filter_type())
+        let (spec, ty) = parsed(&spec());
+        Checker::new()
+            .check_pi_type(&spec.env, &ty)
             .expect("valid π-type");
+        // `Tm` is the type the example terms m1 and m2 implement.
+        let applied = examples::tm_type()
+            .apply_all(&[Type::var("in1"), Type::var("in2"), Type::var("out")])
+            .expect("Tm takes three channel arguments");
+        assert_eq!(ty, applied);
     }
 
     #[test]
     fn mobile_code_guarantees_from_example_4_11() {
-        let s = mobile_code_scenario();
-        let outcomes = s.run(20_000).expect("verification");
+        let report = run(&spec(), 20_000);
+        let outcomes: Vec<_> = report
+            .properties
+            .iter()
+            .map(|p| p.result.as_ref().expect("decided"))
+            .collect();
         // The filter never gets stuck when all three channels are probed.
         assert!(outcomes[0].holds, "deadlock-free: {}", outcomes[0]);
         // It never uses its *input* channels for output — so, in particular,
@@ -88,9 +74,7 @@ mod tests {
         // Forwarding from in1 does not satisfy the strict template: the filter
         // must read in2 before it can produce the output, and the ↑Γ{in1,out}
         // restriction of Fig. 7(4) hides that intermediate step.
-        let from_in1 = s
-            .run_property(&Property::forwarding("in1", "out"), 20_000)
-            .unwrap();
-        assert!(!from_in1.holds);
+        let from_in1 = run(&format!("{}check forwarding in1 -> out\n", spec()), 20_000);
+        assert!(!from_in1.properties[6].holds());
     }
 }

@@ -1,19 +1,27 @@
 //! The protocol library used by the paper's examples and evaluation.
 //!
-//! Each function builds a [`Scenario`]: a closed composition of behavioural
-//! types (Def. 3.1) together with its typing environment, the set of channels
-//! exposed to the environment, and the six Fig. 7 properties instantiated the
-//! way the corresponding Fig. 9 row checks them. The scenarios are:
+//! Every protocol family is a generator of `.effpi` specification text (see
+//! [`crate::spec`]), so a Fig. 9 row is the same kind of request as any
+//! other: `effpi-cli verify` runs it, `effpi-serve` answers it, and
+//! [`crate::Session::run_spec_text`] decides it. Each generated row holds its
+//! channel declarations, the channels exposed to the environment, the closed
+//! composition of behavioural types (Def. 3.1) and the six Fig. 7 properties
+//! instantiated the way the corresponding Fig. 9 row checks them. The
+//! families are:
 //!
-//! * [`payment::payment_with_clients`] — the §1 payment-with-audit service
-//!   composed with an auditor and *n* clients;
-//! * [`dining::dining_philosophers`] — Dijkstra's dining philosophers over
-//!   fork channels, in a deadlocking and a deadlock-free variant;
-//! * [`pingpong::ping_pong_pairs`] — *n* ping-pong pairs (Ex. 2.2), in a
-//!   plain (non-responsive) and a responsive variant;
-//! * [`ring::token_ring`] — a ring of *n* members circulating one or more
-//!   unit tokens;
-//! * [`mobile_code`] — the higher-order data-analysis server of Ex. 3.4.
+//! * [`payment::spec`] — the §1 payment-with-audit service composed with an
+//!   auditor and *n* clients;
+//! * [`dining::spec`] — Dijkstra's dining philosophers over fork channels, in
+//!   a deadlocking and a deadlock-free variant;
+//! * [`pingpong::spec`] — *n* ping-pong pairs (Ex. 2.2), in a plain
+//!   (non-responsive) and a responsive variant;
+//! * [`ring::spec`] — a ring of *n* members circulating one or more unit
+//!   tokens;
+//! * [`mobile_code::spec`] — the higher-order data-analysis server of
+//!   Ex. 3.4.
+//!
+//! [`fig9_specs`] is the Fig. 9 table: the generated rows at a given scale,
+//! each with the verdicts and state count the paper reports for it.
 //!
 //! [`open_terms`] is the term-side sibling: the open-term (Fig. 5)
 //! conformance corpus of the determinism suite.
@@ -25,177 +33,207 @@ pub mod payment;
 pub mod pingpong;
 pub mod ring;
 
-use dbt_types::TypeEnv;
-use lambdapi::{Name, Type};
-use mucalc::{Property, VerificationOutcome, VerifyError};
-
-use crate::session::{Error, Session};
-
-/// A verification scenario: one row of the paper's Fig. 9.
+/// One row of the paper's Fig. 9: its `.effpi` specification and what the
+/// paper reports for it.
 #[derive(Clone, Debug)]
-pub struct Scenario {
-    /// Human-readable name (matches the Fig. 9 row labels).
+pub struct Fig9Spec {
+    /// The Fig. 9 row label.
     pub name: String,
-    /// The typing environment Γ declaring the scenario's channels.
-    pub env: TypeEnv,
-    /// The composed behavioural type to verify.
-    pub ty: Type,
-    /// The channels exposed to the environment; all other channels are
-    /// internal to the composition and only contribute τ-synchronisations.
-    pub visible: Vec<Name>,
-    /// The six properties, in the column order of Fig. 9:
-    /// deadlock-free, ev-usage, forwarding, non-usage, reactive, responsive.
-    pub properties: Vec<Property>,
-    /// The verdicts reported by the paper for this row (same order), when the
-    /// row appears in Fig. 9; the `fig9` example compares shapes with it.
-    pub paper_verdicts: Option<[bool; 6]>,
-    /// The approximate state count reported by the paper, when available.
+    /// The row as `.effpi` text, its six `check` statements in the column
+    /// order of Fig. 9: deadlock-free, ev-usage, forwarding, non-usage,
+    /// reactive, responsive.
+    pub spec: String,
+    /// The verdicts the paper reports for this row, in the same order.
+    pub paper_verdicts: [bool; 6],
+    /// The approximate state count the paper reports, when the row's size
+    /// appears in the figure.
     pub paper_states: Option<usize>,
 }
 
-impl Scenario {
-    /// A default [`Session`] with the given state bound — the scenarios'
-    /// convenience entry into the unified pipeline.
-    fn session(max_states: usize) -> Session {
-        Session::builder().max_states(max_states).build()
-    }
+/// The row sizes of one scale: payment clients, philosophers, ping-pong
+/// pairs, and ring (members, tokens).
+type Sizes = (
+    &'static [usize],
+    &'static [usize],
+    &'static [usize],
+    &'static [(usize, usize)],
+);
 
-    /// Runs all of the scenario's properties with the given state bound,
-    /// returning one outcome per property (a full Fig. 9 row).
-    ///
-    /// This is a convenience wrapper over [`Session::run_scenario`]; to reuse
-    /// a configured session across scenarios (the `fig9` example does),
-    /// call that method directly.
-    pub fn run(&self, max_states: usize) -> Result<Vec<VerificationOutcome>, VerifyError> {
-        let report = Self::session(max_states).run_scenario(self);
-        match report.error {
-            Some(e) => Err(e.expect_verify()),
-            None => report
-                .properties
-                .into_iter()
-                .map(|p| p.result.map_err(Error::expect_verify))
-                .collect(),
-        }
-    }
-
-    /// Runs a single property of the scenario (a convenience wrapper over
-    /// [`Session::run_scenario_property`]).
-    pub fn run_property(
-        &self,
-        property: &Property,
-        max_states: usize,
-    ) -> Result<VerificationOutcome, VerifyError> {
-        Self::session(max_states)
-            .run_scenario_property(self, property)
-            .map_err(Error::expect_verify)
-    }
-
-    /// The verdicts as a boolean vector (same order as `properties`).
-    pub fn verdicts(&self, max_states: usize) -> Result<Vec<bool>, VerifyError> {
-        Ok(self.run(max_states)?.into_iter().map(|o| o.holds).collect())
-    }
-}
-
-/// The scenarios of Fig. 9, at the sizes given by `scale`:
+/// The rows of Fig. 9, at the sizes given by `scale`:
 ///
 /// * `scale = 0` — a small, test-friendly instantiation;
 /// * `scale = 1` — sizes close to the paper's smaller rows;
 /// * `scale >= 2` — progressively larger instantiations.
-pub fn fig9_scenarios(scale: usize) -> Vec<Scenario> {
-    let clients: &[usize] = match scale {
-        0 => &[2, 3],
-        1 => &[4, 6],
-        _ => &[8, 10, 12],
+pub fn fig9_specs(scale: usize) -> Vec<Fig9Spec> {
+    let (clients, philosophers, pairs, rings): Sizes = match scale {
+        0 => (&[2, 3], &[3], &[2, 3], &[(4, 1), (4, 2)]),
+        1 => (&[4, 6], &[4], &[4, 6], &[(8, 1), (8, 3)]),
+        _ => (
+            &[8, 10, 12],
+            &[4, 5, 6],
+            &[6, 8, 10],
+            &[(10, 1), (15, 1), (10, 3), (15, 3)],
+        ),
     };
-    let philosophers: &[usize] = match scale {
-        0 => &[3],
-        1 => &[4],
-        _ => &[4, 5, 6],
-    };
-    let pairs: &[usize] = match scale {
-        0 => &[2, 3],
-        1 => &[4, 6],
-        _ => &[6, 8, 10],
-    };
-    let rings: &[(usize, usize)] = match scale {
-        0 => &[(4, 1), (4, 2)],
-        1 => &[(8, 1), (8, 3)],
-        _ => &[(10, 1), (15, 1), (10, 3), (15, 3)],
-    };
-
-    let mut scenarios = Vec::new();
+    // The verdicts Fig. 9 reports for each family, in column order.
+    let (t, f) = (true, false);
+    let mut rows = Vec::new();
     for &n in clients {
-        scenarios.push(payment::payment_with_clients(n));
+        let name = format!("Pay & audit + {n} clients");
+        rows.push((name, payment::spec(n), [t, t, f, f, t, t]));
     }
     for &n in philosophers {
-        scenarios.push(dining::dining_philosophers(n, true));
-        scenarios.push(dining::dining_philosophers(n, false));
+        let name = format!("Dining philos. ({n}, deadlock)");
+        rows.push((name, dining::spec(n, true), [f, t, f, f, f, f]));
+        let name = format!("Dining philos. ({n}, no deadlock)");
+        rows.push((name, dining::spec(n, false), [t, t, f, f, f, f]));
     }
     for &n in pairs {
-        scenarios.push(pingpong::ping_pong_pairs(n, false));
-        scenarios.push(pingpong::ping_pong_pairs(n, true));
+        let name = format!("Ping-pong ({n} pairs)");
+        rows.push((name, pingpong::spec(n, false), [t, t, f, f, f, f]));
+        let name = format!("Ping-pong ({n} pairs, responsive)");
+        rows.push((name, pingpong::spec(n, true), [t, t, f, f, f, t]));
     }
     for &(n, tokens) in rings {
-        scenarios.push(ring::token_ring(n, tokens));
+        let name = if tokens == 1 {
+            format!("Ring ({n} elements)")
+        } else {
+            format!("Ring ({n} elements, {tokens} tokens)")
+        };
+        rows.push((name, ring::spec(n, tokens), [t, t, t, f, t, f]));
     }
-    scenarios
+    rows.into_iter()
+        .map(|(name, spec, paper_verdicts)| Fig9Spec {
+            paper_states: PAPER_STATES
+                .iter()
+                .find(|(row, _)| *row == name)
+                .map(|&(_, states)| states),
+            name,
+            spec,
+            paper_verdicts,
+        })
+        .collect()
 }
 
-/// The six properties of a Fig. 9 row, in column order, parameterised by the
-/// scenario's probe channels.
-pub(crate) fn standard_properties(
-    deadlock_probe: Vec<Name>,
-    usage_probe: Name,
-    forward_from: Name,
-    forward_to: Name,
-    mailbox: Name,
-) -> Vec<Property> {
-    vec![
-        Property::DeadlockFree {
-            vars: deadlock_probe,
-        },
-        Property::EventualOutput {
-            vars: vec![usage_probe.clone()],
-        },
-        Property::Forwarding {
-            from: forward_from,
-            to: forward_to,
-        },
-        Property::NonUsage {
-            vars: vec![usage_probe],
-        },
-        Property::Reactive {
-            var: mailbox.clone(),
-        },
-        Property::Responsive { var: mailbox },
-    ]
+/// The state counts Fig. 9 reports, by row.
+const PAPER_STATES: [(&str, usize); 19] = [
+    ("Pay & audit + 8 clients", 3_328),
+    ("Pay & audit + 10 clients", 13_312),
+    ("Pay & audit + 12 clients", 53_248),
+    ("Dining philos. (4, deadlock)", 4_096),
+    ("Dining philos. (4, no deadlock)", 4_096),
+    ("Dining philos. (5, deadlock)", 32_768),
+    ("Dining philos. (5, no deadlock)", 32_768),
+    ("Dining philos. (6, deadlock)", 262_144),
+    ("Dining philos. (6, no deadlock)", 262_144),
+    ("Ping-pong (6 pairs)", 4_096),
+    ("Ping-pong (6 pairs, responsive)", 46_656),
+    ("Ping-pong (8 pairs)", 65_536),
+    ("Ping-pong (8 pairs, responsive)", 1_679_616),
+    ("Ping-pong (10 pairs)", 1_048_576),
+    ("Ping-pong (10 pairs, responsive)", 2_000_000),
+    ("Ring (10 elements)", 2_048),
+    ("Ring (15 elements)", 65_536),
+    ("Ring (10 elements, 3 tokens)", 4_096),
+    ("Ring (15 elements, 3 tokens)", 131_072),
+];
+
+/// The channels a Fig. 9 row instantiates the six Fig. 7 properties on.
+struct Probes<'a> {
+    /// Probed by ev-usage and non-usage.
+    usage: &'a str,
+    /// Forwarding from this channel...
+    from: &'a str,
+    /// ...to this one.
+    to: &'a str,
+    /// Probed by reactive and responsive.
+    mailbox: &'a str,
+}
+
+/// Renders a Fig. 9 row as `.effpi` text: one `env` line per channel, one
+/// `visible` line, the left-nested binary composition `p[p[c0, c1], c2]…`
+/// of `components` (the shape `Type::par_all` folds), then the six `check`
+/// lines in Fig. 9 column order. Deadlock freedom is checked with no probed
+/// channels.
+fn row_spec(
+    env: &[(String, String)],
+    visible: [&str; 2],
+    components: &[String],
+    probes: Probes<'_>,
+) -> String {
+    let composition = components
+        .iter()
+        .cloned()
+        .reduce(|acc, c| format!("p[{acc},\n  {c}]"))
+        .unwrap_or_else(|| "nil".to_string());
+    let mut lines: Vec<String> = env
+        .iter()
+        .map(|(chan, ty)| format!("env {chan} : {ty}"))
+        .collect();
+    lines.push(format!("visible {}", visible.join(", ")));
+    lines.push(format!("type {composition}"));
+    lines.extend(
+        [
+            "deadlock_free []".to_string(),
+            format!("eventual_output [{}]", probes.usage),
+            format!("forwarding {} -> {}", probes.from, probes.to),
+            format!("non_usage [{}]", probes.usage),
+            format!("reactive {}", probes.mailbox),
+            format!("responsive {}", probes.mailbox),
+        ]
+        .map(|check| format!("check {check}")),
+    );
+    lines.join("\n") + "\n"
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::spec::{parse_spec, Spec};
+    use crate::{Report, Session, Type};
+
+    /// Parses generated text, which must be a valid specification with a
+    /// `type` statement.
+    pub(crate) fn parsed(text: &str) -> (Spec, Type) {
+        let spec = parse_spec(text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        let ty = spec.ty.clone().expect("a generated row has a type");
+        (spec, ty)
+    }
+
+    /// Runs generated text on a session with the given state bound; the run
+    /// must complete.
+    pub(crate) fn run(text: &str, max_states: usize) -> Report {
+        let report = Session::builder()
+            .max_states(max_states)
+            .build()
+            .run_spec_text(text)
+            .unwrap_or_else(|e| panic!("{e}\n{text}"));
+        assert!(report.error.is_none(), "{:?}", report.error);
+        report
+    }
 
     #[test]
     fn fig9_scenarios_cover_all_four_protocol_families_at_every_scale() {
         for scale in 0..3 {
-            let scenarios = fig9_scenarios(scale);
-            assert!(scenarios.iter().any(|s| s.name.contains("Pay")));
-            assert!(scenarios.iter().any(|s| s.name.contains("philos")));
-            assert!(scenarios.iter().any(|s| s.name.contains("Ping-pong")));
-            assert!(scenarios.iter().any(|s| s.name.contains("Ring")));
-            for s in &scenarios {
-                assert_eq!(s.properties.len(), 6, "{}", s.name);
-                assert!(!s.visible.is_empty(), "{}", s.name);
+            let rows = fig9_specs(scale);
+            assert!(rows.iter().any(|s| s.name.contains("Pay")));
+            assert!(rows.iter().any(|s| s.name.contains("philos")));
+            assert!(rows.iter().any(|s| s.name.contains("Ping-pong")));
+            assert!(rows.iter().any(|s| s.name.contains("Ring")));
+            for row in &rows {
+                let (spec, _) = parsed(&row.spec);
+                assert_eq!(spec.checks.len(), 6, "{}", row.name);
+                assert!(!spec.visible.is_empty(), "{}", row.name);
             }
         }
     }
 
     #[test]
     fn small_scenarios_verify_within_modest_state_bounds() {
-        for s in fig9_scenarios(0) {
-            let outcomes = s.run(60_000).unwrap_or_else(|e| panic!("{}: {e}", s.name));
-            assert_eq!(outcomes.len(), 6);
-            assert!(outcomes[0].states > 1, "{}", s.name);
+        for row in fig9_specs(0) {
+            let report = run(&row.spec, 60_000);
+            assert_eq!(report.properties.len(), 6);
+            assert!(report.states() > 1, "{}", row.name);
         }
     }
 }

@@ -1,8 +1,8 @@
 //! The open-term (Fig. 5) conformance corpus: the *term*-side counterpart
-//! of the Fig. 9 scenario library.
+//! of the Fig. 9 spec generators.
 //!
-//! Where the sibling modules compose behavioural *types* for the Fig. 9
-//! rows, each entry here is an open λπ⩽ *term* with its typing environment,
+//! Where the sibling modules generate `.effpi` specs of behavioural *types*
+//! for the Fig. 9 rows, each entry here is an open λπ⩽ *term* with its typing environment,
 //! explored through the over-approximating semantics of Def. 4.1
 //! (`TermLts` / [`crate::Session::build_term_lts`]). The determinism suite
 //! checks each one serial vs parallel byte for byte and pins its state and
@@ -15,7 +15,7 @@ use lambdapi::{examples, Term, Type};
 /// Fig. 5 LTS is explored, with the state bound it is known to fit.
 #[derive(Clone, Debug)]
 pub struct OpenTermScenario {
-    /// Scenario name (the row label).
+    /// The row label.
     pub name: String,
     /// The typing environment Γ.
     pub env: TypeEnv,

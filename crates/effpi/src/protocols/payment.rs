@@ -8,143 +8,89 @@
 //! Fig. 1), so the service answers a different client each time — which is
 //! exactly what the dependent function type in the service's input tracks.
 
-use dbt_types::TypeEnv;
-use lambdapi::{Name, Type};
-
-use super::{standard_properties, Scenario};
+use super::{row_spec, Probes};
 
 /// The payload type of a reply channel: a `Rejected` reply carries a string
 /// (the reason), an `Accepted` reply carries unit.
-pub fn reply_payload() -> Type {
-    Type::union(Type::Str, Type::Unit)
-}
+const REPLY: &str = "str | ()";
 
-/// The behavioural type of the payment service: forever receive a reply
-/// channel on `self`, then either reject (answer with a string) or audit and
-/// accept (notify `aud`, then answer with unit).
-pub fn service_type() -> Type {
-    Type::rec(
-        "t",
-        Type::inp(
-            Type::var("self"),
-            Type::pi(
-                "rc",
-                Type::chan_out(reply_payload()),
-                Type::union(
-                    Type::out(Type::var("rc"), Type::Str, Type::thunk(Type::rec_var("t"))),
-                    Type::out(
-                        Type::var("aud"),
-                        Type::Unit,
-                        Type::thunk(Type::out(
-                            Type::var("rc"),
-                            Type::Unit,
-                            Type::thunk(Type::rec_var("t")),
-                        )),
-                    ),
-                ),
-            ),
+/// The "Pay & audit + `clients` clients" row as `.effpi` text. Its
+/// components are:
+///
+/// * the service — forever receive a reply channel `rc` on `self`, then
+///   either reject (answer a string on `rc`) or audit and accept (notify
+///   `aud`, then answer unit on `rc`);
+/// * the auditor — forever receive audit notifications on `aud`;
+/// * one client per reply channel `rcI` — forever send `rcI` to the service,
+///   then await the reply on it.
+pub fn spec(clients: usize) -> String {
+    let mut env = vec![
+        ("self".to_string(), format!("cio[co[{REPLY}]]")),
+        ("aud".to_string(), "cio[()]".to_string()),
+    ];
+    let mut components = vec![
+        format!(
+            "rec t . i[self, Pi(rc: co[{REPLY}]) ( o[rc, str, Pi() t]\n    \
+             | o[aud, (), Pi() o[rc, (), Pi() t]] )]"
         ),
-    )
-}
-
-/// The auditor: forever receive audit notifications on `aud`.
-pub fn auditor_type() -> Type {
-    Type::rec(
-        "a",
-        Type::inp(
-            Type::var("aud"),
-            Type::pi("u", Type::Unit, Type::rec_var("a")),
-        ),
-    )
-}
-
-/// One client: forever send its reply channel to the service, then await the
-/// reply on that channel.
-pub fn client_type(reply_chan: &str) -> Type {
-    Type::rec(
-        "c",
-        Type::out(
-            Type::var("self"),
-            Type::var(reply_chan),
-            Type::thunk(Type::inp(
-                Type::var(reply_chan),
-                Type::pi("r", reply_payload(), Type::rec_var("c")),
-            )),
-        ),
-    )
-}
-
-/// Builds the "Pay & audit + `clients` clients" scenario.
-pub fn payment_with_clients(clients: usize) -> Scenario {
-    let mut env = TypeEnv::new()
-        .bind("self", Type::chan_io(Type::chan_out(reply_payload())))
-        .bind("aud", Type::chan_io(Type::Unit));
-
-    let mut components = vec![service_type(), auditor_type()];
+        "rec a . i[aud, Pi(u: ()) a]".to_string(),
+    ];
     for i in 0..clients {
-        let rc = format!("rc{i}");
-        env = env.bind(rc.as_str(), Type::chan_io(reply_payload()));
-        components.push(client_type(&rc));
+        env.push((format!("rc{i}"), format!("cio[{REPLY}]")));
+        components.push(format!(
+            "rec c . o[self, rc{i}, Pi() i[rc{i}, Pi(r: {REPLY}) c]]"
+        ));
     }
-
-    Scenario {
-        name: format!("Pay & audit + {clients} clients"),
-        env,
-        ty: Type::par_all(components),
-        visible: vec![Name::new("self"), Name::new("aud")],
-        properties: standard_properties(
-            vec![],
-            Name::new("aud"),
-            Name::new("self"),
-            Name::new("aud"),
-            Name::new("self"),
-        ),
-        paper_verdicts: Some([true, true, false, false, true, true]),
-        paper_states: match clients {
-            8 => Some(3_328),
-            10 => Some(13_312),
-            12 => Some(53_248),
-            _ => None,
+    row_spec(
+        &env,
+        ["self", "aud"],
+        &components,
+        Probes {
+            usage: "aud",
+            from: "self",
+            to: "aud",
+            mailbox: "self",
         },
-    }
+    )
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::{parsed, run};
     use super::*;
     use dbt_types::Checker;
 
     #[test]
     fn the_composition_is_a_valid_process_type() {
-        let s = payment_with_clients(2);
-        let checker = Checker::new();
-        checker.check_pi_type(&s.env, &s.ty).expect("valid π-type");
-        assert!(s.ty.is_guarded());
-        assert!(!s.ty.has_par_under_rec());
+        let (spec, ty) = parsed(&spec(2));
+        Checker::new()
+            .check_pi_type(&spec.env, &ty)
+            .expect("valid π-type");
+        assert!(ty.is_guarded());
+        assert!(!ty.has_par_under_rec());
     }
 
     #[test]
     fn key_verdicts_of_the_fig9_row() {
-        let s = payment_with_clients(2);
-        let outcomes = s.run(40_000).expect("verification");
+        let verdicts = run(&spec(2), 40_000).verdicts();
         // Column order: deadlock-free, ev-usage, forwarding, non-usage,
         // reactive, responsive.
-        assert!(outcomes[0].holds, "the composition never deadlocks");
+        assert!(verdicts[0], "the composition never deadlocks");
         assert!(
-            !outcomes[2].holds,
+            !verdicts[2],
             "forwarding self→aud fails: rejected payments are not audited"
         );
-        assert!(!outcomes[3].holds, "aud is used for output");
+        assert!(!verdicts[3], "aud is used for output");
         assert!(
-            outcomes[5].holds,
+            verdicts[5],
             "the service is responsive: every received reply channel is answered"
         );
     }
 
     #[test]
     fn state_space_grows_with_the_number_of_clients() {
-        let small = payment_with_clients(1).run(40_000).unwrap()[0].states;
-        let large = payment_with_clients(3).run(40_000).unwrap()[0].states;
+        let small = run(&spec(1), 40_000).states();
+        let large = run(&spec(3), 40_000).states();
         assert!(large > small, "expected growth: {small} -> {large}");
     }
 }

@@ -7,121 +7,52 @@
 //! (the ponger answers on the received reply channel), which is what makes
 //! the responsiveness property of its mailbox hold.
 
-use dbt_types::TypeEnv;
-use lambdapi::{Name, Type};
+use super::{row_spec, Probes};
 
-use super::{standard_properties, Scenario};
-
-fn ping_chan(i: usize) -> String {
-    format!("y{i}")
-}
-
-fn pong_chan(i: usize) -> String {
-    format!("z{i}")
-}
-
-/// A one-shot pinger: send the reply channel `y` on `z`, then stop.
-pub fn plain_pinger(y: &str, z: &str) -> Type {
-    Type::out(Type::var(z), Type::var(y), Type::thunk(Type::Nil))
-}
-
-/// A one-shot, non-responsive ponger: consume the request and stop without
-/// answering.
-pub fn plain_ponger(z: &str) -> Type {
-    Type::inp(
-        Type::var(z),
-        Type::pi("replyTo", Type::chan_out(Type::Str), Type::Nil),
-    )
-}
-
-/// A looping pinger: send the reply channel, await the answer, repeat.
-pub fn responsive_pinger(y: &str, z: &str) -> Type {
-    Type::rec(
-        "p",
-        Type::out(
-            Type::var(z),
-            Type::var(y),
-            Type::thunk(Type::inp(
-                Type::var(y),
-                Type::pi("reply", Type::Str, Type::rec_var("p")),
-            )),
-        ),
-    )
-}
-
-/// A looping, responsive ponger: forever receive a reply channel and answer
-/// on it (the Ex. 2.2 ponger made recursive).
-pub fn responsive_ponger(z: &str) -> Type {
-    Type::rec(
-        "q",
-        Type::inp(
-            Type::var(z),
-            Type::pi(
-                "replyTo",
-                Type::chan_out(Type::Str),
-                Type::out(
-                    Type::var("replyTo"),
-                    Type::Str,
-                    Type::thunk(Type::rec_var("q")),
-                ),
-            ),
-        ),
-    )
-}
-
-/// Builds the "Ping-pong (`pairs` pairs)" scenario; when `responsive` is true,
-/// the first pair runs the responsive protocol.
-pub fn ping_pong_pairs(pairs: usize, responsive: bool) -> Scenario {
-    assert!(pairs >= 1);
-    let mut env = TypeEnv::new();
+/// The "Ping-pong (`pairs` pairs[, responsive])" row as `.effpi` text: pair
+/// `I` is a pinger sending its reply channel `yI` on the ponger's mailbox
+/// `zI`, and the ponger receiving it.
+///
+/// A plain pinger sends once and stops; a plain ponger consumes the request
+/// and stops without answering. When `responsive` is true, pair 0 loops
+/// instead: its pinger awaits the answer on `y0` before sending again, and
+/// its ponger answers every request on the reply channel it received. The
+/// row needs a pair: for `pairs = 0` the checks name an undeclared channel
+/// and the text is rejected by [`crate::spec::parse_spec`].
+pub fn spec(pairs: usize, responsive: bool) -> String {
+    let mut env = Vec::new();
     let mut components = Vec::new();
     for i in 0..pairs {
-        let y = ping_chan(i);
-        let z = pong_chan(i);
-        env = env
-            .bind(y.as_str(), Type::chan_io(Type::Str))
-            .bind(z.as_str(), Type::chan_io(Type::chan_out(Type::Str)));
+        env.push((format!("y{i}"), "cio[str]".to_string()));
+        env.push((format!("z{i}"), "cio[co[str]]".to_string()));
         if responsive && i == 0 {
-            components.push(responsive_pinger(&y, &z));
-            components.push(responsive_ponger(&z));
+            components.push(format!(
+                "rec p . o[z{i}, y{i}, Pi() i[y{i}, Pi(reply: str) p]]"
+            ));
+            components.push(format!(
+                "rec q . i[z{i}, Pi(replyTo: co[str]) o[replyTo, str, Pi() q]]"
+            ));
         } else {
-            components.push(plain_pinger(&y, &z));
-            components.push(plain_ponger(&z));
+            components.push(format!("o[z{i}, y{i}, Pi() nil]"));
+            components.push(format!("i[z{i}, Pi(replyTo: co[str]) nil]"));
         }
     }
-
-    let variant = if responsive { ", responsive" } else { "" };
-    Scenario {
-        name: format!("Ping-pong ({pairs} pairs{variant})"),
-        env,
-        ty: Type::par_all(components),
-        visible: vec![Name::new(pong_chan(0)), Name::new(ping_chan(0))],
-        properties: standard_properties(
-            vec![],
-            Name::new(ping_chan(0)),
-            Name::new(pong_chan(0)),
-            Name::new(ping_chan(0)),
-            Name::new(pong_chan(0)),
-        ),
-        paper_verdicts: Some(if responsive {
-            [true, true, false, false, false, true]
-        } else {
-            [true, true, false, false, false, false]
-        }),
-        paper_states: match (pairs, responsive) {
-            (6, false) => Some(4_096),
-            (6, true) => Some(46_656),
-            (8, false) => Some(65_536),
-            (8, true) => Some(1_679_616),
-            (10, false) => Some(1_048_576),
-            (10, true) => Some(2_000_000),
-            _ => None,
+    row_spec(
+        &env,
+        ["z0", "y0"],
+        &components,
+        Probes {
+            usage: "y0",
+            from: "z0",
+            to: "y0",
+            mailbox: "z0",
         },
-    }
+    )
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::{parsed, run};
     use super::*;
     use dbt_types::Checker;
 
@@ -129,8 +60,10 @@ mod tests {
     fn both_variants_are_valid_process_types() {
         let checker = Checker::new();
         for responsive in [false, true] {
-            let s = ping_pong_pairs(2, responsive);
-            checker.check_pi_type(&s.env, &s.ty).expect("valid π-type");
+            let (spec, ty) = parsed(&spec(2, responsive));
+            checker.check_pi_type(&spec.env, &ty).expect("valid π-type");
+            assert!(ty.is_guarded());
+            assert!(!ty.has_par_under_rec());
         }
     }
 
@@ -139,20 +72,17 @@ mod tests {
         // The headline distinction of the ping-pong rows of Fig. 9: the
         // responsive variant satisfies responsiveness on the probed mailbox,
         // the plain variant does not. Both are deadlock-free.
-        let plain = ping_pong_pairs(2, false).run(60_000).expect("plain");
-        let resp = ping_pong_pairs(2, true).run(60_000).expect("responsive");
-        assert!(
-            plain[0].holds && resp[0].holds,
-            "both variants are deadlock-free"
-        );
-        assert!(!plain[5].holds, "the plain ponger never answers");
-        assert!(resp[5].holds, "the responsive ponger answers every request");
+        let plain = run(&spec(2, false), 60_000).verdicts();
+        let resp = run(&spec(2, true), 60_000).verdicts();
+        assert!(plain[0] && resp[0], "both variants are deadlock-free");
+        assert!(!plain[5], "the plain ponger never answers");
+        assert!(resp[5], "the responsive ponger answers every request");
     }
 
     #[test]
     fn adding_pairs_multiplies_the_state_space() {
-        let two = ping_pong_pairs(2, false).run(60_000).unwrap()[0].states;
-        let three = ping_pong_pairs(3, false).run(60_000).unwrap()[0].states;
+        let two = run(&spec(2, false), 60_000).states();
+        let three = run(&spec(3, false), 60_000).states();
         assert!(three > two);
     }
 }

@@ -6,125 +6,83 @@
 //! *forwarding*: whatever a member receives on its channel is passed on to the
 //! next channel before the member reads its own channel again.
 
-use dbt_types::TypeEnv;
-use lambdapi::{Name, Type};
+use super::{row_spec, Probes};
 
-use super::{standard_properties, Scenario};
-
-fn member_chan(i: usize) -> String {
-    format!("c{i}")
-}
-
-/// A ring member: forever receive a token on `own` and forward it on `next`.
-pub fn member_type(own: &str, next: &str) -> Type {
-    Type::rec(
-        "r",
-        Type::inp(
-            Type::var(own),
-            Type::pi(
-                "tok",
-                Type::Unit,
-                Type::out(Type::var(next), Type::Unit, Type::thunk(Type::rec_var("r"))),
-            ),
-        ),
-    )
-}
-
-/// A token injector: put one token on the given channel and stop.
-pub fn injector_type(chan: &str) -> Type {
-    Type::out(Type::var(chan), Type::Unit, Type::thunk(Type::Nil))
-}
-
-/// Builds the "Ring (`members` elements, `tokens` tokens)" scenario.
-pub fn token_ring(members: usize, tokens: usize) -> Scenario {
-    assert!(members >= 2, "a ring needs at least two members");
-    assert!(
-        tokens >= 1 && tokens <= members,
-        "tokens must fit in the ring"
-    );
-    let mut env = TypeEnv::new();
-    for i in 0..members {
-        env = env.bind(member_chan(i).as_str(), Type::chan_io(Type::Unit));
-    }
-    let mut components = Vec::new();
-    for i in 0..members {
-        components.push(member_type(
-            &member_chan(i),
-            &member_chan((i + 1) % members),
-        ));
-    }
+/// The "Ring (`members` elements[, `tokens` tokens])" row as `.effpi` text:
+/// member `I` forever receives a token on `cI` and forwards it on the next
+/// member's channel, and `tokens` injectors, spread evenly around the ring,
+/// each put one token on a member's channel and stop.
+///
+/// The row needs two members: for `members < 2` the checks name an
+/// undeclared channel and the text is rejected by
+/// [`crate::spec::parse_spec`].
+pub fn spec(members: usize, tokens: usize) -> String {
+    let env: Vec<_> = (0..members)
+        .map(|i| (format!("c{i}"), "cio[()]".to_string()))
+        .collect();
+    let mut components: Vec<String> = (0..members)
+        .map(|i| {
+            let next = (i + 1) % members;
+            format!("rec r . i[c{i}, Pi(tok: ()) o[c{next}, (), Pi() r]]")
+        })
+        .collect();
     for t in 0..tokens {
-        components.push(injector_type(&member_chan(t * members / tokens)));
+        components.push(format!("o[c{}, (), Pi() nil]", t * members / tokens));
     }
-
-    let name = if tokens == 1 {
-        format!("Ring ({members} elements)")
-    } else {
-        format!("Ring ({members} elements, {tokens} tokens)")
-    };
-    Scenario {
-        name,
-        env,
-        ty: Type::par_all(components),
-        visible: vec![Name::new(member_chan(0)), Name::new(member_chan(1))],
-        properties: standard_properties(
-            vec![],
-            Name::new(member_chan(1)),
-            Name::new(member_chan(0)),
-            Name::new(member_chan(1)),
-            Name::new(member_chan(0)),
-        ),
-        paper_verdicts: Some([true, true, true, false, true, false]),
-        paper_states: match (members, tokens) {
-            (10, 1) => Some(2_048),
-            (15, 1) => Some(65_536),
-            (10, 3) => Some(4_096),
-            (15, 3) => Some(131_072),
-            _ => None,
+    row_spec(
+        &env,
+        ["c0", "c1"],
+        &components,
+        Probes {
+            usage: "c1",
+            from: "c0",
+            to: "c1",
+            mailbox: "c0",
         },
-    }
+    )
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::{parsed, run};
     use super::*;
+    use crate::{Property, Session};
     use dbt_types::Checker;
-    use mucalc::Property;
 
     #[test]
     fn the_ring_is_a_valid_guarded_process_type() {
-        let s = token_ring(4, 1);
+        let (spec, ty) = parsed(&spec(4, 1));
         Checker::new()
-            .check_pi_type(&s.env, &s.ty)
+            .check_pi_type(&spec.env, &ty)
             .expect("valid π-type");
-        assert!(s.ty.is_guarded());
+        assert!(ty.is_guarded());
+        assert!(!ty.has_par_under_rec());
     }
 
     #[test]
     fn the_ring_circulates_forever_without_deadlock_and_without_using_foreign_channels() {
-        let s = token_ring(4, 1);
-        let outcomes = s.run(60_000).expect("verification");
-        assert!(outcomes[0].holds, "deadlock-free");
-        assert!(
-            !outcomes[3].holds,
-            "c1 is used for output (non-usage fails)"
-        );
-        assert!(
-            !outcomes[5].holds,
-            "members never answer on the received token"
-        );
-        // Non-usage of a channel outside the ring trivially holds.
-        let outside = s
-            .run_property(&Property::non_usage(["c_does_not_exist"]), 60_000)
+        let verdicts = run(&spec(4, 1), 60_000).verdicts();
+        assert!(verdicts[0], "deadlock-free");
+        assert!(!verdicts[3], "c1 is used for output (non-usage fails)");
+        assert!(!verdicts[5], "members never answer on the received token");
+        // Non-usage of a channel outside the ring trivially holds. A spec
+        // cannot check an undeclared channel, so ask the type directly, on
+        // the row's visible channels.
+        let (spec, ty) = parsed(&spec(4, 1));
+        let outside = Session::builder()
+            .max_states(60_000)
+            .visible(spec.visible.clone())
+            .build()
+            .verify(&spec.env, &ty, &Property::non_usage(["c_does_not_exist"]))
             .unwrap();
         assert!(outside.holds);
     }
 
     #[test]
     fn more_members_and_more_tokens_mean_more_states() {
-        let base = token_ring(3, 1).run(60_000).unwrap()[0].states;
-        let more_members = token_ring(4, 1).run(60_000).unwrap()[0].states;
-        let more_tokens = token_ring(4, 2).run(60_000).unwrap()[0].states;
+        let base = run(&spec(3, 1), 60_000).states();
+        let more_members = run(&spec(4, 1), 60_000).states();
+        let more_tokens = run(&spec(4, 2), 60_000).states();
         assert!(more_members > base);
         assert!(more_tokens >= more_members);
     }

@@ -6,10 +6,10 @@
 //! §4). A [`Session`] is this reproduction's counterpart: a builder-configured
 //! façade that owns the typing [`Checker`] and the model-checking
 //! [`Verifier`], caches them across calls, and is the single place where
-//! programs, types, [`Scenario`]s and `.effpi` [`Spec`]s enter the pipeline.
+//! programs, types and `.effpi` [`Spec`]s enter the pipeline.
 //!
 //! ```
-//! use effpi::{Property, Session};
+//! use effpi::Session;
 //! use effpi::protocols::payment;
 //!
 //! let session = Session::builder().max_states(50_000).build();
@@ -19,9 +19,10 @@
 //! let ty = lambdapi::examples::tpayment_type();
 //! session.type_check_closed(&term, &ty).unwrap();
 //!
-//! // Step 2 — the composed scenario's Fig. 9 row: deadlock-free (col 1) and
-//! // responsive (col 6), though not unconditionally forwarding (col 3).
-//! let report = session.run_scenario(&payment::payment_with_clients(2));
+//! // Step 2 — the composed protocol's Fig. 9 row, generated as `.effpi`
+//! // text: deadlock-free (col 1) and responsive (col 6), though not
+//! // unconditionally forwarding (col 3).
+//! let report = session.run_spec_text(&payment::spec(2)).unwrap();
 //! assert!(report.first_error().is_none());
 //! let verdicts = report.verdicts();
 //! assert!(verdicts[0] && verdicts[5] && !verdicts[2]);
@@ -41,7 +42,6 @@ use lambdapi::{Name, Term, TyRef, Type};
 use lts::{CancelToken, ExploreConfig, Lts, Strategy, TypeLabel};
 use mucalc::{Property, VerificationOutcome, Verifier, VerifyError};
 
-use crate::protocols::Scenario;
 use crate::spec::{parse_spec, Spec, SpecError};
 
 // ---------------------------------------------------------------------------
@@ -59,22 +59,6 @@ pub enum Error {
     Verify(VerifyError),
     /// A `.effpi` specification is malformed or incomplete.
     Spec(SpecError),
-}
-
-impl Error {
-    /// Unwraps the Step 2 (verification) variant, for wrappers (e.g.
-    /// [`Scenario::run`]) whose code paths can only produce verification
-    /// errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any other variant.
-    pub(crate) fn expect_verify(self) -> VerifyError {
-        match self {
-            Error::Verify(e) => e,
-            other => unreachable!("verification produced {other}"),
-        }
-    }
 }
 
 impl fmt::Display for Error {
@@ -134,8 +118,8 @@ pub struct SessionConfig {
     pub auto_probe: bool,
     /// Channels visible to the environment in direct [`Session::verify`] /
     /// [`Session::verify_all`] / [`Session::build_lts`] calls; `None` keeps
-    /// the full Def. 4.2 transition relation. Scenario and spec runs use the
-    /// artifact's own `visible` list instead.
+    /// the full Def. 4.2 transition relation. Spec runs use the spec's own
+    /// `visible` list instead.
     pub visible: Option<Vec<Name>>,
     /// Worker threads used for state-space exploration (Step 2); `1` explores
     /// serially. Reports are identical for every value — see the determinism
@@ -323,9 +307,10 @@ impl SessionBuilder {
 ///
 /// A session owns one typing [`Checker`] and one model-checking [`Verifier`],
 /// configured once through [`Session::builder`] and reused across calls —
-/// every consumer (protocol scenarios, `.effpi` specs, the CLI, the benchmark
-/// harness) routes through it, which is also where future cross-call work
-/// (LTS caching, parallel property checking, alternative backends) plugs in.
+/// every consumer (`.effpi` specs, the Fig. 9 table, the CLI, the daemon,
+/// the benchmark harness) routes through it, which is also where future
+/// cross-call work (LTS caching, parallel property checking, alternative
+/// backends) plugs in.
 #[derive(Clone, Debug)]
 pub struct Session {
     config: SessionConfig,
@@ -475,78 +460,7 @@ impl Session {
         Ok(lts)
     }
 
-    // ----- whole scenarios and .effpi specs ---------------------------------
-
-    /// A copy of the cached verifier scoped to an artifact's own `visible`
-    /// channel list (scenarios and specs carry theirs; it overrides the
-    /// session default for their runs).
-    fn scoped_verifier(&self, visible: &[Name]) -> Verifier {
-        let mut verifier = self.verifier.clone();
-        verifier.visible = Some(visible.to_vec());
-        verifier
-    }
-
-    /// The shared Step 2 core of scenario and spec runs: verifies all
-    /// properties on one shared LTS, built with the artifact's own `visible`
-    /// channel list.
-    fn run_properties(
-        &self,
-        env: &TypeEnv,
-        ty: &Type,
-        visible: &[Name],
-        properties: &[Property],
-    ) -> Result<Vec<PropertyReport>, Error> {
-        let outcomes = self
-            .scoped_verifier(visible)
-            .verify_all(env, ty, properties)?;
-        Ok(properties
-            .iter()
-            .cloned()
-            .zip(outcomes)
-            .map(|(property, outcome)| PropertyReport {
-                property,
-                result: Ok(outcome),
-            })
-            .collect())
-    }
-
-    /// Runs every property of a protocol [`Scenario`] (one full Fig. 9 row),
-    /// using the scenario's own `visible` channel list.
-    ///
-    /// Scenario-level failures (undecidable fragment, state bound) are
-    /// captured in the returned report's [`Report::error`] rather than raised,
-    /// so table generators can render partial results.
-    pub fn run_scenario(&self, scenario: &Scenario) -> Report {
-        let mut report = Report::named(&scenario.name);
-        report.strategy = self.config.strategy;
-        match self.run_properties(
-            &scenario.env,
-            &scenario.ty,
-            &scenario.visible,
-            &scenario.properties,
-        ) {
-            Ok(properties) => report.properties = properties,
-            Err(e) => report.error = Some(e),
-        }
-        report
-    }
-
-    /// Runs one property of a protocol [`Scenario`], using the scenario's own
-    /// `visible` channel list.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Verify`] when the scenario's type cannot be
-    /// model-checked.
-    pub fn run_scenario_property(
-        &self,
-        scenario: &Scenario,
-        property: &Property,
-    ) -> Result<VerificationOutcome, Error> {
-        self.scoped_verifier(&scenario.visible)
-            .verify(&scenario.env, &scenario.ty, property)
-            .map_err(Error::from)
-    }
+    // ----- .effpi specs -----------------------------------------------------
 
     /// Runs a parsed `.effpi` [`Spec`]: type-checks the optional `term`
     /// statement against the `type` (Step 1) and verifies every `check`
@@ -566,9 +480,20 @@ impl Session {
         let mut error = None;
         if let Some(ty) = &spec.ty {
             if !spec.checks.is_empty() {
-                match self.run_properties(&spec.env, ty, &spec.visible, &spec.checks) {
-                    Ok(checked) => properties = checked,
-                    Err(e) => error = Some(e),
+                // All checks share one LTS, built with the spec's own
+                // `visible` list (it overrides the session default).
+                let mut verifier = self.verifier.clone();
+                verifier.visible = Some(spec.visible.clone());
+                match verifier.verify_all(&spec.env, ty, &spec.checks) {
+                    Ok(outcomes) => {
+                        properties = (spec.checks.iter().cloned().zip(outcomes))
+                            .map(|(property, outcome)| PropertyReport {
+                                property,
+                                result: Ok(outcome),
+                            })
+                            .collect();
+                    }
+                    Err(e) => error = Some(e.into()),
                 }
             }
         } else if !spec.checks.is_empty() {
@@ -634,12 +559,13 @@ impl PropertyReport {
     }
 }
 
-/// A structured report of one pipeline run (a scenario or a specification):
-/// the Step 1 typing outcome, one entry per property, and any run-level
-/// failure.
+/// A structured report of one pipeline run (a specification): the Step 1
+/// typing outcome, one entry per property, and any run-level failure.
 #[derive(Clone, Debug, Default)]
 pub struct Report {
-    /// The scenario name, when the run came from a [`Scenario`].
+    /// A label for the run. [`Session`] runs are anonymous and leave it
+    /// `None`; it is rendered (in the summary, the wire JSON and the human
+    /// rendering) only for reports assembled by hand that set it.
     pub name: Option<String>,
     /// The Step 1 outcome, when the run included a term to type-check.
     pub typecheck: Option<Result<(), Error>>,
@@ -656,13 +582,6 @@ pub struct Report {
 }
 
 impl Report {
-    fn named(name: &str) -> Report {
-        Report {
-            name: Some(name.to_string()),
-            ..Report::default()
-        }
-    }
-
     /// `true` when nothing failed: no run-level error, the term (if any)
     /// type-checks, and every checked property was decided and holds.
     pub fn passed(&self) -> bool {
@@ -677,7 +596,7 @@ impl Report {
     }
 
     /// Number of states of the explored type LTS (the largest across
-    /// properties, which for a scenario is the one shared LTS).
+    /// properties, which for a spec run is the one shared LTS).
     pub fn states(&self) -> usize {
         self.properties
             .iter()
@@ -848,7 +767,7 @@ impl Report {
 impl fmt::Display for Report {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if let Some(name) = &self.name {
-            writeln!(f, "scenario: {name}")?;
+            writeln!(f, "name: {name}")?;
         }
         match &self.typecheck {
             Some(Ok(())) => writeln!(f, "typecheck: ok")?,
@@ -872,7 +791,7 @@ impl fmt::Display for Report {
 /// line of stable `key=value` pairs.
 #[derive(Clone, Debug)]
 pub struct ReportSummary {
-    /// Scenario name (empty for anonymous spec runs).
+    /// The report's [`Report::name`] (empty for anonymous runs).
     pub name: String,
     /// Overall verdict, as in [`Report::passed`].
     pub passed: bool,
@@ -898,11 +817,20 @@ impl ReportSummary {
     /// lines regardless of the session's `parallelism` (the determinism suite
     /// asserts exactly this). [`fmt::Display`] adds the timing back.
     pub fn stable_line(&self) -> String {
+        self.line(None)
+    }
+
+    /// The `key=value` line, with `duration_ms` after `transitions` when a
+    /// duration is given.
+    fn line(&self, duration: Option<Duration>) -> String {
         use fmt::Write as _;
         let mut line = format!(
             "name={:?} passed={} states={} transitions={}",
             self.name, self.passed, self.states, self.transitions
         );
+        if let Some(duration) = duration {
+            let _ = write!(line, " duration_ms={}", duration.as_millis());
+        }
         if !self.verdicts.is_empty() {
             let cells: Vec<String> = self
                 .verdicts
@@ -926,29 +854,6 @@ impl ReportSummary {
 
 impl fmt::Display for ReportSummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "name={:?} passed={} states={} transitions={} duration_ms={}",
-            self.name,
-            self.passed,
-            self.states,
-            self.transitions,
-            self.duration.as_millis()
-        )?;
-        if !self.verdicts.is_empty() {
-            let cells: Vec<String> = self
-                .verdicts
-                .iter()
-                .map(|(n, h)| format!("{n}:{h}"))
-                .collect();
-            write!(f, " verdicts={}", cells.join(","))?;
-        }
-        if let Some(e) = &self.error {
-            write!(f, " error={e:?}")?;
-            if self.strategy != Strategy::Bfs {
-                write!(f, " strategy={}", self.strategy)?;
-            }
-        }
-        Ok(())
+        f.write_str(&self.line(Some(self.duration)))
     }
 }

@@ -30,7 +30,9 @@
 //! * `term TERM` — an optional λπ⩽ term to type-check against the `type`;
 //! * `check PROPERTY` — a property to verify, one of:
 //!   `non_usage [x, ...]`, `deadlock_free [x, ...]`, `eventual_output [x, ...]`,
-//!   `forwarding x -> y`, `reactive x`, `responsive x`.
+//!   `forwarding x -> y`, `reactive x`, `responsive x`. Every channel a
+//!   check names must be an identifier declared by some `env` statement
+//!   (anywhere in the file).
 //!
 //! Statements may span several lines; a new statement starts whenever a line
 //! begins with one of the keywords above. Lines starting with `//` or `#` are
@@ -43,6 +45,7 @@
 use std::fmt;
 
 use dbt_types::TypeEnv;
+use lambdapi::lexer::{tokenize, Token};
 use lambdapi::parser::{parse_term_with, parse_type_with, Definitions};
 use lambdapi::{Name, Term, Type};
 use mucalc::Property;
@@ -126,6 +129,9 @@ pub fn parse_spec(input: &str) -> Result<Spec, SpecError> {
         checks: Vec::new(),
     };
     let mut explicit_visible = false;
+    // The line of each `check`, for the declaration check once every `env`
+    // statement has been read.
+    let mut check_lines = Vec::new();
 
     for (line, stmt) in statements {
         let (keyword, rest) = stmt
@@ -178,10 +184,26 @@ pub fn parse_spec(input: &str) -> Result<Spec, SpecError> {
             }
             "check" => {
                 spec.checks.push(parse_property(rest).map_err(&err)?);
+                check_lines.push(line);
             }
             other => {
                 return Err(err(format!("unknown statement keyword {other:?}")));
             }
+        }
+    }
+    for (property, line) in spec.checks.iter().zip(check_lines) {
+        if let Some(chan) = property
+            .interfaces()
+            .into_iter()
+            .find(|chan| !spec.env.contains(chan))
+        {
+            return Err(SpecError {
+                line,
+                message: format!(
+                    "`{}` check names `{chan}`, which no `env` statement declares",
+                    property.name()
+                ),
+            });
         }
     }
     Ok(spec)
@@ -196,20 +218,21 @@ fn parse_property(text: &str) -> Result<Property, String> {
             .strip_prefix('[')
             .and_then(|s| s.strip_suffix(']'))
             .ok_or_else(|| format!("expected a channel list like [x, y], found {s:?}"))?;
-        Ok(inner
+        if inner.trim().is_empty() {
+            return Ok(Vec::new());
+        }
+        inner
             .split(',')
-            .map(|v| v.trim().to_string())
-            .filter(|v| !v.is_empty())
-            .collect())
+            .map(|v| ident(v.trim()).map(str::to_string))
+            .collect()
     };
-    // A property over a nameless channel can never hold meaningfully, and
-    // the server feeds this parser untrusted bytes: empty names are a parse
-    // error, not an empty `Name`.
+    // A channel name is one identifier token, as the type syntax spells
+    // variables: the server feeds this parser untrusted bytes, and a name
+    // like `client aud` or `[self]` could only ever name no channel at all.
     fn ident(s: &str) -> Result<&str, String> {
-        if s.is_empty() || s.split_whitespace().nth(1).is_some() {
-            Err(format!("expected one channel name, found {s:?}"))
-        } else {
-            Ok(s)
+        match tokenize(s).as_deref() {
+            Ok([Token::Ident(id), Token::Eof]) if id == s => Ok(s),
+            _ => Err(format!("expected one channel name, found {s:?}")),
         }
     }
     match name {
@@ -312,5 +335,42 @@ mod tests {
         assert!(err2.to_string().contains("env NAME : TYPE"));
         let err3 = parse_spec("check explode [x]").unwrap_err();
         assert!(err3.message.contains("unknown property"));
+    }
+
+    #[test]
+    fn checks_name_declared_identifiers_only() {
+        // The declarations of `examples/specs/payment.effpi`, on lines 1-4.
+        let decls = "env self : cio[int]\n\
+                     env aud : co[int]\n\
+                     env client : co[str | ()]\n\
+                     type rec t . i[self, Pi(pay: int) ( o[client, str, Pi() t] \
+                     | o[aud, pay, Pi() o[client, (), Pi() t]] )]\n";
+        for (check, named) in [
+            // A missing comma does not make one channel called "client aud".
+            ("check non_usage [client aud]", "\"client aud\""),
+            // A single-channel property takes no brackets: no "[self]".
+            ("check responsive [self]", "\"[self]\""),
+            ("check reactive nobody", "`nobody`"),
+            ("check forwarding self -> auditor", "`auditor`"),
+            // An empty entry names no channel.
+            ("check deadlock_free [self, , aud]", "\"\""),
+        ] {
+            let err = parse_spec(&format!("{decls}{check}\n")).unwrap_err();
+            assert_eq!(err.line, 5, "{check}: {err}");
+            assert!(err.message.contains(named), "{check}: {err}");
+        }
+        // Declarations are checked once the whole file is read, and an empty
+        // probe list is no entry at all.
+        let spec = parse_spec(&format!(
+            "check responsive self\ncheck deadlock_free []\n{decls}"
+        ))
+        .unwrap();
+        assert_eq!(
+            spec.checks,
+            vec![
+                Property::responsive("self"),
+                Property::deadlock_free(Vec::<Name>::new())
+            ]
+        );
     }
 }

@@ -73,6 +73,10 @@ impl Shared {
 
     fn terminate_process(&self) {
         if self.live.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // Under the queue lock: a worker in `pop` checks `done` and then
+            // waits while holding it, so a wake-up sent between its check and
+            // its wait would be lost and leave it blocked forever.
+            let _queue = self.queue.lock();
             self.done.store(true, Ordering::Release);
             self.ready.notify_all();
         }

@@ -4,7 +4,8 @@
 //! * a warm cache hit returns a report whose `stable_line` (and indeed whole
 //!   wire rendering) is byte-identical to the cold run;
 //! * four concurrent clients over the shipped `examples/specs/*.effpi` all
-//!   get verdicts identical to direct `effpi::Session` runs;
+//!   get verdicts identical to direct `effpi::Session` runs, and so does
+//!   every scale-0 Fig. 9 row generated by `effpi::protocols`;
 //! * cancellation, stats, protocol errors and graceful shutdown behave as
 //!   `PROTOCOL.md` documents, over TCP and over a Unix socket;
 //! * sequential TCP exchanges never wait on a delayed ACK.
@@ -158,6 +159,30 @@ fn four_concurrent_clients_match_direct_session_runs() {
         "repeated workload produced no cache hits: {stats}"
     );
 
+    handle.shutdown();
+}
+
+#[test]
+fn the_daemon_answers_every_scale_zero_fig9_row() {
+    // Every Fig. 9 row is `.effpi` text, so a table cell is an ordinary
+    // request: the daemon's verdicts and state counts must be the ones a
+    // direct pipeline run (and hence the pinned table of tests/fig9.rs)
+    // gives for the same text.
+    let (handle, addr) = start_tcp();
+    let mut client = Client::connect_tcp(&addr).expect("connect");
+    let rows = effpi::protocols::fig9_specs(0);
+    assert_eq!(rows.len(), 10);
+    for row in &rows {
+        let reply = client
+            .verify(&row.spec, VerifyOptions::default())
+            .unwrap_or_else(|e| panic!("{}: {e}", row.name));
+        assert_eq!(
+            reply.report.stable_line,
+            direct_stable_line(&row.spec),
+            "{}: the daemon and a direct run disagree",
+            row.name
+        );
+    }
     handle.shutdown();
 }
 

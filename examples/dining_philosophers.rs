@@ -22,9 +22,19 @@ fn main() {
     // One session, reused for both layouts.
     let session = Session::builder().max_states(200_000).build();
     for allow_deadlock in [true, false] {
-        let scenario = dining::dining_philosophers(n, allow_deadlock);
-        println!("-- {} --", scenario.name);
-        let report = session.run_scenario(&scenario);
+        let layout = if allow_deadlock {
+            "every philosopher grabs the left fork first"
+        } else {
+            "one philosopher is left-handed"
+        };
+        println!("-- {n} seats, {layout} --");
+        let report = match session.run_spec_text(&dining::spec(n, allow_deadlock)) {
+            Ok(report) => report,
+            Err(e) => {
+                println!("   {e} (the table needs at least two seats)\n");
+                continue;
+            }
+        };
         match &report.error {
             None => {
                 for p in &report.properties {

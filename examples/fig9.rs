@@ -1,13 +1,14 @@
 //! Regenerates the paper's Figure 9: behavioural-property verification of the
-//! protocol scenarios (outcome and time per property, plus state counts).
+//! protocols (outcome and time per property, plus state counts).
 //!
-//! Every row is one protocol scenario from `effpi::protocols` (payment with
-//! clients, dining philosophers, ping-pong pairs, token rings); every column
-//! is one of the six Fig. 7 properties. Each cell reports the verdict and the
-//! verification time, and the row also reports the number of explored states —
-//! the same data as the paper's Fig. 9. Where the paper reports a verdict for
-//! the corresponding row, the table also prints the agreement so the *shape*
-//! comparison is explicit.
+//! Every row is one `.effpi` specification generated by `effpi::protocols`
+//! (payment with clients, dining philosophers, ping-pong pairs, token rings)
+//! and run through `Session::run_spec_text`, the path `effpi-cli verify` and
+//! `effpi-serve` take; every column is one of the six Fig. 7 properties. Each
+//! cell reports the verdict and the verification time, and the row also
+//! reports the number of explored states — the same data as the paper's
+//! Fig. 9. The table also prints each row's agreement with the paper's
+//! verdicts, so the *shape* comparison is explicit.
 //!
 //! Usage:
 //!
@@ -26,7 +27,7 @@
 
 use std::process::ExitCode;
 
-use effpi::protocols::{fig9_scenarios, Scenario};
+use effpi::protocols::{fig9_specs, Fig9Spec};
 use effpi::{Session, VerificationOutcome};
 use wire::flags::{parse_flag, resolve_jobs};
 
@@ -43,7 +44,7 @@ const COLUMNS: [&str; 6] = [
 /// One row of the reproduced Fig. 9.
 #[derive(Clone, Debug)]
 pub struct Fig9Row {
-    /// The scenario (protocol + size) of this row.
+    /// The protocol and size of this row.
     pub name: String,
     /// Number of states of the explored type LTS.
     pub states: usize,
@@ -51,39 +52,43 @@ pub struct Fig9Row {
     pub paper_states: Option<usize>,
     /// Outcome of each of the six properties (verdict + time), column order.
     pub outcomes: Vec<VerificationOutcome>,
-    /// The paper's verdicts for this row, when available.
-    pub paper_verdicts: Option<[bool; 6]>,
-    /// Error message if verification did not complete (state bound exceeded).
+    /// The paper's verdicts for this row.
+    pub paper_verdicts: [bool; 6],
+    /// Error message if verification did not complete (state bound exceeded,
+    /// or a malformed spec); `outcomes` then holds only the decided ones.
     pub error: Option<String>,
 }
 
 impl Fig9Row {
-    /// Verifies one scenario into a row on the given session.
-    pub fn verify(session: &Session, scenario: &Scenario) -> Fig9Row {
-        let report = session.run_scenario(scenario);
-        let summary = report.summary();
+    /// Verifies one Fig. 9 spec into a row on the given session.
+    pub fn verify(session: &Session, row: &Fig9Spec) -> Fig9Row {
+        let (states, outcomes, error) = match session.run_spec_text(&row.spec) {
+            Ok(report) => {
+                let summary = report.summary();
+                let outcomes = report
+                    .properties
+                    .into_iter()
+                    .filter_map(|p| p.result.ok())
+                    .collect();
+                (summary.states, outcomes, summary.error)
+            }
+            Err(e) => (0, Vec::new(), Some(e.to_string())),
+        };
         Fig9Row {
-            name: scenario.name.clone(),
-            states: summary.states,
-            paper_states: scenario.paper_states,
-            outcomes: report
-                .properties
-                .into_iter()
-                // Scenario properties verify wholesale (one shared LTS): either
-                // all six outcomes exist, or the failure is in summary.error and
-                // this list is empty. Keep the positional six-column contract
-                // loud rather than silently dropping a column.
-                .map(|p| p.result.expect("scenario properties verify wholesale"))
-                .collect(),
-            paper_verdicts: scenario.paper_verdicts,
-            error: summary.error,
+            name: row.name.clone(),
+            states,
+            paper_states: row.paper_states,
+            outcomes,
+            paper_verdicts: row.paper_verdicts,
+            error,
         }
     }
 
-    /// How many of the six verdicts agree with the paper (if known).
+    /// How many of the six verdicts agree with the paper (when all six were
+    /// decided).
     pub fn agreement(&self) -> Option<usize> {
-        let paper = self.paper_verdicts?;
-        if self.outcomes.len() != 6 {
+        let paper = self.paper_verdicts;
+        if self.error.is_some() || self.outcomes.len() != 6 {
             return None;
         }
         Some(
@@ -133,7 +138,7 @@ impl Fig9Row {
 pub fn header() -> String {
     format!(
         "{:<34} {:>9} {:>9}  {:<18} {:<18} {:<18} {:<18} {:<18} {:<18}  {}",
-        "scenario",
+        "row",
         "states",
         "paper",
         COLUMNS[0],
@@ -147,7 +152,7 @@ pub fn header() -> String {
 }
 
 /// Runs the whole Fig. 9 table at the given scale (see
-/// [`effpi::protocols::fig9_scenarios`]) with `jobs` exploration workers per
+/// [`effpi::protocols::fig9_specs`]) with `jobs` exploration workers per
 /// verification, sharing one [`Session`] across all rows — exactly how a
 /// verification service batches requests. Every row's verdicts and state
 /// counts are identical for every `jobs`; only the wall time changes.
@@ -156,7 +161,7 @@ pub fn run_table(scale: usize, max_states: usize, jobs: usize) -> Vec<Fig9Row> {
         .max_states(max_states)
         .parallelism(jobs)
         .build();
-    fig9_scenarios(scale)
+    fig9_specs(scale)
         .iter()
         .map(|s| Fig9Row::verify(&session, s))
         .collect()

@@ -48,7 +48,9 @@ fn main() {
     // What the type alone guarantees (Ex. 4.11), for any code the server runs.
     // ------------------------------------------------------------------
     println!("\n== Model-checked guarantees for any Tm-typed code ==");
-    let report = session.run_scenario(&mobile_code::mobile_code_scenario());
+    let report = session
+        .run_spec_text(&mobile_code::spec())
+        .expect("the generated spec parses");
     assert!(report.first_error().is_none(), "verification must complete");
     print!("{report}");
 

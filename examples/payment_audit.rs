@@ -50,11 +50,15 @@ fn step1_typecheck(session: &Session) {
     println!("unaudited behaviour vs audited spec ... rejected (as it should be)");
 }
 
-/// Step 2: verify the composed protocol (service + auditor + clients).
+/// Step 2: verify the composed protocol (service + auditor + clients), the
+/// "Pay & audit + 3 clients" row of Fig. 9 as `.effpi` text.
 fn step2_model_check(session: &Session) {
     println!("\n== Step 2: type-level model checking of the composed protocol ==");
-    let scenario = payment::payment_with_clients(3);
-    let report = session.run_scenario(&scenario);
+    let text = payment::spec(3);
+    print!("{text}");
+    let report = session
+        .run_spec_text(&text)
+        .expect("the generated spec parses");
     print!("{report}");
     assert!(report.first_error().is_none(), "verification must complete");
     let verdicts = report.verdicts();

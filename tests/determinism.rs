@@ -4,10 +4,10 @@
 //! renumbered into **exactly** the LTS the serial BFS would have produced, so
 //! a `Session` must report byte-identical results whatever its `parallelism`.
 //! This suite pins that guarantee at the outermost surface: for every
-//! protocol scenario in `effpi::protocols` and every `.effpi` specification
-//! shipped in `examples/specs/`, the stable summary line (every reported
-//! field except wall-clock timing) of a serial run and a `parallelism = 4`
-//! run must be byte-identical — and likewise, for every open-term
+//! Fig. 9 row and protocol spec generated by `effpi::protocols` and every
+//! `.effpi` specification shipped in `examples/specs/`, the stable summary
+//! line (every reported field except wall-clock timing) of a serial run and
+//! a `parallelism = 4` run must be byte-identical — and likewise, for every open-term
 //! conformance scenario, the full rendered Fig. 5 LTS (states in canonical
 //! numbering plus every transition triple) built through
 //! `Session::build_term_lts`.
@@ -25,8 +25,8 @@
 //! Beside the strategy leg sits the one place where strategies *should*
 //! differ: how soon a bounded hunt reaches a seeded safety violation.
 
-use effpi::protocols::{fig9_scenarios, mobile_code, open_terms};
-use effpi::spec::parse_spec;
+use effpi::protocols::{fig9_specs, mobile_code, open_terms};
+use effpi::spec::{parse_spec, Spec};
 use effpi::{
     ExploreConfig, Name, Session, SessionBuilder, Strategy, TermLabel, TermLts, TermRef, TyRef,
     Type, TypeEnv, TypeLts, Verifier,
@@ -43,21 +43,31 @@ fn session(parallelism: usize) -> Session {
         .build()
 }
 
+/// Parses generated spec text.
+fn parsed(text: &str) -> Spec {
+    parse_spec(text).unwrap_or_else(|e| panic!("{e}\n{text}"))
+}
+
+/// The scale-0 Fig. 9 rows plus the mobile-code spec, as `(name, spec)`.
+fn protocol_specs() -> Vec<(String, Spec)> {
+    let mut specs: Vec<(String, Spec)> = fig9_specs(0)
+        .into_iter()
+        .map(|row| (row.name, parsed(&row.spec)))
+        .collect();
+    specs.push(("Mobile code".to_string(), parsed(&mobile_code::spec())));
+    specs
+}
+
 #[test]
 fn every_protocol_scenario_reports_identically_serial_and_parallel() {
     let serial = session(1);
     let parallel = session(WORKERS);
-    let mut scenarios = fig9_scenarios(0);
-    scenarios.push(mobile_code::mobile_code_scenario());
-    assert!(scenarios.len() >= 8);
-    for scenario in &scenarios {
-        let s = serial.run_scenario(scenario).summary().stable_line();
-        let p = parallel.run_scenario(scenario).summary().stable_line();
-        assert_eq!(
-            s, p,
-            "{}: serial and {WORKERS}-worker runs disagree",
-            scenario.name
-        );
+    let specs = protocol_specs();
+    assert!(specs.len() >= 8);
+    for (name, spec) in &specs {
+        let s = serial.run_spec(spec).summary().stable_line();
+        let p = parallel.run_spec(spec).summary().stable_line();
+        assert_eq!(s, p, "{name}: serial and {WORKERS}-worker runs disagree");
     }
 }
 
@@ -105,14 +115,11 @@ fn every_strategy_reports_identically_on_complete_runs() {
         Strategy::RandomWalk { seed: 7 },
     ];
     let baseline = session(1);
-    let mut scenarios = fig9_scenarios(0);
-    scenarios.push(mobile_code::mobile_code_scenario());
-    for scenario in &scenarios {
-        let expect = baseline.run_scenario(scenario).summary().stable_line();
+    for (name, spec) in &protocol_specs() {
+        let expect = baseline.run_spec(spec).summary().stable_line();
         assert!(
             !expect.contains("error="),
-            "{}: the strategy contract only covers complete runs",
-            scenario.name
+            "{name}: the strategy contract only covers complete runs"
         );
         for strategy in strategies {
             for workers in [1, WORKERS] {
@@ -124,16 +131,11 @@ fn every_strategy_reports_identically_on_complete_runs() {
                     if budgeted {
                         builder = builder.memory_budget(1);
                     }
-                    let line = builder
-                        .build()
-                        .run_scenario(scenario)
-                        .summary()
-                        .stable_line();
+                    let line = builder.build().run_spec(spec).summary().stable_line();
                     assert_eq!(
                         expect, line,
-                        "{}: {strategy} x{workers} workers (budgeted: {budgeted}) differs \
-                         from serial BFS",
-                        scenario.name
+                        "{name}: {strategy} x{workers} workers (budgeted: {budgeted}) differs \
+                         from serial BFS"
                     );
                 }
             }
@@ -213,7 +215,7 @@ fn the_guided_beam_finds_a_seeded_violation_in_a_tenth_of_the_bfs_states() {
 
 #[test]
 fn truncated_runs_report_the_same_clamped_error_serial_and_parallel() {
-    // A bound small enough that every payment scenario trips it: the clamped
+    // A bound small enough that the first payment row trips it: the clamped
     // `StateSpaceTooLarge { bound, explored }` must also be identical (the
     // overshoot clamp makes `explored == bound` on every engine).
     let tight_serial = Session::builder().max_states(50).parallelism(1).build();
@@ -221,12 +223,9 @@ fn truncated_runs_report_the_same_clamped_error_serial_and_parallel() {
         .max_states(50)
         .parallelism(WORKERS)
         .build();
-    let scenario = &fig9_scenarios(0)[0];
-    let s = tight_serial.run_scenario(scenario).summary().stable_line();
-    let p = tight_parallel
-        .run_scenario(scenario)
-        .summary()
-        .stable_line();
+    let spec = parsed(&fig9_specs(0)[0].spec);
+    let s = tight_serial.run_spec(&spec).summary().stable_line();
+    let p = tight_parallel.run_spec(&spec).summary().stable_line();
     assert!(s.contains("error="), "expected a bound trip, got {s}");
     assert_eq!(s, p);
 }
@@ -306,16 +305,22 @@ fn the_open_term_corpus_explores_to_its_pinned_sizes() {
 // the engine's own choices, never observable in a result.
 // ---------------------------------------------------------------------------
 
-/// One scenario per protocol family — enough shape diversity to exercise
+/// One spec per protocol family — enough shape diversity to exercise
 /// both memory-layer representations, small enough that the knob matrix
 /// below stays test-suite-fast in debug builds.
-fn memory_corpus() -> Vec<effpi::Scenario> {
+fn memory_corpus() -> Vec<(&'static str, Spec)> {
     use effpi::protocols::{dining, payment, pingpong, ring};
     vec![
-        payment::payment_with_clients(3),
-        dining::dining_philosophers(3, false),
-        pingpong::ping_pong_pairs(3, true),
-        ring::token_ring(4, 2),
+        ("Pay & audit + 3 clients", parsed(&payment::spec(3))),
+        (
+            "Dining philos. (3, no deadlock)",
+            parsed(&dining::spec(3, false)),
+        ),
+        (
+            "Ping-pong (3 pairs, responsive)",
+            parsed(&pingpong::spec(3, true)),
+        ),
+        ("Ring (4 elements, 2 tokens)", parsed(&ring::spec(4, 2))),
     ]
 }
 
@@ -325,14 +330,9 @@ fn memory_corpus_lines(configure: impl Fn(SessionBuilder) -> SessionBuilder) -> 
     let session = configure(Session::builder().max_states(MAX_STATES)).build();
     memory_corpus()
         .iter()
-        .map(|scenario| {
-            let summary = session.run_scenario(scenario).summary();
-            assert!(
-                summary.error.is_none(),
-                "{}: {:?}",
-                scenario.name,
-                summary.error
-            );
+        .map(|(name, spec)| {
+            let summary = session.run_spec(spec).summary();
+            assert!(summary.error.is_none(), "{name}: {:?}", summary.error);
             summary.stable_line()
         })
         .collect()
@@ -359,12 +359,17 @@ where
     assert_eq!(a.parents, b.parents, "{what}: discovery tree");
 }
 
-/// The builder verification explores `scenario` with: the probed
-/// environment, the probes as the only early-input candidates, and the
-/// scenario's visible channels plus the probes.
-fn verification_builder(verifier: &Verifier, scenario: &effpi::Scenario) -> TypeLts {
-    let (env, probes) = verifier.probe_env(&scenario.env, &scenario.ty);
-    let mut visible = scenario.visible.clone();
+/// The type `spec` verifies.
+fn spec_type(spec: &Spec) -> &Type {
+    spec.ty.as_ref().expect("the spec has a type")
+}
+
+/// The builder verification explores `spec` with: the probed environment,
+/// the probes as the only early-input candidates, and the spec's visible
+/// channels plus the probes.
+fn verification_builder(verifier: &Verifier, spec: &Spec) -> TypeLts {
+    let (env, probes) = verifier.probe_env(&spec.env, spec_type(spec));
+    let mut visible = spec.visible.clone();
     visible.extend(probes.iter().cloned());
     TypeLts::with_checker(env, verifier.checker().clone())
         .with_candidate_policy(CandidatePolicy::Only(probes))
@@ -383,19 +388,19 @@ fn the_bitmap_table_is_byte_identical_to_the_hash_table() {
     let session = session(1);
     for workers in [1, WORKERS] {
         let config = ExploreConfig::new(workers, MAX_STATES);
-        for scenario in memory_corpus() {
-            let what = format!("{} x{workers} workers", scenario.name);
-            let builder = verification_builder(session.verifier(), &scenario);
-            let bitmap = builder.build_exploration(&scenario.ty, &config);
+        for (name, spec) in memory_corpus() {
+            let what = format!("{name} x{workers} workers");
+            let builder = verification_builder(session.verifier(), &spec);
+            let bitmap = builder.build_exploration(spec_type(&spec), &config);
             let hash = lts::explore(
-                builder.canonical_ref(&TyRef::intern(&scenario.ty)),
+                builder.canonical_ref(&TyRef::intern(spec_type(&spec))),
                 |state: &TyRef| builder.visible_successors(state),
                 &config,
             );
             assert_same_exploration(&bitmap, &hash, &what);
             assert_eq!(
                 bitmap.lts.num_states(),
-                session.run_scenario(&scenario).states(),
+                session.run_spec(&spec).states(),
                 "{what}: not the LTS verification decides on"
             );
         }
@@ -429,31 +434,31 @@ fn a_memory_budget_is_byte_identical_to_an_unbudgeted_run() {
 }
 
 /// A two-level fan, `∨ᵢ o[aᵢ, int, ∨ⱼ o[bⱼ, int, o[aᵢ, int, nil]]]` over
-/// `width` channels of each kind: `width²` distinct leaves, all discovered
-/// in one breadth-first layer, in a space of about `width² + 3·width` small
-/// states.
-fn fan(width: usize) -> effpi::Scenario {
-    let out = |chan: &str, then: Type| Type::out(Type::var(chan), Type::Int, Type::thunk(then));
-    let (a, b) = (|i| format!("a{i}"), |j| format!("b{j}"));
-    let mut env = TypeEnv::new();
-    let mut visible = Vec::new();
-    for name in (0..width).flat_map(|i| [a(i), b(i)]) {
-        env = env.bind(name.clone(), Type::chan_out(Type::Int));
-        visible.push(Name::new(name));
-    }
-    let ty = Type::union_all((0..width).map(|i| {
-        let leaves = (0..width).map(|j| out(&b(j), out(&a(i), Type::Nil)));
-        out(&a(i), Type::union_all(leaves))
-    }));
-    effpi::Scenario {
-        name: format!("Fan ({width} x {width})"),
-        env,
-        ty,
-        visible,
-        properties: vec![effpi::Property::DeadlockFree { vars: vec![] }],
-        paper_verdicts: None,
-        paper_states: None,
-    }
+/// `width` channels of each kind, as spec text checking deadlock freedom:
+/// `width²` distinct leaves, all discovered in one breadth-first layer, in a
+/// space of about `width² + 3·width` small states.
+fn fan(width: usize) -> String {
+    let out = |chan: String, then: String| format!("o[{chan}, int, Pi() {then}]");
+    let chans: Vec<String> = (0..width)
+        .flat_map(|i| [format!("a{i}"), format!("b{i}")])
+        .collect();
+    let branches: Vec<String> = (0..width)
+        .map(|i| {
+            let leaves: Vec<String> = (0..width)
+                .map(|j| out(format!("b{j}"), out(format!("a{i}"), "nil".into())))
+                .collect();
+            out(format!("a{i}"), format!("({})", leaves.join(" | ")))
+        })
+        .collect();
+    let env: String = chans
+        .iter()
+        .map(|c| format!("env {c} : co[int]\n"))
+        .collect();
+    format!(
+        "{env}visible {}\ntype {}\ncheck deadlock_free []\n",
+        chans.join(", "),
+        branches.join("\n  | ")
+    )
 }
 
 #[test]
@@ -465,22 +470,19 @@ fn a_budgeted_verification_spills_reloads_every_segment_and_does_not_drift() {
     // responsive ping-pong pairs, has 28 672 far costlier states.) The
     // budget must push the layer to disk, stream it back, and change nothing
     // in the report.
-    let scenario = fan(64);
+    let spec = parsed(&fan(64));
     let unbudgeted = session(1);
     let budgeted = Session::builder()
         .max_states(MAX_STATES)
         .memory_budget(1)
         .build();
-    let line = budgeted.run_scenario(&scenario).summary().stable_line();
+    let line = budgeted.run_spec(&spec).summary().stable_line();
     assert!(!line.contains("error="), "{line}");
-    assert_eq!(
-        line,
-        unbudgeted.run_scenario(&scenario).summary().stable_line()
-    );
+    assert_eq!(line, unbudgeted.run_spec(&spec).summary().stable_line());
 
     let verifier = budgeted.verifier();
-    let exploration = verification_builder(verifier, &scenario)
-        .build_exploration(&scenario.ty, &verifier.explore);
+    let exploration = verification_builder(verifier, &spec)
+        .build_exploration(spec_type(&spec), &verifier.explore);
     assert_eq!(exploration.status, ExploreStatus::Complete);
     let stats = exploration.stats;
     assert!(stats.spill_segments > 0, "nothing spilled: {stats:?}");
@@ -511,7 +513,7 @@ fn spill_directories_are_cleaned_up_after_every_run() {
 
 #[test]
 fn stable_lines_carry_everything_but_the_timing() {
-    let report = session(1).run_scenario(&fig9_scenarios(0)[0]);
+    let report = session(1).run_spec(&parsed(&fig9_specs(0)[0].spec));
     let summary = report.summary();
     let stable = summary.stable_line();
     assert!(stable.contains("states="));

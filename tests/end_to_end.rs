@@ -23,9 +23,8 @@ fn payment_with_audit_full_pipeline() {
         .type_check_closed(&examples::payment_term(), &examples::tpayment_type())
         .expect("typing");
 
-    // Step 2: type-level model checking of the composed scenario.
-    let scenario = payment::payment_with_clients(2);
-    let report = session.run_scenario(&scenario);
+    // Step 2: type-level model checking of the composed protocol's Fig. 9 row.
+    let report = session.run_spec_text(&payment::spec(2)).unwrap();
     assert!(report.first_error().is_none(), "verification completes");
     let verdicts = report.verdicts();
     assert!(verdicts[0], "deadlock-free");
@@ -109,8 +108,8 @@ fn ping_pong_full_pipeline() {
         .type_check_closed(&examples::ponger_term(), &examples::tpong_type())
         .expect("ponger typing");
 
-    let plain = session.run_scenario(&pingpong::ping_pong_pairs(2, false));
-    let responsive = session.run_scenario(&pingpong::ping_pong_pairs(2, true));
+    let plain = session.run_spec_text(&pingpong::spec(2, false)).unwrap();
+    let responsive = session.run_spec_text(&pingpong::spec(2, true)).unwrap();
     assert!(plain.first_error().is_none() && responsive.first_error().is_none());
     assert!(plain.verdicts()[0], "plain pairs are deadlock-free");
     let resp_verdicts = responsive.verdicts();
@@ -127,8 +126,8 @@ fn ping_pong_full_pipeline() {
 fn dining_philosophers_deadlock_detection_scales() {
     let session = Session::builder().max_states(150_000).build();
     for n in [2, 3] {
-        let bad = session.run_scenario(&dining::dining_philosophers(n, true));
-        let good = session.run_scenario(&dining::dining_philosophers(n, false));
+        let bad = session.run_spec_text(&dining::spec(n, true)).unwrap();
+        let good = session.run_spec_text(&dining::spec(n, false)).unwrap();
         assert!(bad.first_error().is_none() && good.first_error().is_none());
         assert!(
             !bad.verdicts()[0],
@@ -141,15 +140,14 @@ fn dining_philosophers_deadlock_detection_scales() {
     }
 }
 
-/// Ring scenarios: deadlock-free for one or several tokens, and the state
+/// Ring rows: deadlock-free for one or several tokens, and the state
 /// space grows monotonically in both ring size and token count.
 #[test]
 fn ring_scenarios_verify_and_scale() {
     let session = Session::builder().max_states(100_000).build();
     let mut last_states = 0;
     for (members, tokens) in [(3, 1), (4, 1), (4, 2)] {
-        let scenario = ring::token_ring(members, tokens);
-        let report = session.run_scenario(&scenario);
+        let report = session.run_spec_text(&ring::spec(members, tokens)).unwrap();
         assert!(
             report.first_error().is_none(),
             "ring({members},{tokens}) verification"

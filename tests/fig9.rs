@@ -1,12 +1,13 @@
 //! The scale-0 Fig. 9 table of `examples/fig9.rs`, pinned: every row's state
 //! count and six verdicts exactly, and the agreement with the paper's
-//! verdicts. The engine's determinism contract makes any drift here a
+//! verdicts. Every row is `.effpi` text run through `Session::run_spec_text`,
+//! the entry `effpi-cli verify`, `effpi-serve` and the benchmark use. The engine's determinism contract makes any drift here a
 //! semantic change, never noise — a change that means to move a cell updates
 //! the pin and says why.
 
 use std::sync::OnceLock;
 
-use effpi::protocols::fig9_scenarios;
+use effpi::protocols::fig9_specs;
 use effpi::Session;
 
 #[allow(dead_code)]
@@ -59,10 +60,7 @@ fn the_scale_zero_table_is_pinned() {
     assert_eq!(rows, pinned);
 
     let agreeing: usize = table().iter().filter_map(Fig9Row::agreement).sum();
-    let compared = 6 * table()
-        .iter()
-        .filter(|r| r.paper_verdicts.is_some())
-        .count();
+    let compared = 6 * table().len();
     assert_eq!(
         (agreeing, compared),
         (42, 60),
@@ -117,7 +115,7 @@ fn key_shape_verdicts_match_the_paper() {
 #[test]
 fn state_bound_violations_are_reported_not_panicked() {
     let session = Session::builder().max_states(3).build();
-    let row = Fig9Row::verify(&session, &fig9_scenarios(0)[0]);
+    let row = Fig9Row::verify(&session, &fig9_specs(0)[0]);
     assert!(row.error.is_some());
     assert!(row.render().contains("state"));
 }

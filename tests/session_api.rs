@@ -4,6 +4,7 @@
 
 use dbt_types::Checker;
 use effpi::protocols::{payment, pingpong};
+use effpi::spec::parse_spec;
 use effpi::{Error, Property, Session, Type, TypeEnv, Verifier, VerifyError};
 use lambdapi::examples;
 use wire::Json;
@@ -90,21 +91,21 @@ fn session_verify_matches_a_hand_configured_verifier() {
 
 #[test]
 fn scenario_runs_honour_the_scenario_visible_list() {
-    // The old way: a per-call verifier with the scenario's visible channels.
-    let scenario = payment::payment_with_clients(2);
+    // The old way: a per-call verifier with the spec's visible channels.
+    let spec = parse_spec(&payment::spec(2)).unwrap();
     let mut verifier = Verifier::with_max_states(50_000);
-    verifier.visible = Some(scenario.visible.clone());
+    verifier.visible = Some(spec.visible.clone());
     let old = verifier
-        .verify_all(&scenario.env, &scenario.ty, &scenario.properties)
+        .verify_all(&spec.env, spec.ty.as_ref().unwrap(), &spec.checks)
         .unwrap();
 
-    // The new way: the session applies the scenario's visible list itself —
+    // The new way: the session applies the spec's visible list itself —
     // even when the session was built with an unrelated default.
     let session = Session::builder()
         .max_states(50_000)
         .visible(["unrelated"])
         .build();
-    let report = session.run_scenario(&scenario);
+    let report = session.run_spec(&spec);
     assert!(report.first_error().is_none());
 
     let old_verdicts: Vec<bool> = old.iter().map(|o| o.holds).collect();
@@ -115,7 +116,7 @@ fn scenario_runs_honour_the_scenario_visible_list() {
 #[test]
 fn state_bound_errors_carry_bound_and_explored_counts() {
     let session = Session::builder().max_states(3).build();
-    let report = session.run_scenario(&payment::payment_with_clients(2));
+    let report = session.run_spec_text(&payment::spec(2)).unwrap();
     match report.error {
         Some(Error::Verify(VerifyError::StateSpaceTooLarge { bound, explored })) => {
             assert_eq!(bound, 3);
@@ -137,17 +138,14 @@ fn state_bound_errors_carry_bound_and_explored_counts() {
 #[test]
 fn reports_expose_verdicts_sizes_and_a_machine_readable_summary() {
     let session = Session::builder().max_states(50_000).build();
-    let scenario = pingpong::ping_pong_pairs(2, true);
-    let report = session.run_scenario(&scenario);
+    let report = session.run_spec_text(&pingpong::spec(2, true)).unwrap();
 
-    assert_eq!(report.name.as_deref(), Some(scenario.name.as_str()));
     assert_eq!(report.properties.len(), 6);
     assert!(report.states() > 1);
     assert!(report.transitions() > 0);
     assert!(report.total_duration() > std::time::Duration::ZERO);
 
     let summary = report.summary();
-    assert_eq!(summary.name, scenario.name);
     assert_eq!(summary.states, report.states());
     assert_eq!(summary.verdicts.len(), 6);
     assert_eq!(summary.verdicts[0].0, "deadlock-free");
@@ -158,9 +156,9 @@ fn reports_expose_verdicts_sizes_and_a_machine_readable_summary() {
     assert!(line.contains("states="), "{line}");
     assert!(line.contains("verdicts=deadlock-free:"), "{line}");
 
-    // The human rendering mentions the scenario and each property.
+    // The human rendering mentions each property.
     let shown = report.to_string();
-    assert!(shown.contains(&scenario.name), "{shown}");
+    assert!(shown.contains("deadlock"), "{shown}");
     assert!(shown.contains("responsive"), "{shown}");
 }
 
@@ -192,7 +190,7 @@ fn run_spec_text_covers_both_steps() {
 #[test]
 fn wire_json_rendering_is_deterministic_and_carries_the_stable_line() {
     let session = Session::builder().max_states(50_000).build();
-    let report = session.run_scenario(&payment::payment_with_clients(2));
+    let report = session.run_spec_text(&payment::spec(2)).unwrap();
     let wire = report.to_wire_json();
 
     // Deterministic rendering: rendering twice (and re-parsing) is stable.
@@ -227,7 +225,8 @@ fn wire_json_rendering_is_deterministic_and_carries_the_stable_line() {
     let tripped = Session::builder()
         .max_states(3)
         .build()
-        .run_scenario(&payment::payment_with_clients(2));
+        .run_spec_text(&payment::spec(2))
+        .unwrap();
     let wire = tripped.to_wire_json();
     assert_eq!(wire.get("passed").and_then(Json::as_bool), Some(false));
     assert!(wire

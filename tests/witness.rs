@@ -7,10 +7,10 @@
 //! the whole journey: the [`effpi::Session`] outcome carries the trace, the
 //! wire JSON of the report embeds it step by step, each step replays on the
 //! actual LTS, and — because the default engine is breadth-first — the trace
-//! is *shortest*, pinned against a scenario with a deliberately longer decoy
+//! is *shortest*, pinned against a spec with a deliberately longer decoy
 //! route to the same violation.
 
-use effpi::protocols::Scenario;
+use effpi::spec::{parse_spec, Spec};
 use effpi::{Property, Session, TypeEnv};
 use lambdapi::Type;
 
@@ -23,35 +23,32 @@ fn out_chain(vars: &[&str]) -> Type {
     ty
 }
 
-/// A scenario whose `non-usage(aud)` check fails, with two routes to the
+/// A spec whose `non-usage(aud)` check fails, with two routes to the
 /// violation: a short one (`x` then `aud`, 2 steps) and a longer decoy
 /// (`y`, `z`, then `aud`, 3 steps). The BFS witness must take the short one.
-fn leaky_scenario() -> Scenario {
-    let env = TypeEnv::new()
-        .bind("x", Type::chan_out(Type::Int))
-        .bind("y", Type::chan_out(Type::Int))
-        .bind("z", Type::chan_out(Type::Int))
-        .bind("aud", Type::chan_out(Type::Int));
-    let ty = Type::union(out_chain(&["x", "aud"]), out_chain(&["y", "z", "aud"]));
-    Scenario {
-        name: "leaky".into(),
-        env,
-        ty,
-        visible: ["x", "y", "z", "aud"].map(Into::into).to_vec(),
-        properties: vec![
-            Property::non_usage(["aud"]),
-            Property::deadlock_free(["x", "y", "z", "aud"]),
-        ],
-        paper_verdicts: None,
-        paper_states: None,
-    }
+const LEAKY: &str = "\
+env x : co[int]
+env y : co[int]
+env z : co[int]
+env aud : co[int]
+visible x, y, z, aud
+type o[x, int, Pi() o[aud, int, Pi() nil]]
+   | o[y, int, Pi() o[z, int, Pi() o[aud, int, Pi() nil]]]
+check non_usage [aud]
+check deadlock_free [x, y, z, aud]
+";
+
+/// The leaky spec, parsed, and the type it verifies.
+fn leaky_spec() -> (Spec, Type) {
+    let spec = parse_spec(LEAKY).expect("the leaky spec parses");
+    let ty = spec.ty.clone().expect("the leaky spec has a type");
+    (spec, ty)
 }
 
 #[test]
 fn failing_safety_checks_carry_a_replayable_witness_in_the_wire_json() {
     let session = Session::new();
-    let scenario = leaky_scenario();
-    let report = session.run_scenario(&scenario);
+    let report = session.run_spec_text(LEAKY).expect("the leaky spec parses");
     let json = report.to_wire_json();
 
     let properties = json
@@ -65,7 +62,7 @@ fn failing_safety_checks_carry_a_replayable_witness_in_the_wire_json() {
     assert_eq!(
         non_usage.get("holds").and_then(wire::Json::as_bool),
         Some(false),
-        "the scenario is built to violate non-usage(aud)"
+        "the spec is built to violate non-usage(aud)"
     );
     let violation = non_usage
         .get("violation")
@@ -80,7 +77,8 @@ fn failing_safety_checks_carry_a_replayable_witness_in_the_wire_json() {
         .get("trace")
         .and_then(wire::Json::as_arr)
         .expect("a failing safety check embeds its witness trace");
-    let (_, lts) = session.build_lts(&scenario.env, &scenario.ty).unwrap();
+    let (spec, ty) = leaky_spec();
+    let (_, lts) = session.build_lts(&spec.env, &ty).unwrap();
     let mut at = lts.initial();
     for step in steps {
         let from = step.get("from").and_then(wire::Json::as_usize).unwrap();
@@ -115,9 +113,9 @@ fn bfs_witness_traces_are_minimal() {
     // than the short route (x, aud): a breadth-first witness must be the
     // 2-step one. This pins minimality, not just replayability.
     let session = Session::new();
-    let scenario = leaky_scenario();
+    let (spec, ty) = leaky_spec();
     let outcome = session
-        .verify(&scenario.env, &scenario.ty, &Property::non_usage(["aud"]))
+        .verify(&spec.env, &ty, &Property::non_usage(["aud"]))
         .unwrap();
     assert!(!outcome.holds);
     let trace = outcome.trace.expect("failing safety check carries a trace");
