@@ -24,8 +24,10 @@
 //!
 //! * `def NAME = TYPE` — a named type alias, usable in later statements;
 //! * `env X : TYPE` — a channel (or value) variable of the environment Γ;
+//!   `X` is one identifier;
 //! * `visible X, Y, ...` — the channels exposed to the environment (defaults
-//!   to every `env` variable);
+//!   to every `env` variable); each must be declared by some `env` statement
+//!   (anywhere in the file);
 //! * `type TYPE` — the behavioural type to verify;
 //! * `term TERM` — an optional λπ⩽ term to type-check against the `type`;
 //! * `check PROPERTY` — a property to verify, one of:
@@ -129,9 +131,10 @@ pub fn parse_spec(input: &str) -> Result<Spec, SpecError> {
         checks: Vec::new(),
     };
     let mut explicit_visible = false;
-    // The line of each `check`, for the declaration check once every `env`
-    // statement has been read.
+    // The line of each `check` and of each `visible` entry, for the
+    // declaration check once every `env` statement has been read.
     let mut check_lines = Vec::new();
+    let mut visible_lines = Vec::new();
 
     for (line, stmt) in statements {
         let (keyword, rest) = stmt
@@ -154,7 +157,7 @@ pub fn parse_spec(input: &str) -> Result<Spec, SpecError> {
                     .ok_or_else(|| err("expected `env NAME : TYPE`".to_string()))?;
                 let ty = parse_type_with(ty_text.trim(), &spec.definitions)
                     .map_err(|e| err(e.to_string()))?;
-                let name = name.trim().to_string();
+                let name = ident(name.trim()).map_err(err)?.to_string();
                 spec.env = spec.env.bind(name.as_str(), ty);
                 if !explicit_visible {
                     spec.visible.push(Name::new(name));
@@ -169,6 +172,7 @@ pub fn parse_spec(input: &str) -> Result<Spec, SpecError> {
                     let v = v.trim();
                     if !v.is_empty() {
                         spec.visible.push(Name::new(v));
+                        visible_lines.push(line);
                     }
                 }
             }
@@ -191,6 +195,16 @@ pub fn parse_spec(input: &str) -> Result<Spec, SpecError> {
             }
         }
     }
+    // Without a `visible` statement the list is the `env` names themselves
+    // and `visible_lines` is empty.
+    for (chan, line) in spec.visible.iter().zip(visible_lines) {
+        if !spec.env.contains(chan) {
+            return Err(SpecError {
+                line,
+                message: format!("`visible` names `{chan}`, which no `env` statement declares"),
+            });
+        }
+    }
     for (property, line) in spec.checks.iter().zip(check_lines) {
         if let Some(chan) = property
             .interfaces()
@@ -207,6 +221,16 @@ pub fn parse_spec(input: &str) -> Result<Spec, SpecError> {
         }
     }
     Ok(spec)
+}
+
+/// A variable name is one identifier token, as the type syntax spells
+/// variables: the server feeds this parser untrusted bytes, and a name like
+/// `client aud` or `[self]` could only ever name no variable at all.
+fn ident(s: &str) -> Result<&str, String> {
+    match tokenize(s).as_deref() {
+        Ok([Token::Ident(id), Token::Eof]) if id == s => Ok(s),
+        _ => Err(format!("expected one identifier, found {s:?}")),
+    }
 }
 
 fn parse_property(text: &str) -> Result<Property, String> {
@@ -226,15 +250,6 @@ fn parse_property(text: &str) -> Result<Property, String> {
             .map(|v| ident(v.trim()).map(str::to_string))
             .collect()
     };
-    // A channel name is one identifier token, as the type syntax spells
-    // variables: the server feeds this parser untrusted bytes, and a name
-    // like `client aud` or `[self]` could only ever name no channel at all.
-    fn ident(s: &str) -> Result<&str, String> {
-        match tokenize(s).as_deref() {
-            Ok([Token::Ident(id), Token::Eof]) if id == s => Ok(s),
-            _ => Err(format!("expected one channel name, found {s:?}")),
-        }
-    }
     match name {
         "non_usage" => Ok(Property::non_usage(list(rest)?)),
         "deadlock_free" => Ok(Property::deadlock_free(list(rest)?)),
@@ -337,14 +352,15 @@ mod tests {
         assert!(err3.message.contains("unknown property"));
     }
 
+    /// The declarations of `examples/specs/payment.effpi`, on lines 1-4.
+    const PAYMENT_DECLS: &str = "env self : cio[int]\n\
+                                 env aud : co[int]\n\
+                                 env client : co[str | ()]\n\
+                                 type rec t . i[self, Pi(pay: int) ( o[client, str, Pi() t] \
+                                 | o[aud, pay, Pi() o[client, (), Pi() t]] )]\n";
+
     #[test]
     fn checks_name_declared_identifiers_only() {
-        // The declarations of `examples/specs/payment.effpi`, on lines 1-4.
-        let decls = "env self : cio[int]\n\
-                     env aud : co[int]\n\
-                     env client : co[str | ()]\n\
-                     type rec t . i[self, Pi(pay: int) ( o[client, str, Pi() t] \
-                     | o[aud, pay, Pi() o[client, (), Pi() t]] )]\n";
         for (check, named) in [
             // A missing comma does not make one channel called "client aud".
             ("check non_usage [client aud]", "\"client aud\""),
@@ -355,14 +371,14 @@ mod tests {
             // An empty entry names no channel.
             ("check deadlock_free [self, , aud]", "\"\""),
         ] {
-            let err = parse_spec(&format!("{decls}{check}\n")).unwrap_err();
+            let err = parse_spec(&format!("{PAYMENT_DECLS}{check}\n")).unwrap_err();
             assert_eq!(err.line, 5, "{check}: {err}");
             assert!(err.message.contains(named), "{check}: {err}");
         }
         // Declarations are checked once the whole file is read, and an empty
         // probe list is no entry at all.
         let spec = parse_spec(&format!(
-            "check responsive self\ncheck deadlock_free []\n{decls}"
+            "check responsive self\ncheck deadlock_free []\n{PAYMENT_DECLS}"
         ))
         .unwrap();
         assert_eq!(
@@ -372,5 +388,45 @@ mod tests {
                 Property::deadlock_free(Vec::<Name>::new())
             ]
         );
+    }
+
+    #[test]
+    fn visible_entries_name_declared_identifiers_only() {
+        // A misspelt entry would hide `self` from the model and turn the
+        // `responsive self` verdict into a vacuous pass.
+        let misspelt = format!("{PAYMENT_DECLS}visible slef, aud, client\ncheck responsive self\n");
+        let err = parse_spec(&misspelt).unwrap_err();
+        assert_eq!(err.line, 5, "{err}");
+        assert!(err.message.contains("`slef`"), "{err}");
+        for entry in ["client aud", "[self]"] {
+            let err =
+                parse_spec(&format!("{PAYMENT_DECLS}visible self,\n  {entry}\n")).unwrap_err();
+            assert_eq!(err.line, 5, "{entry}: {err}");
+            assert!(err.message.contains(entry), "{entry}: {err}");
+        }
+
+        let spelt = format!("{PAYMENT_DECLS}visible self, aud, client\ncheck responsive self\n");
+        let spec = parse_spec(&spelt).unwrap();
+        assert_eq!(
+            spec.visible,
+            [Name::new("self"), Name::new("aud"), Name::new("client")]
+        );
+        let report = session(10_000).run_spec(&spec);
+        assert_eq!(report.verdicts(), vec![false]);
+        assert_eq!((report.states(), report.transitions()), (7, 10));
+
+        // Declarations are checked once the whole file is read.
+        let spec = parse_spec(&format!("visible self\n{PAYMENT_DECLS}")).unwrap();
+        assert_eq!(spec.visible, [Name::new("self")]);
+    }
+
+    #[test]
+    fn env_names_are_one_identifier() {
+        let text = "env self : cio[int]\nenv client aud : co[int]\n";
+        let err = parse_spec(text).unwrap_err();
+        assert_eq!(err.line, 2, "{err}");
+        assert!(err.message.contains("\"client aud\""), "{err}");
+        let err = parse_spec("env : cio[int]").unwrap_err();
+        assert_eq!(err.line, 1, "{err}");
     }
 }

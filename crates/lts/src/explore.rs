@@ -700,8 +700,9 @@ where
 /// directed [`Strategy`] it is the engine's counterexample *search* mode. The
 /// `mucalc` verifier evaluates its µ-calculus properties globally on the
 /// finished LTS (several properties share one build), so its in-tree
-/// exercisers are the engine tests and the `bench` crate's directed-search
-/// case.
+/// exercisers are the engine tests and the determinism suite's hunt for a
+/// seeded violation (`TypeLts::build_exploration_until` under a guided
+/// beam).
 ///
 /// ```
 /// use lts::explore::{explore_guided, ExploreConfig, ExploreStatus, Strategy};

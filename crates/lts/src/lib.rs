@@ -49,6 +49,7 @@ pub mod explore;
 mod generic;
 mod label;
 mod memory;
+mod product;
 mod term_lts;
 mod type_lts;
 

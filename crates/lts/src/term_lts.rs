@@ -28,23 +28,27 @@
 //!
 //! * seen-set `Eq`/`Hash` are 32-bit id operations — the exploration engine
 //!   never re-hashes a term tree;
-//! * three per-builder [`Memo`]s keyed by [`lambdapi::TermId`] — the
+//! * two per-builder [`Memo`]s keyed by [`lambdapi::TermId`] — the
 //!   interner's one sharded memo type, no hit counters on this parallel hot
-//!   path — hold the *open* successor list of every sub-state (so a `||`
-//!   product state reuses its components' transitions), the full successor
-//!   list of every state, and the early-input candidate vector of every
-//!   receive subject;
+//!   path — hold the *open* successor list of every state and sub-state (so
+//!   a `||` product state reuses its components' transitions) and the
+//!   early-input candidate vector of every receive subject; the full list
+//!   (the [SR-→] step plus the open list) is not memoized, since exploration
+//!   expands each state once;
+//! * a `||` state goes through the one parallel-composition rule the type
+//!   side uses too (the private `product` module): this builder only says
+//!   when a send meets a receive and how components are reassembled;
 //! * the ≡-flattening of `||` states and the free-variable queries hit the
 //!   process-wide memos of [`lambdapi::intern`]
 //!   ([`TermRef::par_components`] / [`TermRef::free_vars`]);
 //! * the reducer is a *pure function of the term* (structurally fresh
-//!   channels), which is what makes the successor memo sound and lets
-//!   [`mod@crate::explore`] reproduce the serial state space byte-for-byte
-//!   on any worker count.
+//!   channels), which is what lets [`mod@crate::explore`] reproduce the
+//!   serial state space byte-for-byte on any worker count.
 //!
 //! Successor lists are sorted by the **structural** order of
-//! `(label, target term)` — never by interner ids, whose allocation order is
-//! racy under parallel exploration and must not leak into state numbering.
+//! `(label, target term)` (`product::sorted`) — never by interner ids, whose
+//! allocation order is racy under parallel exploration and must not leak
+//! into state numbering.
 
 use std::sync::Arc;
 
@@ -56,8 +60,9 @@ use crate::explore::{self, Exploration, ExploreConfig, Strategy};
 use crate::generic::Lts;
 use crate::label::TermLabel;
 use crate::memory::IdTable;
+use crate::product;
 
-/// A memoized successor list, shared between the cache and its consumers.
+/// A successor list, shared between the open-rule memo and its consumers.
 type SuccessorList = Arc<[(TermLabel, TermRef)]>;
 
 /// Builder for the open-term LTS of Def. 4.1.
@@ -69,8 +74,6 @@ pub struct TermLts {
     env: TypeEnv,
     checker: Checker,
     reducer: Reducer,
-    /// state id → full successor list ([SR-→] + open rules).
-    successor_memo: Arc<Memo<u32, SuccessorList>>,
     /// state id → open-rule successors only (the list the `||`
     /// interleaving and [SR-Comm] matching reuse per component).
     open_memo: Arc<Memo<u32, SuccessorList>>,
@@ -90,7 +93,6 @@ impl TermLts {
             env,
             checker,
             reducer: Reducer::new(),
-            successor_memo: Arc::default(),
             open_memo: Arc::default(),
             candidate_memo: Arc::default(),
         }
@@ -106,42 +108,23 @@ impl TermLts {
         &self.checker
     }
 
-    /// Computes the successors `Γ ⊢ t --α--⇁ t'` of an interned term.
-    ///
-    /// The result is memoized per state: product states of a parallel
-    /// composition reuse their components' open-successor lists instead of
-    /// re-deriving them.
+    /// Computes the successors `Γ ⊢ t --α--⇁ t'` of an interned term: the
+    /// [SR-→] step plus the memoized open-rule list, in structural order.
+    /// The full list is not memoized — exploration expands each state once —
+    /// while the open lists are, so a `||` product state reuses its
+    /// components' transitions instead of re-deriving them.
     pub fn successors(&self, t: &TermRef) -> SuccessorList {
-        let id = t.id().index();
-        self.successor_memo
-            .get_or_insert_with(id, id, || self.compute_successors(t))
+        let mut out = self.open_successors(t).to_vec();
+        // [SR-→]: the concrete reduction, labelled with its base rule.
+        if let Some((next, rule)) = self.reducer.step(t.as_term()) {
+            out.push((TermLabel::TauRule(rule), TermRef::new(next)));
+        }
+        product::sorted(out)
     }
 
     /// Convenience over a plain term (interning it on the way).
     pub fn successors_of(&self, t: &Term) -> Vec<(TermLabel, TermRef)> {
         self.successors(&TermRef::intern(t)).to_vec()
-    }
-
-    /// The uncached successor derivation.
-    fn compute_successors(&self, t: &TermRef) -> SuccessorList {
-        let mut out: Vec<(TermLabel, TermRef)> = Vec::new();
-
-        // [SR-→]: concrete reductions, labelled with their base rule. The
-        // reducer is a pure function of the term (structurally fresh
-        // channels), so memoizing its single step per state is sound.
-        if let Some((next, rule)) = self.reducer.step(t.as_term()) {
-            out.push((TermLabel::TauRule(rule), TermRef::new(next)));
-        }
-
-        // Open-term rules.
-        out.extend(self.open_successors(t).iter().cloned());
-
-        // Deterministic order by *structure* (labels first, then target
-        // terms) — interner ids are allocation-ordered and must not decide
-        // anything observable.
-        out.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.as_term().cmp(b.1.as_term())));
-        out.dedup();
-        out.into()
     }
 
     /// The open-rule successors of a state, memoized per [`lambdapi::TermId`]
@@ -211,50 +194,27 @@ impl TermLts {
                     ));
                 }
             }
-            // [SR-Comm] + interleaving of components ([SR-E] with E || t and ≡).
+            // Interleaving of components ([SR-E] with E || t and ≡) and
+            // [SR-Comm]: a ready send and a ready receive on the same subject
+            // synchronise; the receive fires with exactly the transmitted
+            // payload (which need not be among the finitely enumerated
+            // early-input candidates).
             Term::Par(..) => {
                 let components = t.par_components();
                 let succs: Vec<SuccessorList> =
                     components.iter().map(|c| self.open_successors(c)).collect();
-                for (i, cs) in succs.iter().enumerate() {
-                    for (label, next) in cs.iter() {
-                        let mut parts = components.to_vec();
-                        parts[i] = next.clone();
-                        out.push((label.clone(), TermRef::rebuild_par(&parts)));
+                let sync = |label: &TermLabel, j: usize| match (label, components[j].as_term()) {
+                    (TermLabel::Out { subject, payload }, Term::Recv(chan, cont))
+                        if chan.is_value_or_var()
+                            && cont.is_value_or_var()
+                            && **chan == *subject =>
+                    {
+                        let next = TermRef::new(Term::app((**cont).clone(), payload.clone()));
+                        Some((TermLabel::TauComm(subject.clone()), next))
                     }
-                }
-                // [SR-Comm]: a ready send and a ready receive on the same
-                // subject synchronise; the receive fires with exactly the
-                // transmitted payload (which need not be among the finitely
-                // enumerated early-input candidates).
-                for i in 0..components.len() {
-                    for j in 0..components.len() {
-                        if i == j {
-                            continue;
-                        }
-                        for (li, ni) in succs[i].iter() {
-                            let (subj_o, pay_o) = match li {
-                                TermLabel::Out { subject, payload } => (subject, payload),
-                                _ => continue,
-                            };
-                            if let Term::Recv(chan, cont) = components[j].as_term() {
-                                if chan.is_value_or_var()
-                                    && cont.is_value_or_var()
-                                    && **chan == *subj_o
-                                {
-                                    let mut parts = components.to_vec();
-                                    parts[i] = ni.clone();
-                                    parts[j] =
-                                        TermRef::new(Term::app((**cont).clone(), pay_o.clone()));
-                                    out.push((
-                                        TermLabel::TauComm(subj_o.clone()),
-                                        TermRef::rebuild_par(&parts),
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                }
+                    _ => None,
+                };
+                out = product::par_successors(&components, &succs, sync, TermRef::rebuild_par);
             }
             // [SR-E] for `let x = w in E`, excluding labels that mention the
             // bound variable.

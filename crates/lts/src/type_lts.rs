@@ -34,14 +34,18 @@
 //!   canonical and skips the walk entirely);
 //! * two per-builder [`Memo`]s keyed by [`lambdapi::TypeId`] — the
 //!   interner's one sharded memo type, no hit counters on this parallel hot
-//!   path — hold the successor list of every sub-state (so a `p[...]` product
-//!   state reuses its components' transitions) and the early-input candidate
-//!   vector of every input domain (so the subtype probing runs once per
-//!   domain, not once per expansion).
+//!   path — hold the full successor list of every state and sub-state (so a
+//!   `p[...]` product state reuses its components' transitions) and the
+//!   early-input candidate vector of every input domain (so the subtype
+//!   probing runs once per domain, not once per expansion);
+//! * a `p[...]` state goes through the one parallel-composition rule the
+//!   term side uses too (the private `product` module): this builder only
+//!   says when an output meets an input and how components are reassembled.
 //!
 //! Successor lists are sorted by the **structural** order of
-//! `(label, target type)` — never by interner ids, whose allocation order is
-//! racy under parallel exploration and must not leak into state numbering.
+//! `(label, target type)` (`product::sorted`) — never by interner ids, whose
+//! allocation order is racy under parallel exploration and must not leak
+//! into state numbering.
 
 use std::sync::Arc;
 
@@ -53,6 +57,7 @@ use crate::explore::{self, Exploration, ExploreConfig, Strategy};
 use crate::generic::Lts;
 use crate::label::TypeLabel;
 use crate::memory::IdTable;
+use crate::product;
 
 /// Which environment variables the early input rule [T→i] may use as payload
 /// candidates (in addition to the domain type itself).
@@ -209,82 +214,45 @@ impl TypeLts {
                     }
                 }
             }
+            // The context rule p[E,T] (with commutativity of ≡) and [T→iox] /
+            // [T→io]. The receiving side is matched directly against
+            // input-shaped components (after head normalisation), so a
+            // synchronisation exists whenever the sender's payload fits the
+            // receiver's domain — independently of which stand-alone input
+            // candidates were enumerated above.
             Type::Par(..) => {
-                let components = t.par_members();
-                let succs: Vec<Arc<[(TypeLabel, TyRef)]>> = components
-                    .iter()
-                    .map(|c| self.successors(&TyRef::intern(c)))
-                    .collect();
-
-                // Interleaving (context rule p[E,T] plus commutativity of ≡).
-                for (i, cs) in succs.iter().enumerate() {
-                    for (label, next) in cs.iter() {
-                        let mut parts = components.clone();
-                        parts[i] = next.as_type().clone();
-                        out.push((label.clone(), canonical_owned(Type::par_all(parts))));
+                let components: Vec<TyRef> = t.par_members().iter().map(TyRef::intern).collect();
+                let succs: Vec<SuccessorList> =
+                    components.iter().map(|c| self.successors(c)).collect();
+                let heads: Vec<TyRef> = components.iter().map(|c| self.canonical_ref(c)).collect();
+                let sync = |label: &TypeLabel, j: usize| {
+                    let TypeLabel::Out { subject, payload } = label else {
+                        return None;
+                    };
+                    let Type::In(s_in, cont) = heads[j].as_type() else {
+                        return None;
+                    };
+                    if !self.checker.might_interact(&self.env, subject, s_in) {
+                        return None;
                     }
-                }
-
-                // Communication rules [T→iox] / [T→io] between any two
-                // distinct components. The receiving side is matched directly
-                // against input-shaped components (after head normalisation),
-                // so a synchronisation exists whenever the sender's payload
-                // fits the receiver's domain — independently of which
-                // stand-alone input candidates were enumerated above.
-                let heads: Vec<TyRef> = components
-                    .iter()
-                    .map(|c| self.canonical_ref(&TyRef::intern(c)))
-                    .collect();
-                for i in 0..components.len() {
-                    for (lab_i, next_i) in succs[i].iter() {
-                        let (s_out, payload_out) = match lab_i {
-                            TypeLabel::Out { subject, payload } => (subject, payload),
-                            _ => continue,
-                        };
-                        for j in 0..components.len() {
-                            if i == j {
-                                continue;
-                            }
-                            let Type::In(s_in, cont) = heads[j].as_type() else {
-                                continue;
-                            };
-                            if !self.checker.might_interact(&self.env, s_out, s_in) {
-                                continue;
-                            }
-                            let Some((x, dom, body)) = self.checker.resolve_pi(&self.env, cont)
-                            else {
-                                continue;
-                            };
-                            // [T→iox] (variable payload) requires the payload
-                            // variable to inhabit the domain; [T→io]
-                            // (non-variable payload) requires payload ⩽ domain.
-                            if !self.checker.is_subtype(&self.env, payload_out, &dom) {
-                                continue;
-                            }
-                            let next_j = body.subst_var(&x, payload_out);
-                            let mut parts = components.clone();
-                            parts[i] = next_i.as_type().clone();
-                            parts[j] = canonical_owned(next_j).as_type().clone();
-                            out.push((
-                                TypeLabel::Comm {
-                                    left: s_out.clone(),
-                                    right: (**s_in).clone(),
-                                },
-                                canonical_owned(Type::par_all(parts)),
-                            ));
-                        }
-                    }
-                }
+                    let (x, dom, body) = self.checker.resolve_pi(&self.env, cont)?;
+                    // [T→iox] (variable payload) requires the payload variable
+                    // to inhabit the domain; [T→io] (non-variable payload)
+                    // requires payload ⩽ domain.
+                    self.checker.is_subtype(&self.env, payload, &dom).then(|| {
+                        let (left, right) = (subject.clone(), (**s_in).clone());
+                        let next = canonical_owned(body.subst_var(&x, payload));
+                        (TypeLabel::Comm { left, right }, next)
+                    })
+                };
+                out = product::par_successors(&components, &succs, sync, |parts| {
+                    canonical_owned(Type::par_all(parts.iter().map(|p| p.as_type().clone())))
+                });
             }
             // nil, proc, base types, variables, functions: no transitions.
             _ => {}
         }
-        // Deterministic order by *structure* (labels first, then target
-        // types) — interner ids are allocation-ordered and must not decide
-        // anything observable.
-        out.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.as_type().cmp(b.1.as_type())));
-        out.dedup();
-        out.into()
+        product::sorted(out)
     }
 
     /// The candidate payloads for an early input transition on a domain type

@@ -6,8 +6,9 @@
 //! `store`, `cli`) never reaches the actor runtime, and the base crates stay
 //! dependency-free. Crates are named by directory, as in the drawing. It also
 //! pins that `cli` is the only crate with a binary, and reads the crates'
-//! sources for one layering rule the manifests cannot show: the core's
-//! sharded tables have one definition.
+//! sources for two rules the manifests cannot show: the core's sharded
+//! tables have one definition, and so does the parallel-composition rule of
+//! the two transition semantics.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -139,4 +140,64 @@ fn sharded_tables_have_one_definition() {
         offenders.is_empty(),
         "hand-rolled sharded tables (use lambdapi::intern::{{Memo, Arena}}): {offenders:?}"
     );
+}
+
+#[test]
+fn parallel_composition_has_one_definition() {
+    // Terms (Def. 4.1, Fig. 5) and types (Def. 4.2, Fig. 6) compose in
+    // parallel by the same rule: interleave one component's move, or let one
+    // component's output meet another's input. `lts`'s private
+    // `product::par_successors` is its one implementation and both builders'
+    // `Par` arms call it. Overwriting component slot `i` or `j`, or guarding
+    // an ordered pair `(i, j)`, anywhere else in the crate's non-test code is
+    // a second copy of that loop.
+    const MARKS: [&str; 5] = ["[i] =", "[j] =", "i == j", "i != j", "j != i"];
+    let src = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .unwrap()
+        .join("lts/src");
+    let code = |file: &str| {
+        let text = fs::read_to_string(src.join(file)).unwrap();
+        text.split("#[cfg(test)]").next().unwrap().to_string()
+    };
+    let mut loops: Vec<String> = fs::read_dir(&src)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|file| file.ends_with(".rs"))
+        .filter(|file| {
+            code(file)
+                .lines()
+                .any(|l| MARKS.iter().any(|m| l.contains(m)))
+        })
+        .collect();
+    loops.sort();
+    assert_eq!(loops, ["product.rs"], "parallel-composition loops");
+    assert!(code("product.rs").contains("pub(crate) fn par_successors"));
+    for (file, arm) in [
+        ("type_lts.rs", "Type::Par(..) =>"),
+        ("term_lts.rs", "Term::Par(..) =>"),
+    ] {
+        let code = code(file);
+        let start = code
+            .find(arm)
+            .unwrap_or_else(|| panic!("{file}: no `{arm}` arm"));
+        // The arm's block: from its opening brace to the matching close.
+        let mut depth = 0;
+        let end = code[start..]
+            .char_indices()
+            .find_map(|(at, c)| {
+                match c {
+                    '{' => depth += 1,
+                    '}' if depth == 1 => return Some(start + at),
+                    '}' => depth -= 1,
+                    _ => {}
+                }
+                None
+            })
+            .unwrap_or_else(|| panic!("{file}: unbalanced `{arm}` arm"));
+        assert!(
+            code[start..end].contains("product::par_successors("),
+            "{file}: the `{arm}` arm does not call product::par_successors"
+        );
+    }
 }
