@@ -6,11 +6,11 @@
 //! service commands wrap the `serve` crate's daemon and client library:
 //!
 //! ```text
-//! effpi-cli verify    <spec.effpi> [--max-states N] [--jobs J] [--strategy S]
+//! effpi-cli verify    <spec.effpi> [--max-states N] [--jobs J]
 //!                                  [--memory-budget-explore BYTES]
 //!                                  [--profile] [--trace FILE]    # run every `check` in the spec
 //! effpi-cli typecheck <spec.effpi>                               # only check `term` against `type`
-//! effpi-cli lts       <spec.effpi> [--max-states N] [--jobs J] [--strategy S]
+//! effpi-cli lts       <spec.effpi> [--max-states N] [--jobs J]
 //!                                  [--memory-budget-explore BYTES]
 //!                                                                # report the type LTS size
 //! effpi-cli parse     <spec.effpi>                               # echo the parsed type back
@@ -20,7 +20,7 @@
 //!                  [--store DIR] [--store-entries E] [--store-states S]
 //!                  [--queue-depth Q] [--memory-budget NODES]
 //!                  [--memory-budget-explore BYTES] [--log-requests]
-//! effpi-cli client <ADDR|unix:PATH> verify <spec.effpi> [--max-states N] [--strategy S]
+//! effpi-cli client <ADDR|unix:PATH> verify <spec.effpi> [--max-states N]
 //!                  [--memory-budget-explore BYTES]
 //!                  [--deadline-ms MS] [--retries N] [--timeout-ms MS]
 //! effpi-cli client <ADDR|unix:PATH> metrics [--text]
@@ -29,6 +29,10 @@
 //! effpi-cli store stats   <DIR>                                  # inspect a persistent verdict store
 //! effpi-cli store compact <DIR> [--store-entries E] [--store-states S]
 //! ```
+//!
+//! A `--flag` that the command does not take is a usage error (exit 2), never
+//! silently ignored: a misspelt `--max-states` must not verify under the
+//! default bound.
 //!
 //! Observability: `--profile` prints a per-phase timing table after a
 //! one-shot command (the same phase names the serve protocol reports under
@@ -58,12 +62,77 @@ macro_rules! say {
     }};
 }
 
+/// The flags of the one-shot commands (besides the global `--trace FILE`).
+const ONE_SHOT_FLAGS: &[&str] = &[
+    "--max-states",
+    "--jobs",
+    "--memory-budget-explore",
+    "--profile",
+];
+
+/// The flags of `serve`.
+const SERVE_FLAGS: &[&str] = &[
+    "--listen",
+    "--uds",
+    "--workers",
+    "--jobs",
+    "--max-states",
+    "--cache-entries",
+    "--cache-states",
+    "--store",
+    "--store-entries",
+    "--store-states",
+    "--queue-depth",
+    "--memory-budget",
+    "--memory-budget-explore",
+    "--log-requests",
+];
+
+/// The flags of `client … verify`.
+const CLIENT_VERIFY_FLAGS: &[&str] = &[
+    "--max-states",
+    "--memory-budget-explore",
+    "--deadline-ms",
+    "--retries",
+    "--timeout-ms",
+];
+
+/// The flags of `store`.
+const STORE_FLAGS: &[&str] = &["--store-entries", "--store-states"];
+
+/// A command's entry point, handed the whole argument list.
+type Command = fn(&[String]) -> ExitCode;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
+    let (run, flags): (Command, &[&str]) = match command.as_str() {
+        "serve" => (cmd_serve, SERVE_FLAGS),
+        "client" => (
+            cmd_client,
+            match args.get(2).map(String::as_str) {
+                Some("verify") => CLIENT_VERIFY_FLAGS,
+                Some("metrics") => &["--text"],
+                _ => &[],
+            },
+        ),
+        "store" => (cmd_store, STORE_FLAGS),
+        "verify" | "typecheck" | "lts" | "parse" => (cmd_one_shot, ONE_SHOT_FLAGS),
+        other => {
+            eprintln!("unknown command {other:?}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    if let Some(flag) = args
+        .iter()
+        .find(|a| a.starts_with("--") && *a != "--trace" && !flags.contains(&a.as_str()))
+    {
+        eprintln!("unknown flag {flag}\n{USAGE}");
+        return ExitCode::from(2);
+    }
     // `--trace FILE` is global: every command (one-shot, serve, client)
     // streams its span/event records into FILE as JSON lines.
     match string_flag(&args, "--trace") {
@@ -84,16 +153,7 @@ fn main() -> ExitCode {
     // panic unwinding through `main` — so an aborted `--trace FILE` run still
     // has every span it recorded on disk.
     let _flush = obs::global().flush_guard();
-    match command.as_str() {
-        "serve" => cmd_serve(&args),
-        "client" => cmd_client(&args),
-        "store" => cmd_store(&args),
-        "verify" | "typecheck" | "lts" | "parse" => cmd_one_shot(command.clone(), &args),
-        other => {
-            eprintln!("unknown command {other:?}\n{USAGE}");
-            ExitCode::from(2)
-        }
-    }
+    run(&args)
 }
 
 /// A valueless presence flag (`--profile`, `--log-requests`, `--text`).
@@ -105,7 +165,8 @@ fn bool_flag(args: &[String], flag: &str) -> bool {
 // One-shot commands (verify / typecheck / lts / parse)
 // ---------------------------------------------------------------------------
 
-fn cmd_one_shot(command: String, args: &[String]) -> ExitCode {
+fn cmd_one_shot(args: &[String]) -> ExitCode {
+    let command = &args[0];
     let Some(path) = args.get(1) else {
         eprintln!("missing specification file\n{USAGE}");
         return ExitCode::from(2);
@@ -125,13 +186,6 @@ fn cmd_one_shot(command: String, args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let strategy = match parse_strategy_flag(args) {
-        Ok(strategy) => strategy,
-        Err(e) => {
-            eprintln!("{e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
     let profile = bool_flag(args, "--profile");
 
     // Everything from the file read onwards runs under the phase collector,
@@ -139,9 +193,8 @@ fn cmd_one_shot(command: String, args: &[String]) -> ExitCode {
     // (parse, typecheck, explore, check, …) and the residue — I/O, session
     // setup, printing — lands in the `other` row of the table.
     let wall = std::time::Instant::now();
-    let (code, phases) = obs::phases::collect(|| {
-        run_one_shot(&command, path, max_states, jobs, strategy, memory_budget)
-    });
+    let (code, phases) =
+        obs::phases::collect(|| run_one_shot(command, path, max_states, jobs, memory_budget));
     if profile {
         print_profile(&phases, wall.elapsed().as_micros() as u64);
     }
@@ -155,7 +208,6 @@ fn run_one_shot(
     path: &str,
     max_states: usize,
     jobs: usize,
-    strategy: Option<effpi::Strategy>,
     memory_budget: Option<usize>,
 ) -> ExitCode {
     let text = match std::fs::read_to_string(path) {
@@ -182,9 +234,6 @@ fn run_one_shot(
         .max_states(max_states)
         .visible(spec.visible.clone())
         .parallelism(jobs);
-    if let Some(strategy) = strategy {
-        builder = builder.strategy(strategy);
-    }
     // Out-of-core exploration: past this resident-byte budget, cold frontier
     // segments spill to disk (results are identical, only RAM use changes).
     if let Some(budget) = memory_budget {
@@ -444,21 +493,19 @@ fn cmd_client(args: &[String]) -> ExitCode {
             let flags: Result<_, String> = (|| {
                 Ok((
                     flag_value(args, "--max-states")?,
-                    parse_strategy_flag(args)?,
                     flag_value(args, "--deadline-ms")?,
                     flag_value(args, "--retries")?,
                     flag_value(args, "--timeout-ms")?,
                     flag_value(args, "--memory-budget-explore")?,
                 ))
             })();
-            let (max_states, strategy, deadline_ms, retries, timeout_ms, memory_budget) =
-                match flags {
-                    Ok(flags) => flags,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::from(2);
-                    }
-                };
+            let (max_states, deadline_ms, retries, timeout_ms, memory_budget) = match flags {
+                Ok(flags) => flags,
+                Err(e) => {
+                    eprintln!("{e}");
+                    return ExitCode::from(2);
+                }
+            };
             let text = match std::fs::read_to_string(path) {
                 Ok(t) => t,
                 Err(e) => {
@@ -468,7 +515,6 @@ fn cmd_client(args: &[String]) -> ExitCode {
             };
             let options = VerifyOptions {
                 max_states,
-                strategy,
                 deadline_ms: deadline_ms.map(|ms| ms as u64),
                 memory_budget: memory_budget.map(|bytes| bytes as u64),
                 ..VerifyOptions::default()
@@ -627,15 +673,6 @@ fn cmd_store(args: &[String]) -> ExitCode {
     }
 }
 
-/// Parses the shared `--strategy NAME` flag (e.g. `bfs`, `dfs`, `beam:32`,
-/// `random:7`); a present flag with an unknown spelling is a usage error.
-fn parse_strategy_flag(args: &[String]) -> Result<Option<effpi::Strategy>, String> {
-    match string_flag(args, "--strategy")? {
-        None => Ok(None),
-        Some(text) => effpi::Strategy::parse(&text).map(Some),
-    }
-}
-
 fn connect(addr: &str) -> Result<Client, std::io::Error> {
     if let Some(path) = addr.strip_prefix("unix:") {
         #[cfg(unix)]
@@ -656,14 +693,13 @@ fn connect(addr: &str) -> Result<Client, std::io::Error> {
 
 const USAGE: &str = "\
 usage: effpi-cli <verify|typecheck|lts|parse> <spec.effpi> [--max-states N] [--jobs J]
-                 [--strategy bfs|dfs|beam[:W]|random[:SEED]] [--memory-budget-explore BYTES]
-                 [--profile] [--trace FILE]
+                 [--memory-budget-explore BYTES] [--profile] [--trace FILE]
        effpi-cli serve [--listen ADDR] [--uds PATH] [--workers W] [--jobs J]
                        [--max-states N] [--cache-entries E] [--cache-states S]
                        [--store DIR] [--store-entries E] [--store-states S]
                        [--queue-depth Q] [--memory-budget NODES]
                        [--memory-budget-explore BYTES] [--log-requests]
-       effpi-cli client <ADDR|unix:PATH> <verify <spec.effpi> [--max-states N] [--strategy S]
+       effpi-cli client <ADDR|unix:PATH> <verify <spec.effpi> [--max-states N]
                        [--memory-budget-explore BYTES]
                        [--deadline-ms MS] [--retries N] [--timeout-ms MS]\
 |metrics [--text]|stats|ping|shutdown>

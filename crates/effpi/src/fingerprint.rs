@@ -70,18 +70,6 @@ pub fn spec_cache_key(config: &SessionConfig, spec: &Spec) -> CacheKey {
     h.write("\nauto_probe=");
     h.write(if config.auto_probe { "1" } else { "0" });
 
-    // The exploration strategy is keyed only when it is not the default: a
-    // complete run is canonical for every strategy, but a bounded run's
-    // explored prefix (and hence its report) is strategy-dependent, so a
-    // beam-guided verdict must never be replayed for a BFS request or vice
-    // versa. Keying the non-default case conservatively splits even complete
-    // runs — a harmless refusal to share — while keeping every key minted
-    // before strategies existed (all implicitly BFS) valid unchanged.
-    if config.strategy != lts::Strategy::Bfs {
-        h.write("\nstrategy=");
-        h.write(&config.strategy.to_string());
-    }
-
     // Γ is a finite map: canonical order is by name. Bindings are normalised
     // so congruent environment types key identically — through the interner's
     // memoized normal forms, so a daemon keying thousands of requests against
@@ -188,38 +176,6 @@ mod tests {
         let serial = Session::builder().parallelism(1).build();
         let parallel = Session::builder().parallelism(8).build();
         assert_eq!(serial.cache_key(&spec), parallel.cache_key(&spec));
-    }
-
-    #[test]
-    fn non_default_strategies_separate_keys_but_the_default_does_not() {
-        use lts::Strategy;
-        let spec = parse_spec("env x : cio[int]\ntype i[x, Pi(v: int) nil]").unwrap();
-        let default = Session::builder().build().cache_key(&spec);
-        let explicit_bfs = Session::builder()
-            .strategy(Strategy::Bfs)
-            .build()
-            .cache_key(&spec);
-        // An explicit BFS request is the default request — keys minted before
-        // strategies existed stay valid.
-        assert_eq!(default, explicit_bfs);
-        let beam = Session::builder()
-            .strategy(Strategy::Beam { width: 8 })
-            .build()
-            .cache_key(&spec);
-        let dfs = Session::builder()
-            .strategy(Strategy::Dfs)
-            .build()
-            .cache_key(&spec);
-        assert_ne!(default, beam);
-        assert_ne!(default, dfs);
-        assert_ne!(beam, dfs);
-        assert_ne!(
-            beam,
-            Session::builder()
-                .strategy(Strategy::Beam { width: 9 })
-                .build()
-                .cache_key(&spec)
-        );
     }
 
     #[test]

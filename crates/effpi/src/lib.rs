@@ -81,7 +81,7 @@ pub use lambdapi::intern::{stats as intern_stats, InternStats};
 pub use lambdapi::{
     BaseRule, EvalResult, Name, Reducer, Term, TermId, TermRef, TyRef, Type, TypeId, Value,
 };
-pub use lts::{CancelToken, ExploreConfig, Strategy, TermLabel, TermLts, TypeLabel, TypeLts};
+pub use lts::{CancelToken, ExploreConfig, TermLabel, TermLts, TypeLabel, TypeLts};
 pub use mucalc::{
     Formula, LabelSet, Property, Trace, TraceStep, VerificationOutcome, Verifier, VerifyError,
 };
@@ -92,7 +92,7 @@ pub use runtime::{
 
 pub use fingerprint::CacheKey;
 pub use session::{
-    Error, PropertyReport, Report, ReportSummary, Session, SessionBuilder, SessionConfig,
+    Error, PropertyReport, Report, ReportSummary, Session, SessionBuilder, SessionConfig, Strategy,
 };
 
 #[cfg(test)]

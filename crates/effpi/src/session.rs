@@ -39,7 +39,7 @@ use std::time::Duration;
 
 use dbt_types::{Checker, TypeEnv, TypeError};
 use lambdapi::{Name, Term, TyRef, Type};
-use lts::{CancelToken, ExploreConfig, Lts, Strategy, TypeLabel};
+use lts::{CancelToken, ExploreConfig, Lts, TypeLabel};
 use mucalc::{Property, VerificationOutcome, Verifier, VerifyError};
 
 use crate::spec::{parse_spec, Spec, SpecError};
@@ -130,13 +130,6 @@ pub struct SessionConfig {
     /// (the run then reports [`mucalc::VerifyError::Cancelled`]). Excluded
     /// from [`Session::cache_key`] — it cannot change a *completed* report.
     pub cancel: Option<CancelToken>,
-    /// The exploration strategy (frontier discipline) used for state-space
-    /// exploration (Step 2). On complete runs every strategy produces the
-    /// canonical LTS, so reports are identical to the default
-    /// [`Strategy::Bfs`]; on runs that trip the state bound the strategy
-    /// decides *which* prefix was explored, so it is part of
-    /// [`Session::cache_key`] whenever it is not the default.
-    pub strategy: Strategy,
     /// Caps the exploration's resident working set (seen-set pages plus
     /// in-RAM frontier, in bytes, Step 2): past the budget, cold frontier
     /// segments spill to disk and stream back in discovery order. Excluded
@@ -161,7 +154,6 @@ impl Default for SessionConfig {
             visible: None,
             parallelism: 1,
             cancel: None,
-            strategy: Strategy::default(),
             memory_budget: None,
             spill_dir: None,
         }
@@ -234,30 +226,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Selects the exploration strategy (frontier discipline) used for
-    /// state-space exploration (default [`Strategy::Bfs`]; the CLI's
-    /// `--strategy` flag).
-    ///
-    /// The strategy never changes a *complete* run: the engine canonically
-    /// renumbers every result, so verdicts, state counts and traces are
-    /// byte-identical to BFS. It matters when the state space is too large to
-    /// finish — a depth-first or guided beam search can reach a property
-    /// violation deep in the state space long before BFS would.
-    ///
-    /// ```
-    /// use effpi::{Session, Strategy};
-    ///
-    /// let session = Session::builder()
-    ///     .strategy("beam:32".parse::<Strategy>().unwrap())
-    ///     .max_states(10_000)
-    ///     .build();
-    /// assert_eq!(session.config().strategy, Strategy::Beam { width: 32 });
-    /// ```
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.config.strategy = strategy;
-        self
-    }
-
     /// Caps the resident working set of state-space exploration, in bytes
     /// (the CLI's `--memory-budget-explore` flag): past the budget, cold
     /// frontier segments spill to disk and stream back in discovery order,
@@ -287,7 +255,6 @@ impl SessionBuilder {
         verifier.explore = ExploreConfig {
             parallelism: self.config.parallelism,
             max_states: self.config.max_states,
-            strategy: self.config.strategy,
             cancel: self.config.cancel.clone(),
             memory_budget: self.config.memory_budget,
             spill_dir: self.config.spill_dir.clone(),
@@ -507,7 +474,7 @@ impl Session {
             typecheck,
             properties,
             error,
-            strategy: self.config.strategy,
+            strategy: Strategy::Bfs,
         }
     }
 
@@ -573,12 +540,19 @@ pub struct Report {
     pub properties: Vec<PropertyReport>,
     /// A failure that aborted the run before per-property outcomes existed.
     pub error: Option<Error>,
-    /// The exploration strategy the run used. Only rendered (in
-    /// [`ReportSummary::stable_line`] and [`Report::to_wire_json`]) when it
-    /// is not the default *and* the run failed: a complete run is canonical
-    /// — byte-identical for every strategy — while a failed (e.g. bounded)
-    /// run explored a strategy-dependent prefix worth naming.
+    /// Always [`Strategy::Bfs`], the engine's one exploration order, and
+    /// never rendered: [`Report::to_wire_json`] writes `"strategy":null`, so
+    /// reports stored by earlier releases stay byte-compatible.
     pub strategy: Strategy,
+}
+
+/// The exploration order of a [`Report`]. The engine has one — breadth-first,
+/// canonically numbered — so this type has one value.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
+pub enum Strategy {
+    /// Breadth-first.
+    #[default]
+    Bfs,
 }
 
 impl Report {
@@ -651,7 +625,6 @@ impl Report {
                 .map(|p| (p.property.name().to_string(), p.holds()))
                 .collect(),
             error: self.first_error().map(|e| e.to_string()),
-            strategy: self.strategy,
         }
     }
 
@@ -748,17 +721,8 @@ impl Report {
                     None => Json::Null,
                 },
             ),
-            (
-                // Named only on non-default failed runs: a complete run is
-                // canonical, so its JSON stays byte-identical across
-                // strategies (the determinism suite pins this).
-                "strategy",
-                if summary.strategy != Strategy::Bfs && summary.error.is_some() {
-                    Json::str(summary.strategy.to_string())
-                } else {
-                    Json::Null
-                },
-            ),
+            // Always null: kept so stored reports stay byte-compatible.
+            ("strategy", Json::Null),
             ("stable_line", Json::str(summary.stable_line())),
         ])
     }
@@ -805,9 +769,6 @@ pub struct ReportSummary {
     pub verdicts: Vec<(String, bool)>,
     /// First error message, if anything failed to run.
     pub error: Option<String>,
-    /// The exploration strategy of the run (see [`Report::strategy`] for when
-    /// it is rendered).
-    pub strategy: Strategy,
 }
 
 impl ReportSummary {
@@ -841,12 +802,6 @@ impl ReportSummary {
         }
         if let Some(e) = &self.error {
             let _ = write!(line, " error={e:?}");
-            // A failed run explored a strategy-dependent prefix; name the
-            // strategy when it is not the default. Complete runs omit it so
-            // their stable lines stay byte-identical across strategies.
-            if self.strategy != Strategy::Bfs {
-                let _ = write!(line, " strategy={}", self.strategy);
-            }
         }
         line
     }

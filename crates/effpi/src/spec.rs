@@ -23,6 +23,7 @@
 //! Statements:
 //!
 //! * `def NAME = TYPE` — a named type alias, usable in later statements;
+//!   `NAME` is one identifier;
 //! * `env X : TYPE` — a channel (or value) variable of the environment Γ;
 //!   `X` is one identifier;
 //! * `visible X, Y, ...` — the channels exposed to the environment (defaults
@@ -36,6 +37,10 @@
 //!   check names must be an identifier declared by some `env` statement
 //!   (anywhere in the file).
 //!
+//! Each `def NAME`, each `env X`, the `type` and the `term` bind once: a
+//! repeat is an error on its line naming the earlier one, never a silent
+//! rebinding.
+//!
 //! Statements may span several lines; a new statement starts whenever a line
 //! begins with one of the keywords above. Lines starting with `//` or `#` are
 //! comments.
@@ -44,6 +49,7 @@
 //! [`crate::Session::run_spec`] (or [`crate::Session::run_spec_text`] to do
 //! both in one call).
 
+use std::collections::HashMap;
 use std::fmt;
 
 use dbt_types::TypeEnv;
@@ -135,6 +141,9 @@ pub fn parse_spec(input: &str) -> Result<Spec, SpecError> {
     // declaration check once every `env` statement has been read.
     let mut check_lines = Vec::new();
     let mut visible_lines = Vec::new();
+    // The line of each binding statement (`def NAME`, `env NAME`, `type`,
+    // `term`): every one is stated once.
+    let mut bound: HashMap<String, usize> = HashMap::new();
 
     for (line, stmt) in statements {
         let (keyword, rest) = stmt
@@ -147,9 +156,11 @@ pub fn parse_spec(input: &str) -> Result<Spec, SpecError> {
                 let (name, body) = rest
                     .split_once('=')
                     .ok_or_else(|| err("expected `def NAME = TYPE`".to_string()))?;
+                let name = ident(name.trim()).map_err(err)?;
+                bind_once(&mut bound, format!("def {name}"), line)?;
                 let ty = parse_type_with(body.trim(), &spec.definitions)
                     .map_err(|e| err(e.to_string()))?;
-                spec.definitions.insert(name.trim().to_string(), ty);
+                spec.definitions.insert(name.to_string(), ty);
             }
             "env" => {
                 let (name, ty_text) = rest
@@ -158,6 +169,7 @@ pub fn parse_spec(input: &str) -> Result<Spec, SpecError> {
                 let ty = parse_type_with(ty_text.trim(), &spec.definitions)
                     .map_err(|e| err(e.to_string()))?;
                 let name = ident(name.trim()).map_err(err)?.to_string();
+                bind_once(&mut bound, format!("env {name}"), line)?;
                 spec.env = spec.env.bind(name.as_str(), ty);
                 if !explicit_visible {
                     spec.visible.push(Name::new(name));
@@ -177,11 +189,13 @@ pub fn parse_spec(input: &str) -> Result<Spec, SpecError> {
                 }
             }
             "type" => {
+                bind_once(&mut bound, "type".to_string(), line)?;
                 let ty =
                     parse_type_with(rest, &spec.definitions).map_err(|e| err(e.to_string()))?;
                 spec.ty = Some(ty);
             }
             "term" => {
+                bind_once(&mut bound, "term".to_string(), line)?;
                 let term =
                     parse_term_with(rest, &spec.definitions).map_err(|e| err(e.to_string()))?;
                 spec.term = Some(term);
@@ -221,6 +235,26 @@ pub fn parse_spec(input: &str) -> Result<Spec, SpecError> {
         }
     }
     Ok(spec)
+}
+
+/// Records that the binding statement `key` (`def NAME`, `env NAME`,
+/// `type` or `term`) is on `line`, or fails naming the line that stated it
+/// first.
+fn bind_once(
+    bound: &mut HashMap<String, usize>,
+    key: String,
+    line: usize,
+) -> Result<(), SpecError> {
+    match bound.get(&key) {
+        None => {
+            bound.insert(key, line);
+            Ok(())
+        }
+        Some(first) => Err(SpecError {
+            line,
+            message: format!("`{key}` is already stated on line {first}"),
+        }),
+    }
 }
 
 /// A variable name is one identifier token, as the type syntax spells
@@ -428,5 +462,39 @@ mod tests {
         assert!(err.message.contains("\"client aud\""), "{err}");
         let err = parse_spec("env : cio[int]").unwrap_err();
         assert_eq!(err.line, 1, "{err}");
+    }
+
+    #[test]
+    fn def_names_are_one_identifier() {
+        let text = "def My Int = int\nenv x : cio[int]\ntype o[x, int, Pi() nil]\n";
+        let err = parse_spec(text).unwrap_err();
+        assert_eq!(err.line, 1, "{err}");
+        assert!(err.message.contains("\"My Int\""), "{err}");
+    }
+
+    #[test]
+    fn every_binding_statement_binds_once() {
+        for (text, line, first) in [
+            ("def T = int\nenv x : cio[T]\ndef T = str\n", 3, "line 1"),
+            (
+                "env x : cio[int]\nenv x : co[int]\ntype i[x, Pi(v: int) nil]\n",
+                2,
+                "line 1",
+            ),
+            (
+                "env x : cio[int]\ntype o[x, int, Pi() nil]\ntype nil\ncheck non_usage [x]\n",
+                3,
+                "line 2",
+            ),
+            (
+                "env x : cio[int]\ntype nil\nterm end\n\nterm end\n",
+                5,
+                "line 3",
+            ),
+        ] {
+            let err = parse_spec(text).unwrap_err();
+            assert_eq!(err.line, line, "{text:?}: {err}");
+            assert!(err.message.contains(first), "{text:?}: {err}");
+        }
     }
 }

@@ -15,65 +15,47 @@
 //!   interner id — `TyRef`/`TermRef`; ~1 bit per state in lazily allocated
 //!   pages, the key is the id itself). See the `memory` module.
 //! * **The frontier** — registered-but-unexpanded `(key, depth)` entries.
-//!   Serially it is a [`Strategy`]: the FIFO that may spill to disk
-//!   (breadth-first) or an in-RAM discipline (depth-first, beam, random
-//!   walk). Under the workers it is one work-stealing deque per worker —
-//!   owners push and pop the back (LIFO, for cache warmth), thieves steal the
-//!   *oldest* entry from the front of a sibling — with the same spilling FIFO
-//!   as the overflow for batches discovered over budget.
+//!   Serially it is one FIFO that may spill to disk, so the serial driver
+//!   is breadth-first. Under the workers it is one work-stealing deque per
+//!   worker — owners push and pop the back (LIFO, for cache warmth), thieves
+//!   steal the *oldest* entry from the front of a sibling — with the same
+//!   spilling FIFO as the overflow for batches discovered over budget.
 //!
 //! **Selection is by what the code can observe, never by an option.** The
-//! table follows the state type: the [`explore`] family below takes any
+//! table follows the state type: the [`explore`] function below takes any
 //! hashable state and uses the hash table; the `TypeLts` / `TermLts`
 //! builders, whose states carry interner ids, run the same drivers on the
-//! bitmap table. The driver follows [`ExploreConfig::parallelism`] (and the
-//! strategy: beam and random walk *are* their expansion order, so they always
-//! run serially). The frontier follows [`ExploreConfig::strategy`] and
-//! [`ExploreConfig::memory_budget`]: only a FIFO can spill — a spilled
-//! segment cannot be reordered — so breadth-first runs spill past the budget
-//! and the in-RAM disciplines ignore it; parallel runs spill under every
-//! strategy they accept, since work stealing decides their order anyway.
+//! bitmap table. The driver follows [`ExploreConfig::parallelism`], and both
+//! drivers spill their FIFO past [`ExploreConfig::memory_budget`].
 //!
 //! What every run guarantees, whatever was selected:
 //!
 //! * **Cooperative early exit** — the run ends as soon as the state bound
-//!   trips (parallel; a serial run keeps expanding what it registered), as
-//!   soon as an optional *monitor* decides the question being asked
-//!   on-the-fly (see [`explore_guided`]), or as soon as an external
-//!   [`CancelToken`] is flipped (the abort hook behind `effpi-serve`'s
-//!   `cancel` request); workers check between expansions instead of draining
-//!   their queues.
-//! * **Canonical renumbering** — discovery order under concurrency (or under
-//!   a non-FIFO discipline) is not the breadth-first order, so after
-//!   exploration the states are renumbered by a deterministic BFS over the
-//!   recorded (deterministically ordered) transition lists. A complete run
-//!   therefore yields an [`Lts`] **identical** — states, indices, transitions
-//!   — for every worker count, strategy, table and memory budget. Serial BFS
-//!   discovers in canonical order already and skips the pass.
-//! * **Predecessor edges** — every exploration records, per state, the edge
-//!   that first discovered it ([`Exploration::parents`], in canonical
-//!   numbering), so a state of interest can be turned into a replayable
-//!   witness path from the initial state ([`Exploration::trace_to`]).
+//!   trips (parallel; a serial run keeps expanding what it registered), or
+//!   as soon as an external [`CancelToken`] is flipped (the abort hook behind
+//!   `effpi-serve`'s `cancel` request); workers check between expansions
+//!   instead of draining their queues.
+//! * **Canonical renumbering** — discovery order under concurrency is not the
+//!   breadth-first order, so after a parallel exploration the states are
+//!   renumbered by a deterministic BFS over the recorded (deterministically
+//!   ordered) transition lists. A complete run therefore yields an [`Lts`]
+//!   **identical** — states, indices, transitions — for every worker count,
+//!   table and memory budget. The serial driver discovers in canonical order
+//!   already and skips the pass. Paths to a state of interest are read off
+//!   the finished LTS ([`Lts::path_to`]).
 //! * **Progress** — every 8192 expansions a driver publishes the run's vital
 //!   signs to the process `obs` registry (see [`ExploreStats`] for the memory
 //!   figures).
 //!
-//! A strategy can only be observed on runs that end early — which is the
-//! point: a directed order can hit a violating state after exploring a
-//! fraction of the space.
-//!
 //! [`TypeLts::build`]: crate::TypeLts::build
 //! [`TermLts::build`]: crate::TermLts::build
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::fmt;
+use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use lambdapi::intern::Arena;
-use obs::hash::SplitMix64;
 use obs::sync::{Condvar, Mutex};
 
 use crate::generic::Lts;
@@ -117,296 +99,27 @@ impl PartialEq for CancelToken {
 impl Eq for CancelToken {}
 
 // ---------------------------------------------------------------------------
-// Frontier disciplines
-// ---------------------------------------------------------------------------
-
-/// The frontier discipline an exploration expands pending states with.
-///
-/// Thanks to canonical renumbering, a **complete** run produces an [`Lts`]
-/// byte-identical to BFS under *every* strategy — the discipline can only be
-/// observed on runs that end early (a state bound, a monitor decision, a
-/// cancellation), where a directed order may surface a target state after
-/// exploring a fraction of what breadth-first needs.
-///
-/// Parses from and renders to the textual form used by `effpi-cli
-/// --strategy` and the serve protocol: `bfs`, `dfs`, `beam[:width]`,
-/// `random[:seed]`.
-///
-/// ```
-/// use lts::explore::Strategy;
-///
-/// assert_eq!("beam:32".parse(), Ok(Strategy::Beam { width: 32 }));
-/// assert_eq!("random:7".parse(), Ok(Strategy::RandomWalk { seed: 7 }));
-/// assert_eq!(Strategy::default(), Strategy::Bfs);
-/// assert_eq!(Strategy::Beam { width: 32 }.to_string(), "beam:32");
-/// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum Strategy {
-    /// Breadth-first (the default): discovery order is the canonical
-    /// numbering, and the first violation found lies on a shortest path.
-    #[default]
-    Bfs,
-    /// Depth-first: dives along one branch before backtracking. Keeps the
-    /// frontier small on deep spaces and reaches deep states long before BFS.
-    Dfs,
-    /// Heuristic-guided beam search: always expands the pending state with
-    /// the *lowest* priority (see [`explore_guided`]); only the best `width`
-    /// states are kept hot, the rest are parked — never discarded — so
-    /// completeness is preserved.
-    Beam {
-        /// The beam width: how many best-priority states stay hot.
-        width: usize,
-    },
-    /// A seeded uniform random walk over the pending set: each expansion
-    /// picks a uniformly random frontier state. Deterministic per seed.
-    RandomWalk {
-        /// The PRNG seed; equal seeds reproduce equal runs exactly.
-        seed: u64,
-    },
-}
-
-impl Strategy {
-    /// The beam width used when `beam` is requested without one.
-    pub const DEFAULT_BEAM_WIDTH: usize = 64;
-
-    /// The seed used when `random` is requested without one.
-    pub const DEFAULT_RANDOM_SEED: u64 = 1;
-
-    /// Parses the textual form: `bfs`, `dfs`, `beam`, `beam:WIDTH`, `random`,
-    /// `random:SEED`.
-    pub fn parse(text: &str) -> Result<Strategy, String> {
-        let (head, arg) = match text.split_once(':') {
-            Some((head, arg)) => (head, Some(arg)),
-            None => (text, None),
-        };
-        match (head, arg) {
-            ("bfs", None) => Ok(Strategy::Bfs),
-            ("dfs", None) => Ok(Strategy::Dfs),
-            ("beam", None) => Ok(Strategy::Beam {
-                width: Self::DEFAULT_BEAM_WIDTH,
-            }),
-            ("beam", Some(w)) => match w.parse::<usize>() {
-                Ok(width) if width > 0 => Ok(Strategy::Beam { width }),
-                _ => Err(format!(
-                    "invalid beam width {w:?} (want beam:<positive integer>)"
-                )),
-            },
-            ("random", None) => Ok(Strategy::RandomWalk {
-                seed: Self::DEFAULT_RANDOM_SEED,
-            }),
-            ("random", Some(s)) => s
-                .parse::<u64>()
-                .map(|seed| Strategy::RandomWalk { seed })
-                .map_err(|_| format!("invalid random-walk seed {s:?} (want random:<integer>)")),
-            _ => Err(format!(
-                "unknown strategy {text:?} (want bfs, dfs, beam[:width] or random[:seed])"
-            )),
-        }
-    }
-
-    /// Builds the serial frontier implementing this discipline: the FIFO
-    /// that spills past `memory_budget` for breadth-first, an in-RAM
-    /// discipline (which ignores the budget) for everything else.
-    pub(crate) fn frontier(
-        self,
-        memory_budget: Option<usize>,
-        spill_dir: Option<PathBuf>,
-    ) -> Box<dyn FrontierDiscipline> {
-        match self {
-            Strategy::Bfs => Box::new(SpillFrontier::new(memory_budget, spill_dir)),
-            Strategy::Dfs => Box::new(DfsFrontier::default()),
-            Strategy::Beam { width } => Box::new(BeamFrontier::new(width)),
-            Strategy::RandomWalk { seed } => Box::new(RandomWalkFrontier::new(seed)),
-        }
-    }
-
-    /// Disciplines whose expansion *order* is the product (beam priorities,
-    /// the random walk's seeded schedule) run serially even when the config
-    /// asks for workers: a work-stealing pool would reorder them
-    /// nondeterministically. BFS and DFS keep the parallel driver — their
-    /// complete runs are canonically renumbered anyway, and their early exits
-    /// are explicitly scheduling-dependent.
-    fn forces_serial(self) -> bool {
-        matches!(self, Strategy::Beam { .. } | Strategy::RandomWalk { .. })
-    }
-}
-
-impl fmt::Display for Strategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Strategy::Bfs => write!(f, "bfs"),
-            Strategy::Dfs => write!(f, "dfs"),
-            Strategy::Beam { width } => write!(f, "beam:{width}"),
-            Strategy::RandomWalk { seed } => write!(f, "random:{seed}"),
-        }
-    }
-}
-
-impl std::str::FromStr for Strategy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Strategy::parse(s)
-    }
-}
-
-/// The serial driver's frontier: registered-but-unexpanded `(key, depth)`
-/// entries. [`Strategy::frontier`] builds one; the driver pushes every
-/// freshly discovered state with its heuristic `priority` (lower = expanded
-/// sooner; only [`Strategy::Beam`] looks at it) and pops the next entry to
-/// expand.
-///
-/// Implementations must be **lossless** — every pushed entry is eventually
-/// popped — so that completeness never depends on the discipline; a
-/// discipline is free to reorder, never to drop. Their order must be a pure
-/// function of the push *sequence*, never of the keys: the same search then
-/// expands in the same order on either state table.
-pub(crate) trait FrontierDiscipline {
-    /// Enqueues a discovered state with its heuristic priority.
-    fn push(&mut self, entry: Entry, priority: u64);
-    /// Dequeues the next state to expand, or `None` when drained.
-    fn pop(&mut self) -> Option<Entry>;
-    /// Registered, not yet expanded — wherever the entry lives (a spilled
-    /// entry is still pending).
-    fn len(&self) -> usize;
-    /// Bytes of frontier entries held in RAM.
-    fn resident_bytes(&self) -> usize {
-        self.len() * ENTRY_BYTES
-    }
-    /// Called after each expansion with the state table's resident size, so
-    /// a budgeted FIFO can spill its cold tail. The in-RAM disciplines order
-    /// their whole pending set, which a spilled segment cannot do: they stay
-    /// resident whatever the budget.
-    fn relieve(&mut self, _table_resident: usize) {}
-    /// Spill accounting so far (zeros for the in-RAM disciplines).
-    fn spill_stats(&self) -> ExploreStats {
-        ExploreStats::default()
-    }
-}
-
-/// LIFO — depth-first order.
-#[derive(Default)]
-struct DfsFrontier(Vec<Entry>);
-
-impl FrontierDiscipline for DfsFrontier {
-    fn push(&mut self, entry: Entry, _priority: u64) {
-        self.0.push(entry);
-    }
-    fn pop(&mut self) -> Option<Entry> {
-        self.0.pop()
-    }
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-}
-
-/// Best-first with a hot beam and a cold backlog. Pops always take the
-/// lowest `(priority, push number)` pending in the hot heap; when the heap
-/// outgrows `4 × width`, everything but the `width` best is parked on the
-/// backlog, and a drained heap refills from it — the beam narrows
-/// *attention*, it never discards reachability. Ties break on the push
-/// number, so the order is a pure function of the push sequence.
-struct BeamFrontier {
-    width: usize,
-    pushed: u64,
-    hot: BinaryHeap<Reverse<(u64, u64, Entry)>>,
-    cold: VecDeque<(u64, u64, Entry)>,
-}
-
-impl BeamFrontier {
-    fn new(width: usize) -> Self {
-        BeamFrontier {
-            width: width.max(1),
-            pushed: 0,
-            hot: BinaryHeap::new(),
-            cold: VecDeque::new(),
-        }
-    }
-}
-
-impl FrontierDiscipline for BeamFrontier {
-    fn push(&mut self, entry: Entry, priority: u64) {
-        self.hot.push(Reverse((priority, self.pushed, entry)));
-        self.pushed += 1;
-        if self.hot.len() > 4 * self.width {
-            let keep: Vec<_> = (0..self.width).filter_map(|_| self.hot.pop()).collect();
-            self.cold
-                .extend(self.hot.drain().map(|Reverse(ranked)| ranked));
-            self.hot.extend(keep);
-        }
-    }
-    fn pop(&mut self) -> Option<Entry> {
-        if self.hot.is_empty() {
-            self.hot.extend(self.cold.drain(..).map(Reverse));
-        }
-        self.hot.pop().map(|Reverse((_, _, entry))| entry)
-    }
-    fn len(&self) -> usize {
-        self.hot.len() + self.cold.len()
-    }
-}
-
-/// Uniform random choice from the pending pool, driven by a SplitMix64
-/// stream — tiny, seedable and dependency-free. Equal seeds reproduce equal
-/// pop sequences exactly.
-struct RandomWalkFrontier {
-    pool: Vec<Entry>,
-    rng: SplitMix64,
-}
-
-impl RandomWalkFrontier {
-    fn new(seed: u64) -> Self {
-        RandomWalkFrontier {
-            pool: Vec::new(),
-            rng: SplitMix64::new(seed),
-        }
-    }
-}
-
-impl FrontierDiscipline for RandomWalkFrontier {
-    fn push(&mut self, entry: Entry, _priority: u64) {
-        self.pool.push(entry);
-    }
-    fn pop(&mut self) -> Option<Entry> {
-        if self.pool.is_empty() {
-            return None;
-        }
-        let k = self.rng.below(self.pool.len() as u64) as usize;
-        Some(self.pool.swap_remove(k))
-    }
-    fn len(&self) -> usize {
-        self.pool.len()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Configuration and results
 // ---------------------------------------------------------------------------
 
-/// How an exploration is run: worker count, state bound, frontier discipline,
-/// memory budget, and an optional external cancellation hook. Declared here
+/// How an exploration is run: worker count, state bound, memory budget, and
+/// an optional external cancellation hook. Declared here
 /// and nowhere else — the `TypeLts` / `TermLts` builders take one by
 /// reference, and `mucalc::Verifier` / `effpi::Session` hand theirs down.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ExploreConfig {
     /// Number of worker threads. `1` (the default) explores serially on the
-    /// calling thread — no pool. Strategies whose expansion order *is* the
-    /// product ([`Strategy::Beam`], [`Strategy::RandomWalk`]) always run
-    /// serially, whatever this says.
+    /// calling thread — no pool.
     pub parallelism: usize,
     /// Maximum number of states registered before the run is truncated.
     pub max_states: usize,
-    /// The frontier discipline (default [`Strategy::Bfs`]).
-    pub strategy: Strategy,
     /// When set, workers poll this flag between state expansions and abort
     /// the run ([`ExploreStatus::Aborted`]) as soon as it flips.
     pub cancel: Option<CancelToken>,
     /// Resident-memory budget in bytes for the exploration's frontier +
     /// state-table working set. `None` (the default) keeps everything in
-    /// RAM; `Some(bytes)` makes a breadth-first or parallel run spill cold
-    /// frontier segments to disk once the working set trips the budget.
-    /// Ignored by the serial non-BFS disciplines, whose frontiers order
-    /// their whole pending set and therefore stay resident.
+    /// RAM; `Some(bytes)` makes a run spill cold frontier segments to disk
+    /// once the working set trips the budget.
     pub memory_budget: Option<usize>,
     /// Where spilled frontier segments live. `None` (the default) uses a
     /// fresh per-run directory under [`std::env::temp_dir`]; either way the
@@ -426,17 +139,10 @@ impl ExploreConfig {
         ExploreConfig {
             parallelism: parallelism.max(1),
             max_states,
-            strategy: Strategy::default(),
             cancel: None,
             memory_budget: None,
             spill_dir: None,
         }
-    }
-
-    /// Selects the frontier discipline (see [`Strategy`]).
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// Attaches an external cancellation token (see [`CancelToken`]).
@@ -559,16 +265,10 @@ pub enum ExploreStatus {
     Complete,
     /// The state bound tripped; the LTS is a prefix of the real one.
     Truncated,
-    /// The monitor of [`explore_guided`] decided the question early.
-    Cancelled,
     /// An external [`CancelToken`] aborted the run; the LTS is a partial,
     /// scheduling-dependent prefix and carries no determinism guarantee.
     Aborted,
 }
-
-/// A discovery tree: per state (in canonical numbering), the `(source,
-/// label)` edge that first reached it, or `None` for the root / orphans.
-pub type DiscoveryTree<L> = Vec<Option<(usize, L)>>;
 
 /// Memory accounting for one exploration.
 ///
@@ -589,56 +289,20 @@ pub struct ExploreStats {
     pub spill_reloads: u64,
 }
 
-/// The result of an exploration: the (canonically numbered) LTS, the
-/// discovery tree, and how the run ended.
+/// The result of an exploration: the (canonically numbered) LTS and how the
+/// run ended.
 #[derive(Clone, Debug)]
 pub struct Exploration<S, L> {
     /// The explored transition system. Its `is_truncated` flag is set
     /// whenever the state bound tripped — including in a run whose `status`
-    /// is [`ExploreStatus::Cancelled`] because a monitor decision arrived
-    /// after the trip.
+    /// is [`ExploreStatus::Aborted`] because the abort arrived after the
+    /// trip.
     pub lts: Lts<S, L>,
-    /// The discovery tree, in the final (canonical) numbering: `parents[i]`
-    /// is the `(source, label)` edge that first reached state `i` in the
-    /// canonical BFS over the recorded transitions — so following it back
-    /// from any state yields a *shortest* path within the explored subgraph.
-    /// `None` for the initial state, and for orphan states whose discoverer's
-    /// expansion record was lost to an early exit.
-    pub parents: DiscoveryTree<L>,
-    /// How the run ended. Cancellation wins over truncation when both
-    /// happened; check [`Lts::is_truncated`] for the bound.
+    /// How the run ended. An abort wins over truncation when both happened;
+    /// check [`Lts::is_truncated`] for the bound.
     pub status: ExploreStatus,
     /// Memory accounting.
     pub stats: ExploreStats,
-}
-
-impl<S, L> Exploration<S, L>
-where
-    S: Clone + Eq + Hash,
-    L: Clone,
-{
-    /// The witness path from the initial state to `target`, as
-    /// `(source, label, target)` steps in canonical numbering, reconstructed
-    /// from the recorded [`Exploration::parents`] edges. Every step is a real
-    /// transition of [`Exploration::lts`], so the path replays. Returns
-    /// `Some(vec![])` for the initial state itself, and `None` for an
-    /// out-of-range or orphaned target.
-    pub fn trace_to(&self, target: usize) -> Option<Vec<(usize, L, usize)>> {
-        if target >= self.parents.len() {
-            return None;
-        }
-        let mut steps = Vec::new();
-        let mut cur = target;
-        while let Some((from, label)) = &self.parents[cur] {
-            steps.push((*from, label.clone(), cur));
-            cur = *from;
-        }
-        if cur != self.lts.initial() {
-            return None;
-        }
-        steps.reverse();
-        Some(steps)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -661,101 +325,18 @@ where
     L: Clone + Send,
     F: Fn(&S) -> Vec<(L, S)> + Sync,
 {
-    explore_until(initial, succ, config, |_: &S, _: &[(L, usize)]| false)
+    run::<HashTable<S>, _, _, _>(initial, succ, config)
 }
 
-/// [`explore_guided`] without a heuristic (every priority is 0).
-pub(crate) fn explore_until<S, L, F, M>(
-    initial: S,
-    succ: F,
-    config: &ExploreConfig,
-    monitor: M,
-) -> Exploration<S, L>
-where
-    S: Clone + Eq + Hash + Send + Sync,
-    L: Clone + Send,
-    F: Fn(&S) -> Vec<(L, S)> + Sync,
-    M: Fn(&S, &[(L, usize)]) -> bool + Sync,
-{
-    explore_guided(initial, succ, config, monitor, |_: &S| 0)
-}
-
-/// Like [`explore`], with an on-the-fly *monitor* and a *heuristic*.
-///
-/// After each state is expanded, `monitor(state, transitions)` may return
-/// `true` to declare the question decided, which cooperatively stops every
-/// worker ([`ExploreStatus::Cancelled`]). The monitor sees the expanded state
-/// and its outgoing transitions (targets as provisional keys — useful for
-/// counting, not for indexing). Because workers race, a cancelled run's state
-/// *set* is nondeterministic; only complete runs carry the determinism
-/// guarantee.
-///
-/// `heuristic(state)` assigns each discovered state a priority (lower =
-/// expanded sooner), which [`Strategy::Beam`] uses to steer the frontier
-/// toward likely-violating states. The other strategies ignore priorities;
-/// the heuristic must be a pure function of the state.
-///
-/// This is the hook for on-the-fly property checking (e.g. a reachability
-/// violation deciding non-usage the moment it is seen): combined with a
-/// directed [`Strategy`] it is the engine's counterexample *search* mode. The
-/// `mucalc` verifier evaluates its µ-calculus properties globally on the
-/// finished LTS (several properties share one build), so its in-tree
-/// exercisers are the engine tests and the determinism suite's hunt for a
-/// seeded violation (`TypeLts::build_exploration_until` under a guided
-/// beam).
-///
-/// ```
-/// use lts::explore::{explore_guided, ExploreConfig, ExploreStatus, Strategy};
-///
-/// // Hunt state 900 on a long chain: the beam dives straight for it because
-/// // the heuristic ranks states by their distance to the goal.
-/// let succ = |s: &u64| if *s < 100_000 { vec![("inc", s + 1)] } else { vec![] };
-/// let config = ExploreConfig::serial(usize::MAX)
-///     .with_strategy(Strategy::Beam { width: 4 });
-/// let ex = explore_guided(
-///     0u64,
-///     succ,
-///     &config,
-///     |s: &u64, _: &[(&str, usize)]| *s == 900,
-///     |s: &u64| 900u64.saturating_sub(*s),
-/// );
-/// assert_eq!(ex.status, ExploreStatus::Cancelled);
-/// assert!(ex.lts.num_states() < 1_000);
-/// ```
-pub fn explore_guided<S, L, F, M, H>(
-    initial: S,
-    succ: F,
-    config: &ExploreConfig,
-    monitor: M,
-    heuristic: H,
-) -> Exploration<S, L>
-where
-    S: Clone + Eq + Hash + Send + Sync,
-    L: Clone + Send,
-    F: Fn(&S) -> Vec<(L, S)> + Sync,
-    M: Fn(&S, &[(L, usize)]) -> bool + Sync,
-    H: Fn(&S) -> u64 + Sync,
-{
-    run::<HashTable<S>, _, _, _, _, _>(initial, succ, config, monitor, heuristic)
-}
-
-/// [`explore_guided`] on the state table `T` — the one way into the drivers.
-/// The public family above fixes `T` to the hash table, the `TypeLts` /
+/// [`explore`] on the state table `T` — the one way into the drivers. The
+/// public function above fixes `T` to the hash table, the `TypeLts` /
 /// `TermLts` builders to the bitmap table of the `memory` module.
-pub(crate) fn run<T, S, L, F, M, H>(
-    initial: S,
-    succ: F,
-    config: &ExploreConfig,
-    monitor: M,
-    heuristic: H,
-) -> Exploration<S, L>
+pub(crate) fn run<T, S, L, F>(initial: S, succ: F, config: &ExploreConfig) -> Exploration<S, L>
 where
     T: StateTable<State = S>,
     S: Clone + Eq + Hash + Send + Sync,
     L: Clone + Send,
     F: Fn(&S) -> Vec<(L, S)> + Sync,
-    M: Fn(&S, &[(L, usize)]) -> bool + Sync,
-    H: Fn(&S) -> u64 + Sync,
 {
     let ctl = Control {
         // The initial state is always admitted, whatever the bound; keys are
@@ -764,13 +345,12 @@ where
         cancel: config.cancel.as_ref(),
         count: AtomicUsize::new(0),
         truncated: AtomicBool::new(false),
-        decided: AtomicBool::new(false),
         aborted: AtomicBool::new(false),
     };
-    if config.parallelism <= 1 || config.strategy.forces_serial() {
-        explore_serial::<T, _, _, _, _, _>(initial, &succ, config, &ctl, &monitor, &heuristic)
+    if config.parallelism <= 1 {
+        explore_serial::<T, _, _, _>(initial, &succ, config, &ctl)
     } else {
-        explore_parallel::<T, _, _, _, _>(initial, &succ, config, &ctl, &monitor)
+        explore_parallel::<T, _, _, _>(initial, &succ, config, &ctl)
     }
 }
 
@@ -866,8 +446,6 @@ struct Control<'a> {
     count: AtomicUsize,
     /// Whether the bound tripped somewhere.
     truncated: AtomicBool,
-    /// Whether a monitor decided the run early.
-    decided: AtomicBool,
     /// Whether the external [`CancelToken`] aborted the run.
     aborted: AtomicBool,
 }
@@ -902,14 +480,11 @@ impl Control<'_> {
         requested
     }
 
-    /// External abort wins the status, then monitor cancellation; a bound
-    /// trip that already happened stays visible through the LTS's truncated
-    /// flag.
+    /// External abort wins the status; a bound trip that already happened
+    /// stays visible through the LTS's truncated flag.
     fn status(&self) -> ExploreStatus {
         if self.aborted.load(Ordering::Relaxed) {
             ExploreStatus::Aborted
-        } else if self.decided.load(Ordering::Relaxed) {
-            ExploreStatus::Cancelled
         } else if self.truncated.load(Ordering::Relaxed) {
             ExploreStatus::Truncated
         } else {
@@ -919,8 +494,8 @@ impl Control<'_> {
 }
 
 /// One expanded state, as recorded by the driver that expanded it: its key
-/// and its transitions (targets as keys in `usize` dress, for the monitor).
-type Record<L> = (u32, Vec<(L, usize)>);
+/// and its transitions, targets as keys.
+type Record<L> = (u32, Vec<(L, u32)>);
 
 /// Turns a finished run into its [`Exploration`]: numbers the registered
 /// states densely — `records` first, in expansion order, then the `leftover`
@@ -929,16 +504,15 @@ type Record<L> = (u32, Vec<(L, usize)>);
 /// keys. Every registered key is in exactly one of the two: registering and
 /// enqueueing are never separated by an exit point in either driver.
 ///
-/// `fifo_parents` is the serial breadth-first driver's discovery tree: under
-/// FIFO, expansion order *is* discovery order *is* the canonical numbering,
-/// so the dense numbering above is final. Every other run passes `None` and
-/// is renumbered.
+/// The serial driver passes `canonical`: under its FIFO, expansion order
+/// *is* discovery order *is* the canonical numbering, so the dense numbering
+/// above is final. A parallel run is renumbered.
 fn assemble<T, S, L>(
     table: &T,
     root: u32,
     records: Vec<Record<L>>,
     leftover: Vec<u32>,
-    fifo_parents: Option<DiscoveryTree<L>>,
+    canonical: bool,
     ctl: &Control,
     stats: ExploreStats,
 ) -> Exploration<S, L>
@@ -961,86 +535,71 @@ where
         .into_iter()
         .map(|(_, out)| {
             out.into_iter()
-                .map(|(label, target)| (label, dense[&(target as u32)]))
+                .map(|(label, target)| (label, dense[&target]))
                 .collect()
         })
         .collect();
     transitions.resize_with(states.len(), Vec::new);
 
-    // The truncated flag is reported faithfully even when a monitor
-    // cancellation won the status race.
+    // The truncated flag is reported faithfully even when an abort won the
+    // status race.
     let truncated = ctl.truncated.load(Ordering::Relaxed);
-    let (lts, parents) = match fifo_parents {
-        Some(parents) => (Lts::from_parts(states, transitions, truncated), parents),
-        None => renumber(states, transitions, dense[&root], truncated),
+    let lts = if canonical {
+        Lts::from_parts(states, transitions, truncated)
+    } else {
+        renumber(states, transitions, dense[&root], truncated)
     };
     Exploration {
         lts,
-        parents,
         status: ctl.status(),
         stats,
     }
 }
 
 // ---------------------------------------------------------------------------
-// The serial driver: one thread, frontier order decided by the strategy.
+// The serial driver: one thread, one FIFO — breadth-first.
 // ---------------------------------------------------------------------------
 
-fn explore_serial<T, S, L, F, M, H>(
+fn explore_serial<T, S, L, F>(
     initial: S,
     succ: &F,
     config: &ExploreConfig,
     ctl: &Control,
-    monitor: &M,
-    heuristic: &H,
 ) -> Exploration<S, L>
 where
     T: StateTable<State = S>,
     S: Clone + Eq + Hash,
     L: Clone,
     F: Fn(&S) -> Vec<(L, S)>,
-    M: Fn(&S, &[(L, usize)]) -> bool,
-    H: Fn(&S) -> u64,
 {
     let table = T::new(1);
-    let mut frontier = config
-        .strategy
-        .frontier(config.memory_budget, config.spill_dir.clone());
+    let mut frontier = SpillFrontier::new(config.memory_budget, config.spill_dir.clone());
     let mut records: Vec<Record<L>> = Vec::new();
-    // FIFO pops make discovery order canonical already (and these parents
-    // the BFS tree), so a breadth-first run skips the renumbering pass; any
-    // other discipline gets its shortest-path parents from `renumber`.
-    let mut fifo_parents: Option<DiscoveryTree<L>> =
-        (config.strategy == Strategy::Bfs).then(|| vec![None]);
     let mut progress = Progress::new();
     let mut resident_peak = 0usize;
 
     let (root, _) = table
         .register(&initial, || ctl.admit())
         .expect("max_states >= 1 admits the initial state");
-    frontier.push((root, 0), heuristic(&initial));
+    frontier.push((root, 0));
 
     while !ctl.abort_requested() {
         let Some((key, depth)) = frontier.pop() else {
             break;
         };
         let state = table.state(key);
-        let mut out: Vec<(L, usize)> = Vec::new();
+        let mut out: Vec<(L, u32)> = Vec::new();
         for (label, next) in succ(&state) {
             // A refused registration is an edge to an unregistered state
             // beyond the bound: dropped. The serial driver keeps expanding
             // what it did register.
             if let Some((target, fresh)) = table.register(&next, || ctl.admit()) {
                 if fresh {
-                    if let Some(parents) = fifo_parents.as_mut() {
-                        parents.push(Some((records.len(), label.clone())));
-                    }
-                    frontier.push((target, depth + 1), heuristic(&next));
+                    frontier.push((target, depth + 1));
                 }
-                out.push((label, target as usize));
+                out.push((label, target));
             }
         }
-        let decided = monitor(&state, &out);
         records.push((key, out));
         let table_resident = table.resident_bytes();
         frontier.relieve(table_resident);
@@ -1049,10 +608,6 @@ where
         if progress.due() {
             let states = ctl.count.load(Ordering::Relaxed);
             progress.report(states, frontier.len(), depth, resident);
-        }
-        if decided {
-            ctl.decided.store(true, Ordering::Relaxed);
-            break;
         }
     }
     progress.finish();
@@ -1064,7 +619,7 @@ where
         resident_peak_bytes: resident_peak as u64,
         ..frontier.spill_stats()
     };
-    assemble(&table, root, records, leftover, fifo_parents, ctl, stats)
+    assemble(&table, root, records, leftover, true, ctl, stats)
 }
 
 // ---------------------------------------------------------------------------
@@ -1080,8 +635,7 @@ struct Shared<'a, T> {
     /// resident or spilled — or in flight on a worker). Zero means the
     /// frontier is globally exhausted.
     pending: AtomicUsize,
-    /// Cooperative early-exit flag: set on bound trip, monitor decision or
-    /// external abort.
+    /// Cooperative early-exit flag: set on bound trip or external abort.
     stop: AtomicBool,
     /// One work deque per worker; owners push/pop the back, thieves the
     /// front.
@@ -1199,19 +753,17 @@ impl<T: StateTable> Shared<'_, T> {
     }
 }
 
-fn explore_parallel<T, S, L, F, M>(
+fn explore_parallel<T, S, L, F>(
     initial: S,
     succ: &F,
     config: &ExploreConfig,
     ctl: &Control,
-    monitor: &M,
 ) -> Exploration<S, L>
 where
     T: StateTable<State = S>,
     S: Clone + Eq + Hash + Send + Sync,
     L: Clone + Send,
     F: Fn(&S) -> Vec<(L, S)> + Sync,
-    M: Fn(&S, &[(L, usize)]) -> bool + Sync,
 {
     let workers = config.parallelism;
     let shared = Shared {
@@ -1240,7 +792,7 @@ where
     std::thread::scope(|scope| {
         let shared = &shared;
         let handles: Vec<_> = (0..workers)
-            .map(|me| scope.spawn(move || worker(me, shared, succ, monitor)))
+            .map(|me| scope.spawn(move || worker(me, shared, succ)))
             .collect();
         for handle in handles {
             records.extend(handle.join().expect("exploration worker panicked"));
@@ -1261,15 +813,14 @@ where
     };
     // Work stealing discovers in a scheduling-dependent order: canonical
     // renumbering erases it entirely.
-    assemble(&shared.table, root, records, leftover, None, ctl, stats)
+    assemble(&shared.table, root, records, leftover, false, ctl, stats)
 }
 
-fn worker<T, S, L, F, M>(me: usize, shared: &Shared<T>, succ: &F, monitor: &M) -> Vec<Record<L>>
+fn worker<T, S, L, F>(me: usize, shared: &Shared<T>, succ: &F) -> Vec<Record<L>>
 where
     T: StateTable<State = S>,
     L: Clone,
     F: Fn(&S) -> Vec<(L, S)>,
-    M: Fn(&S, &[(L, usize)]) -> bool,
 {
     // How many empty sweeps a worker makes (yielding between them) before it
     // parks on the condvar: enough to ride out a momentary dry spell on a
@@ -1307,12 +858,12 @@ where
         };
         spins = 0;
         let state = shared.table.state(key);
-        let mut out: Vec<(L, usize)> = Vec::new();
+        let mut out: Vec<(L, u32)> = Vec::new();
         let mut batch: Vec<Entry> = Vec::new();
         for (label, next) in succ(&state) {
             match shared.table.register(&next, || ctl.admit()) {
                 Some((target, fresh)) => {
-                    out.push((label, target as usize));
+                    out.push((label, target));
                     if fresh {
                         batch.push((target, depth + 1));
                     }
@@ -1324,10 +875,6 @@ where
         }
         if !batch.is_empty() {
             shared.enqueue(me, batch);
-        }
-        if monitor(&state, &out) {
-            ctl.decided.store(true, Ordering::Relaxed);
-            shared.halt();
         }
         records.push((key, out));
         if progress.due() {
@@ -1353,32 +900,28 @@ where
 /// from the root over the recorded transition lists, then rebuilds the state
 /// and transition tables in canonical order. Since the successor function is
 /// deterministic, this reproduces exactly the numbering a serial
-/// breadth-first run assigns. The same BFS also yields the discovery tree
-/// returned alongside (each state's first-reaching edge — a shortest path
-/// within the explored subgraph).
+/// breadth-first run assigns.
 fn renumber<S, L>(
     state_of: Vec<S>,
     trans_of: Vec<Vec<(L, usize)>>,
     root: usize,
     truncated: bool,
-) -> (Lts<S, L>, DiscoveryTree<L>)
+) -> Lts<S, L>
 where
     S: Clone + Eq + Hash,
     L: Clone,
 {
     let n = state_of.len();
     let mut canon = vec![usize::MAX; n];
-    let mut parent: Vec<Option<(usize, L)>> = vec![None; n];
     let mut order = Vec::with_capacity(n);
     let mut queue = VecDeque::new();
     canon[root] = 0;
     order.push(root);
     queue.push_back(root);
     while let Some(pid) = queue.pop_front() {
-        for (label, target) in &trans_of[pid] {
+        for (_, target) in &trans_of[pid] {
             if canon[*target] == usize::MAX {
                 canon[*target] = order.len();
-                parent[*target] = Some((pid, label.clone()));
                 order.push(*target);
                 queue.push_back(*target);
             }
@@ -1388,8 +931,7 @@ where
     // Every registered state was discovered through a recorded edge, so the
     // BFS covers all of them — except when an early exit left a discoverer's
     // record unwritten. Append such orphans in provisional order; they only
-    // occur on truncated/cancelled runs, which carry no determinism guarantee
-    // (their parent edge stays `None`).
+    // occur on truncated/aborted runs, which carry no determinism guarantee.
     for (pid, c) in canon.iter_mut().enumerate() {
         if *c == usize::MAX {
             *c = order.len();
@@ -1399,7 +941,6 @@ where
 
     let mut states = Vec::with_capacity(n);
     let mut transitions = Vec::with_capacity(n);
-    let mut parents = Vec::with_capacity(n);
     for &pid in &order {
         states.push(state_of[pid].clone());
         transitions.push(
@@ -1408,13 +949,8 @@ where
                 .map(|(label, target)| (label.clone(), canon[*target]))
                 .collect(),
         );
-        parents.push(
-            parent[pid]
-                .as_ref()
-                .map(|(p, label)| (canon[*p], label.clone())),
-        );
     }
-    (Lts::from_parts(states, transitions, truncated), parents)
+    Lts::from_parts(states, transitions, truncated)
 }
 
 #[cfg(test)]
@@ -1424,8 +960,8 @@ mod tests {
 
     fn assert_same_exploration<S, L>(a: &Exploration<S, L>, b: &Exploration<S, L>, what: &str)
     where
-        S: Clone + Eq + Hash + fmt::Debug,
-        L: Clone + PartialEq + fmt::Debug,
+        S: Clone + Eq + Hash + std::fmt::Debug,
+        L: Clone + PartialEq + std::fmt::Debug,
     {
         assert_eq!(a.status, b.status, "{what}");
         assert_eq!(a.lts.is_truncated(), b.lts.is_truncated(), "{what}");
@@ -1437,30 +973,19 @@ mod tests {
                 "state {i}, {what}"
             );
         }
-        assert_eq!(a.parents, b.parents, "{what}");
     }
 
-    /// Runs one search on the hash table and on the bitmap table (`u32`
-    /// states are their own ids) and checks that the two explorations are
-    /// identical — which, on a run that ends early, means the two expanded
-    /// in exactly the same order. Only meaningful for serial runs and for
-    /// complete ones: early exits under workers are scheduling-dependent.
-    fn on_both_tables<L, F, M, H>(
-        initial: u32,
-        succ: F,
-        config: &ExploreConfig,
-        monitor: M,
-        heuristic: H,
-    ) -> Exploration<u32, L>
+    /// Runs one exploration on the hash table and on the bitmap table (`u32`
+    /// states are their own ids) and checks that the two are identical.
+    /// Only meaningful for serial runs and for complete ones: early exits
+    /// under workers are scheduling-dependent.
+    fn on_both_tables<L, F>(initial: u32, succ: F, config: &ExploreConfig) -> Exploration<u32, L>
     where
-        L: Clone + Send + PartialEq + fmt::Debug,
+        L: Clone + Send + PartialEq + std::fmt::Debug,
         F: Fn(&u32) -> Vec<(L, u32)> + Sync,
-        M: Fn(&u32, &[(L, usize)]) -> bool + Sync,
-        H: Fn(&u32) -> u64 + Sync,
     {
-        let hash = explore_guided(initial, &succ, config, &monitor, &heuristic);
-        let bitmap =
-            run::<IdTable<u32>, _, _, _, _, _>(initial, &succ, config, &monitor, &heuristic);
+        let hash = explore(initial, &succ, config);
+        let bitmap = run::<IdTable<u32>, _, _, _>(initial, &succ, config);
         assert_same_exploration(&hash, &bitmap, "hash vs bitmap table");
         hash
     }
@@ -1529,56 +1054,6 @@ mod tests {
         let ex = explore(0u64, fan, &ExploreConfig::new(4, 50));
         assert_eq!(ex.status, ExploreStatus::Truncated);
         assert!(ex.lts.num_states() <= 50, "{}", ex.lts.num_states());
-    }
-
-    #[test]
-    fn monitor_cancels_early() {
-        // Search a long chain for a "goal" state; the monitor decides the
-        // question long before the chain's end.
-        let chain = |s: &u64| {
-            if *s < 1_000_000 {
-                vec![("inc", s + 1)]
-            } else {
-                vec![]
-            }
-        };
-        for workers in [1, 4] {
-            let ex = explore_until(
-                0u64,
-                chain,
-                &ExploreConfig::new(workers, usize::MAX),
-                |s: &u64, _: &[(&str, usize)]| *s == 500,
-            );
-            assert_eq!(ex.status, ExploreStatus::Cancelled, "workers={workers}");
-            assert!(!ex.lts.is_truncated());
-            assert!(
-                ex.lts.num_states() < 1_000_000,
-                "early exit explored {} states",
-                ex.lts.num_states()
-            );
-        }
-    }
-
-    #[test]
-    fn truncation_stays_visible_when_a_monitor_cancels_after_the_bound_trips() {
-        // Chain 0 -> 1 -> 2 -> ..., bound 3: registering state 3 trips the
-        // bound while expanding state 2, and the monitor then cancels on that
-        // same state. The status reports the cancellation; the LTS still
-        // reports the truncation.
-        let chain = |s: &u64| vec![("inc", s + 1)];
-        for workers in [1, 4] {
-            let ex = explore_until(
-                0u64,
-                chain,
-                &ExploreConfig::new(workers, 3),
-                |s: &u64, _: &[(&str, usize)]| *s == 2,
-            );
-            assert_eq!(ex.status, ExploreStatus::Cancelled, "workers={workers}");
-            assert!(
-                ex.lts.is_truncated(),
-                "the bound trip must stay visible (workers={workers})"
-            );
-        }
     }
 
     #[test]
@@ -1667,168 +1142,11 @@ mod tests {
     }
 
     #[test]
-    fn every_strategy_yields_the_canonical_lts_on_complete_runs() {
-        let serial = Lts::build((9u32, 9u32), grid, 1_000_000);
-        let strategies = [
-            Strategy::Bfs,
-            Strategy::Dfs,
-            Strategy::Beam { width: 3 },
-            Strategy::RandomWalk { seed: 42 },
-        ];
-        for strategy in strategies {
-            for workers in [1, 4] {
-                let config = ExploreConfig::new(workers, 1_000_000).with_strategy(strategy);
-                let ex = explore((9u32, 9u32), grid, &config);
-                assert_eq!(ex.status, ExploreStatus::Complete, "{strategy}");
-                assert_eq!(
-                    ex.lts.states(),
-                    serial.states(),
-                    "{strategy}, workers={workers}"
-                );
-                for i in 0..serial.num_states() {
-                    assert_eq!(
-                        ex.lts.transitions_from(i),
-                        serial.transitions_from(i),
-                        "state {i}, {strategy}, workers={workers}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parents_replay_as_shortest_paths() {
-        for workers in [1, 4] {
-            let ex = explore((6u32, 6u32), grid, &ExploreConfig::new(workers, 1_000_000));
-            assert_eq!(ex.status, ExploreStatus::Complete);
-            for target in 0..ex.lts.num_states() {
-                let trace = ex.trace_to(target).expect("complete runs orphan nothing");
-                // Every step is a real transition of the LTS...
-                let mut at = ex.lts.initial();
-                for (from, label, to) in &trace {
-                    assert_eq!(*from, at);
-                    assert!(ex.lts.transitions_from(*from).contains(&(*label, *to)));
-                    at = *to;
-                }
-                assert_eq!(at, target);
-                // ...and the path is shortest: a grid state (a, b) lies
-                // exactly (12 - a - b) steps below the (6, 6) root.
-                let (a, b) = *ex.lts.state(target);
-                assert_eq!(trace.len() as u32, 12 - a - b, "state ({a}, {b})");
-            }
-        }
-    }
-
-    #[test]
-    fn guided_beam_finds_a_deep_needle_early() {
-        // A needle chain of depth 600 hidden among 64 equally deep hay
-        // chains: BFS must advance every chain in lock-step, the beam dives
-        // straight down the needle because the heuristic prefers it. States
-        // are `u32`s — the root 0, needle state n at NEEDLE + n, hay state n
-        // (chain `n % 64`) at HAY + n — so the same search runs on both
-        // state tables and must expand in the same order on each.
-        const NEEDLE: u32 = 1_000_000;
-        const HAY: u32 = 2_000_000;
-        let succ = |s: &u32| match *s {
-            // Root: the needle plus the heads of 64 hay chains.
-            0 => {
-                let mut out = vec![("needle", NEEDLE + 1)];
-                out.extend((0..64).map(|k| ("hay", HAY + k)));
-                out
-            }
-            // The needle: a single deep chain.
-            s if (NEEDLE..HAY).contains(&s) && s - NEEDLE < 600 => vec![("needle", s + 1)],
-            // Hay chain `n % 64`, also 600 states deep.
-            s if s >= HAY && s - HAY < 64 * 600 => vec![("hay", s + 64)],
-            _ => vec![],
-        };
-        let goal = |s: &u32, _: &[(&str, usize)]| *s == NEEDLE + 600;
-        let bfs = on_both_tables(0, succ, &ExploreConfig::serial(usize::MAX), goal, |_| 0);
-        assert_eq!(bfs.status, ExploreStatus::Cancelled);
-        let beam = on_both_tables(
-            0,
-            succ,
-            &ExploreConfig::serial(usize::MAX).with_strategy(Strategy::Beam { width: 4 }),
-            goal,
-            // Prefer needle states, deepest first.
-            |s: &u32| {
-                if (NEEDLE..HAY).contains(s) {
-                    1_000 - u64::from(s - NEEDLE)
-                } else {
-                    10_000
-                }
-            },
-        );
-        assert_eq!(beam.status, ExploreStatus::Cancelled);
-        assert!(
-            beam.lts.num_states() * 10 <= bfs.lts.num_states(),
-            "beam explored {} states, bfs {}",
-            beam.lts.num_states(),
-            bfs.lts.num_states()
-        );
-        // The witness trace replays from the root down the needle.
-        let violating = (0..beam.lts.num_states())
-            .find(|&i| *beam.lts.state(i) == NEEDLE + 600)
-            .expect("the goal state was registered");
-        let trace = beam.trace_to(violating).expect("goal has a recorded path");
-        assert_eq!(trace.len(), 600);
-        assert_eq!(trace[0].0, beam.lts.initial());
-        assert_eq!(trace.last().unwrap().2, violating);
-    }
-
-    #[test]
-    fn random_walk_is_deterministic_per_seed() {
-        let fan = |s: &u32| {
-            if *s < 4_000 {
-                (1..=3u32).map(|k| ("step", s * 3 + k)).collect()
-            } else {
-                Vec::new()
-            }
-        };
-        // A bounded (early-exit) run on each state table, serial whatever the
-        // config asks for: the same seed walks the same prefix on both.
-        let run = |seed: u64| {
-            let config = ExploreConfig::new(4, 500).with_strategy(Strategy::RandomWalk { seed });
-            on_both_tables(0, fan, &config, |_: &u32, _: &[(&str, usize)]| false, |_| 0)
-        };
-        let (a, b) = (run(7), run(7));
-        assert_eq!(a.status, ExploreStatus::Truncated);
-        assert_same_exploration(&a, &b, "same seed, same prefix");
-        assert_ne!(
-            a.lts.states(),
-            run(8).lts.states(),
-            "another seed walks another prefix"
-        );
-    }
-
-    #[test]
-    fn dfs_dives_in_the_same_order_on_both_tables() {
-        // Depth-first search for a deep leaf of a binary fan: it ends early,
-        // so the explored prefix is the dive itself.
-        let fan = |s: &u32| {
-            if *s < 50_000 {
-                vec![("l", 2 * *s + 1), ("r", 2 * *s + 2)]
-            } else {
-                Vec::new()
-            }
-        };
-        let dfs = on_both_tables(
-            0,
-            fan,
-            &ExploreConfig::serial(usize::MAX).with_strategy(Strategy::Dfs),
-            |s: &u32, _: &[(&str, usize)]| *s >= 50_000,
-            |_| 0,
-        );
-        assert_eq!(dfs.status, ExploreStatus::Cancelled);
-        assert!(dfs.lts.num_states() < 100, "{}", dfs.lts.num_states());
-    }
-
-    #[test]
-    fn every_strategy_worker_count_and_budget_matches_the_oracle_on_both_tables() {
+    fn every_worker_count_and_budget_matches_the_oracle_on_both_tables() {
         // The whole selection matrix against the independent `Lts::build`:
-        // strategy x {serial, 4 workers} x {unbudgeted, a budget everything
-        // is over} x {hash table, bitmap table}. Wide enough (a 10k-entry
-        // frontier) that the budgeted FIFO really spills.
+        // {serial, 4 workers} x {unbudgeted, a budget everything is over} x
+        // {hash table, bitmap table}. Wide enough (a 10k-entry frontier)
+        // that the budgeted FIFO really spills.
         let fan = |s: &u32| {
             if *s < 10_000 {
                 vec![("l", 2 * *s + 1), ("r", 2 * *s + 2)]
@@ -1837,46 +1155,24 @@ mod tests {
             }
         };
         let oracle = Lts::build(0u32, fan, 1_000_000);
-        let strategies = [
-            Strategy::Bfs,
-            Strategy::Dfs,
-            Strategy::Beam { width: 3 },
-            Strategy::RandomWalk { seed: 42 },
-        ];
-        for strategy in strategies {
-            for workers in [1, 4] {
-                for budget in [None, Some(0)] {
-                    let what = format!("{strategy}, workers={workers}, budget={budget:?}");
-                    let config = ExploreConfig::new(workers, 1_000_000)
-                        .with_strategy(strategy)
-                        .with_memory_budget(budget);
-                    let ex = on_both_tables(
-                        0,
-                        fan,
-                        &config,
-                        |_: &u32, _: &[(&str, usize)]| false,
-                        |_| 0,
+        for workers in [1, 4] {
+            for budget in [None, Some(0)] {
+                let what = format!("workers={workers}, budget={budget:?}");
+                let config = ExploreConfig::new(workers, 1_000_000).with_memory_budget(budget);
+                let ex = on_both_tables(0, fan, &config);
+                assert_eq!(ex.status, ExploreStatus::Complete, "{what}");
+                assert_eq!(ex.lts.states(), oracle.states(), "{what}");
+                for i in 0..oracle.num_states() {
+                    assert_eq!(
+                        ex.lts.transitions_from(i),
+                        oracle.transitions_from(i),
+                        "state {i}, {what}"
                     );
-                    assert_eq!(ex.status, ExploreStatus::Complete, "{what}");
-                    assert_eq!(ex.lts.states(), oracle.states(), "{what}");
-                    for i in 0..oracle.num_states() {
-                        assert_eq!(
-                            ex.lts.transitions_from(i),
-                            oracle.transitions_from(i),
-                            "state {i}, {what}"
-                        );
-                    }
-                    for target in (0..oracle.num_states()).step_by(997) {
-                        assert_eq!(ex.trace_to(target), oracle.path_to(target), "{what}");
-                    }
-                    // Only a FIFO spills serially; the in-RAM disciplines
-                    // ignore the budget.
-                    if workers == 1 {
-                        let spills = budget.is_some() && strategy == Strategy::Bfs;
-                        assert_eq!(ex.stats.spill_segments > 0, spills, "{what}");
-                    }
-                    assert_eq!(ex.stats.spill_reloads, ex.stats.spill_segments, "{what}");
                 }
+                if workers == 1 {
+                    assert_eq!(ex.stats.spill_segments > 0, budget.is_some(), "{what}");
+                }
+                assert_eq!(ex.stats.spill_reloads, ex.stats.spill_segments, "{what}");
             }
         }
     }
@@ -1905,49 +1201,6 @@ mod tests {
                 ex.lts.num_states()
             );
         }
-    }
-
-    #[test]
-    fn strategy_parsing_round_trips() {
-        for (text, strategy) in [
-            ("bfs", Strategy::Bfs),
-            ("dfs", Strategy::Dfs),
-            ("beam:16", Strategy::Beam { width: 16 }),
-            ("random:99", Strategy::RandomWalk { seed: 99 }),
-        ] {
-            assert_eq!(Strategy::parse(text), Ok(strategy));
-            assert_eq!(strategy.to_string(), text);
-        }
-        assert_eq!(
-            Strategy::parse("beam"),
-            Ok(Strategy::Beam {
-                width: Strategy::DEFAULT_BEAM_WIDTH
-            })
-        );
-        assert_eq!(
-            Strategy::parse("random"),
-            Ok(Strategy::RandomWalk {
-                seed: Strategy::DEFAULT_RANDOM_SEED
-            })
-        );
-        for bad in ["", "bf", "beam:0", "beam:x", "random:-1", "bfs:2"] {
-            assert!(Strategy::parse(bad).is_err(), "{bad:?} must not parse");
-        }
-    }
-
-    #[test]
-    fn beam_frontier_is_lossless_under_overflow() {
-        let mut beam = Strategy::Beam { width: 2 }.frontier(None, None);
-        for key in 0..100 {
-            beam.push((key, 0), 1_000 - u64::from(key));
-        }
-        assert_eq!(beam.len(), 100);
-        let mut popped: Vec<u32> = std::iter::from_fn(|| beam.pop())
-            .map(|(key, _)| key)
-            .collect();
-        assert_eq!(beam.len(), 0);
-        popped.sort_unstable();
-        assert_eq!(popped, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

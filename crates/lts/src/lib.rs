@@ -17,7 +17,7 @@
 //!
 //! Both are built by the one exploration engine of [`mod@explore`]: a serial
 //! and a parallel driver, run as an [`ExploreConfig`] says. The [`explore()`]
-//! family offers the same engine to any hashable state type; the two
+//! function offers the same engine to any hashable state type; the two
 //! builders, whose states are interner references, run it on a ~1 bit/state
 //! bitmap seen-set instead of a hash table (the private `memory` module,
 //! which also holds the disk-spilling frontier behind
@@ -53,9 +53,7 @@ mod product;
 mod term_lts;
 mod type_lts;
 
-pub use explore::{
-    explore, CancelToken, Exploration, ExploreConfig, ExploreStats, ExploreStatus, Strategy,
-};
+pub use explore::{explore, CancelToken, Exploration, ExploreConfig, ExploreStats, ExploreStatus};
 pub use generic::Lts;
 pub use label::{TermLabel, TypeLabel};
 pub use term_lts::TermLts;

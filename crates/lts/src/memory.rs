@@ -41,7 +41,7 @@ use lambdapi::intern::{Id, Internable, Interned};
 use obs::hash::fnv64;
 use obs::sync::Mutex;
 
-use crate::explore::{ExploreStats, FrontierDiscipline, StateTable};
+use crate::explore::{ExploreStats, StateTable};
 
 // ---------------------------------------------------------------------------
 // Indexed states
@@ -353,9 +353,10 @@ impl Drop for SpillDir {
 /// precisely the order an all-in-RAM `VecDeque` would produce — which is
 /// what keeps budgeted runs byte-identical to unbudgeted ones.
 ///
-/// The serial driver uses it through [`FrontierDiscipline`]; the parallel
-/// driver keeps one behind a lock as the overflow of its work-stealing
-/// deques ([`SpillFrontier::push_batch`] / [`SpillFrontier::take_batch`]).
+/// The serial driver's frontier is one ([`SpillFrontier::push`] /
+/// [`SpillFrontier::pop`]); the parallel driver keeps one behind a lock as
+/// the overflow of its work-stealing deques ([`SpillFrontier::push_batch`] /
+/// [`SpillFrontier::take_batch`]).
 pub(crate) struct SpillFrontier {
     /// Oldest resident entries (pops come from here).
     head: VecDeque<Entry>,
@@ -446,31 +447,34 @@ impl SpillFrontier {
         }
         Some((self.head.drain(..).collect(), on_disk - self.spilled))
     }
-}
 
-impl FrontierDiscipline for SpillFrontier {
-    fn push(&mut self, entry: Entry, _priority: u64) {
+    /// Enqueues one entry (the serial driver).
+    pub(crate) fn push(&mut self, entry: Entry) {
         self.tail.push_back(entry);
     }
 
     /// Pops the oldest pending entry, streaming the oldest spilled segment
     /// back in when the resident head runs dry.
-    fn pop(&mut self) -> Option<Entry> {
+    pub(crate) fn pop(&mut self) -> Option<Entry> {
         self.refill_head();
         self.head.pop_front()
     }
 
-    fn len(&self) -> usize {
+    /// Registered, not yet expanded — wherever the entry lives (a spilled
+    /// entry is still pending).
+    pub(crate) fn len(&self) -> usize {
         self.head.len() + self.spilled + self.tail.len()
     }
 
-    fn resident_bytes(&self) -> usize {
+    /// Bytes of frontier entries held in RAM.
+    pub(crate) fn resident_bytes(&self) -> usize {
         (self.head.len() + self.tail.len()) * ENTRY_BYTES
     }
 
-    /// Spills the tail when the working set (`table_resident` covers the
-    /// state table) has outgrown the budget and the tail is worth a segment.
-    fn relieve(&mut self, table_resident: usize) {
+    /// Called by the serial driver after each expansion: spills the tail
+    /// when the working set (`table_resident` covers the state table) has
+    /// outgrown the budget and the tail is worth a segment.
+    pub(crate) fn relieve(&mut self, table_resident: usize) {
         if self
             .budget
             .is_some_and(|b| table_resident + self.resident_bytes() > b)
@@ -479,7 +483,8 @@ impl FrontierDiscipline for SpillFrontier {
         }
     }
 
-    fn spill_stats(&self) -> ExploreStats {
+    /// Spill accounting so far.
+    pub(crate) fn spill_stats(&self) -> ExploreStats {
         self.stats
     }
 }
@@ -487,9 +492,7 @@ impl FrontierDiscipline for SpillFrontier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::{
-        explore_guided, run, CancelToken, Exploration, ExploreConfig, ExploreStatus, Strategy,
-    };
+    use crate::explore::{explore, run, CancelToken, Exploration, ExploreConfig, ExploreStatus};
 
     /// `u32` chain/fan states are their own ids — the simplest lawful
     /// [`IndexedState`].
@@ -502,22 +505,14 @@ mod tests {
         }
     }
 
-    /// The engine on the bitmap table (the public `explore` family runs the
+    /// The engine on the bitmap table (the public `explore` runs the
     /// same drivers on the hash table).
-    fn on_bitmap<L, F, M, H>(
-        initial: u32,
-        succ: F,
-        config: &ExploreConfig,
-        monitor: M,
-        heuristic: H,
-    ) -> Exploration<u32, L>
+    fn on_bitmap<L, F>(initial: u32, succ: F, config: &ExploreConfig) -> Exploration<u32, L>
     where
         L: Clone + Send,
         F: Fn(&u32) -> Vec<(L, u32)> + Sync,
-        M: Fn(&u32, &[(L, usize)]) -> bool + Sync,
-        H: Fn(&u32) -> u64 + Sync,
     {
-        run::<IdTable<u32>, _, _, _, _, _>(initial, succ, config, monitor, heuristic)
+        run::<IdTable<u32>, _, _, _>(initial, succ, config)
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -639,7 +634,7 @@ mod tests {
         let dir = tmp_dir("inflight");
         let mut frontier = SpillFrontier::new(Some(0), Some(dir.clone()));
         for i in 0..(SPILL_CHUNK as u32 * 2) {
-            frontier.push((i, 0), 0);
+            frontier.push((i, 0));
             frontier.relieve(0);
         }
         assert!(frontier.stats.spill_segments >= 1, "spill engaged");
@@ -670,7 +665,7 @@ mod tests {
         let mut frontier = SpillFrontier::new(Some(0), Some(dir.clone()));
         let total = SPILL_CHUNK * 2 + 10;
         for pushed in 0..total {
-            frontier.push((pushed as u32, 0), 0);
+            frontier.push((pushed as u32, 0));
             frontier.relieve(0);
             assert_eq!(frontier.len(), pushed + 1);
         }
@@ -692,20 +687,8 @@ mod tests {
     #[test]
     fn serial_indexed_bfs_matches_the_hash_engine_exactly() {
         let succ = fan(2_000);
-        let hash = explore_guided(
-            0u32,
-            &succ,
-            &ExploreConfig::serial(1_000_000),
-            |_: &u32, _: &[(&str, usize)]| false,
-            |_: &u32| 0,
-        );
-        let indexed = on_bitmap(
-            0u32,
-            &succ,
-            &ExploreConfig::serial(1_000_000),
-            |_: &u32, _: &[(&str, usize)]| false,
-            |_: &u32| 0,
-        );
+        let hash = explore(0u32, &succ, &ExploreConfig::serial(1_000_000));
+        let indexed = on_bitmap(0u32, &succ, &ExploreConfig::serial(1_000_000));
         assert_eq!(indexed.status, ExploreStatus::Complete);
         assert_eq!(indexed.lts.states(), hash.lts.states());
         assert_eq!(indexed.lts.num_transitions(), hash.lts.num_transitions());
@@ -715,20 +698,13 @@ mod tests {
                 hash.lts.transitions_from(i)
             );
         }
-        assert_eq!(indexed.parents, hash.parents);
         assert_eq!(indexed.stats.spill_segments, 0, "no budget, no spill");
     }
 
     #[test]
     fn budgeted_serial_runs_spill_and_stay_byte_identical() {
         let succ = fan(60_000);
-        let free = on_bitmap(
-            0u32,
-            &succ,
-            &ExploreConfig::serial(1_000_000),
-            |_: &u32, _: &[(&str, usize)]| false,
-            |_: &u32| 0,
-        );
+        let free = on_bitmap(0u32, &succ, &ExploreConfig::serial(1_000_000));
         let dir = tmp_dir("serial-budget");
         let budgeted = on_bitmap(
             0u32,
@@ -736,8 +712,6 @@ mod tests {
             &ExploreConfig::serial(1_000_000)
                 .with_memory_budget(Some(1))
                 .with_spill_dir(dir.clone()),
-            |_: &u32, _: &[(&str, usize)]| false,
-            |_: &u32| 0,
         );
         assert_eq!(budgeted.status, ExploreStatus::Complete);
         assert!(
@@ -756,7 +730,6 @@ mod tests {
                 free.lts.transitions_from(i)
             );
         }
-        assert_eq!(budgeted.parents, free.parents);
         // The run directory cleans up after itself (the configured base
         // stays, the per-run subdirectory and its segments are gone).
         let leftovers: Vec<_> = fs::read_dir(&dir).unwrap().collect();
@@ -767,21 +740,13 @@ mod tests {
     #[test]
     fn parallel_indexed_runs_match_serial_with_and_without_budget() {
         let succ = fan(30_000);
-        let serial = on_bitmap(
-            0u32,
-            &succ,
-            &ExploreConfig::serial(1_000_000),
-            |_: &u32, _: &[(&str, usize)]| false,
-            |_: &u32| 0,
-        );
+        let serial = on_bitmap(0u32, &succ, &ExploreConfig::serial(1_000_000));
         for budget in [None, Some(1)] {
             for workers in [2, 4] {
                 let ex = on_bitmap(
                     0u32,
                     &succ,
                     &ExploreConfig::new(workers, 1_000_000).with_memory_budget(budget),
-                    |_: &u32, _: &[(&str, usize)]| false,
-                    |_: &u32| 0,
                 );
                 assert_eq!(ex.status, ExploreStatus::Complete);
                 assert_eq!(
@@ -796,7 +761,6 @@ mod tests {
                         "state {i}, workers={workers} budget={budget:?}"
                     );
                 }
-                assert_eq!(ex.parents, serial.parents);
                 if budget.is_some() {
                     assert!(
                         ex.stats.spill_segments > 0,
@@ -815,8 +779,6 @@ mod tests {
                 0u32,
                 &succ,
                 &ExploreConfig::new(workers, 500).with_memory_budget(Some(1)),
-                |_: &u32, _: &[(&str, usize)]| false,
-                |_: &u32| 0,
             );
             assert_eq!(ex.status, ExploreStatus::Truncated, "workers={workers}");
             assert!(ex.lts.is_truncated());
@@ -825,28 +787,6 @@ mod tests {
                 "bound overshot: {} states on {workers} workers",
                 ex.lts.num_states()
             );
-        }
-    }
-
-    #[test]
-    fn indexed_monitor_cancels_early() {
-        let chain = |s: &u32| {
-            if *s < 1_000_000 {
-                vec![("inc", *s + 1)]
-            } else {
-                vec![]
-            }
-        };
-        for workers in [1, 4] {
-            let ex = on_bitmap(
-                0u32,
-                chain,
-                &ExploreConfig::new(workers, usize::MAX),
-                |s: &u32, _: &[(&str, usize)]| *s == 500,
-                |_: &u32| 0,
-            );
-            assert_eq!(ex.status, ExploreStatus::Cancelled, "workers={workers}");
-            assert!(ex.lts.num_states() < 1_000_000);
         }
     }
 
@@ -860,67 +800,8 @@ mod tests {
                 0u32,
                 chain,
                 &ExploreConfig::new(workers, usize::MAX).with_cancel(token.clone()),
-                |_: &u32, _: &[(&str, usize)]| false,
-                |_: &u32| 0,
             );
             assert_eq!(ex.status, ExploreStatus::Aborted, "workers={workers}");
         }
-    }
-
-    #[test]
-    fn non_bfs_strategies_run_on_the_bitmap_table() {
-        // Serial DFS, beam and random walk — which a bitmap run once fell
-        // back to the hash table for — run on the bitmap table like BFS
-        // does; on a complete run every one is byte-identical to BFS.
-        let succ = fan(500);
-        let bfs = on_bitmap(
-            0u32,
-            &succ,
-            &ExploreConfig::serial(1_000_000),
-            |_: &u32, _: &[(&str, usize)]| false,
-            |_: &u32| 0,
-        );
-        for strategy in [
-            Strategy::Dfs,
-            Strategy::Beam { width: 4 },
-            Strategy::RandomWalk { seed: 9 },
-        ] {
-            let ex = on_bitmap(
-                0u32,
-                &succ,
-                &ExploreConfig::serial(1_000_000).with_strategy(strategy),
-                |_: &u32, _: &[(&str, usize)]| false,
-                |_: &u32| 0,
-            );
-            assert_eq!(ex.status, ExploreStatus::Complete, "{strategy}");
-            assert_eq!(ex.lts.states(), bfs.lts.states(), "{strategy}");
-        }
-    }
-
-    #[test]
-    fn trace_to_replays_through_spilled_frontiers() {
-        let succ = fan(10_000);
-        let dir = tmp_dir("witness");
-        let ex = on_bitmap(
-            0u32,
-            &succ,
-            &ExploreConfig::serial(1_000_000)
-                .with_memory_budget(Some(1))
-                .with_spill_dir(dir.clone()),
-            |_: &u32, _: &[(&str, usize)]| false,
-            |_: &u32| 0,
-        );
-        assert!(ex.stats.spill_segments > 0);
-        for target in [0, 1, ex.lts.num_states() - 1] {
-            let trace = ex.trace_to(target).expect("complete runs orphan nothing");
-            let mut at = ex.lts.initial();
-            for (from, label, to) in &trace {
-                assert_eq!(*from, at);
-                assert!(ex.lts.transitions_from(*from).contains(&(*label, *to)));
-                at = *to;
-            }
-            assert_eq!(at, target);
-        }
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -56,7 +56,7 @@ use dbt_types::{Checker, TypeEnv};
 use lambdapi::intern::Memo;
 use lambdapi::{Reducer, Term, TermRef, Type, Value};
 
-use crate::explore::{self, Exploration, ExploreConfig, Strategy};
+use crate::explore::{self, Exploration, ExploreConfig};
 use crate::generic::Lts;
 use crate::label::TermLabel;
 use crate::memory::IdTable;
@@ -290,28 +290,17 @@ impl TermLts {
     /// the exploration ended. As on the type side, a *complete* build
     /// produces an LTS — states, numbering, transitions — identical for
     /// every `config`, by the canonical renumbering of
-    /// [`mod@crate::explore`]; a beam run here ranks states by term size
-    /// (smaller first), since the term side has no property targets to steer
-    /// toward. States are interner references, so the engine runs on its
-    /// bitmap state table.
+    /// [`mod@crate::explore`]. States are interner references, so the engine
+    /// runs on its bitmap state table.
     pub fn build_exploration(
         &self,
         t: &Term,
         config: &ExploreConfig,
     ) -> Exploration<TermRef, TermLabel> {
-        let guided = matches!(config.strategy, Strategy::Beam { .. });
-        explore::run::<IdTable<TermRef>, _, _, _, _, _>(
+        explore::run::<IdTable<TermRef>, _, _, _>(
             TermRef::intern(t),
             |s: &TermRef| self.successors(s).to_vec(),
             config,
-            |_: &TermRef, _: &[(TermLabel, usize)]| false,
-            move |s: &TermRef| {
-                if guided {
-                    s.as_term().size() as u64
-                } else {
-                    0
-                }
-            },
         )
     }
 }

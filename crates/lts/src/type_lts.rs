@@ -53,7 +53,7 @@ use dbt_types::{Checker, TypeEnv};
 use lambdapi::intern::Memo;
 use lambdapi::{Name, TyRef, Type};
 
-use crate::explore::{self, Exploration, ExploreConfig, Strategy};
+use crate::explore::{self, Exploration, ExploreConfig};
 use crate::generic::Lts;
 use crate::label::TypeLabel;
 use crate::memory::IdTable;
@@ -87,7 +87,6 @@ pub struct TypeLts {
     checker: Checker,
     candidates: CandidatePolicy,
     visible: Option<Vec<Name>>,
-    priority_targets: Vec<Name>,
     /// input-domain id → early-input payload candidates.
     candidate_memo: Arc<Memo<u32, Arc<[Type]>>>,
     /// canonical-state id → successor transitions.
@@ -110,21 +109,9 @@ impl TypeLts {
             checker,
             candidates: CandidatePolicy::default(),
             visible: None,
-            priority_targets: Vec::new(),
             candidate_memo: Arc::default(),
             successor_memo: Arc::default(),
         }
-    }
-
-    /// Names the channels a [`Strategy::Beam`] exploration should steer
-    /// toward: states whose type syntactically contains an output on one of
-    /// these variables are expanded first, shallowest occurrence first (a
-    /// purely syntactic ranking, computed once per discovered state). Ignored
-    /// by the other strategies; an empty list (the default) leaves even a
-    /// beam run unguided.
-    pub fn with_priority_targets(mut self, targets: Vec<Name>) -> Self {
-        self.priority_targets = targets;
-        self
     }
 
     /// Sets the early-input candidate policy (see [`CandidatePolicy`]).
@@ -308,59 +295,24 @@ impl TypeLts {
     }
 
     /// Like [`TypeLts::build`], run as `config` says — worker count, state
-    /// bound, strategy, cancellation, memory budget — and also reporting how
-    /// the exploration ended. Thanks to the canonical renumbering of
+    /// bound, cancellation, memory budget — and also reporting how the
+    /// exploration ended. Thanks to the canonical renumbering of
     /// [`mod@crate::explore`], a *complete* (non-truncated) build produces an
     /// LTS — states, numbering, transitions — identical for every `config`.
     /// Truncated builds respect the same state bound everywhere but may
     /// differ in which prefix was explored (the verifier turns them into the
-    /// same clamped error either way).
+    /// same clamped error either way). States are interner references, so
+    /// the engine runs on its bitmap state table.
     pub fn build_exploration(
         &self,
         ty: &Type,
         config: &ExploreConfig,
     ) -> Exploration<TyRef, TypeLabel> {
-        self.build_exploration_until(ty, config, |_: &TyRef, _: &[(TypeLabel, usize)]| false)
-    }
-
-    /// Like [`TypeLts::build_exploration`], with an on-the-fly *monitor*:
-    /// after each state is expanded, `monitor(state, transitions)` may return
-    /// `true` to end the run early (`ExploreStatus::Cancelled`). Combined
-    /// with a directed [`ExploreConfig::strategy`] and
-    /// [`TypeLts::with_priority_targets`] this is directed counterexample
-    /// search: a violating transition can be surfaced after exploring a
-    /// fraction of the space, and [`Exploration::trace_to`] turns it into a
-    /// replayable witness path.
-    ///
-    /// States are interner references, so the engine runs on its bitmap
-    /// state table.
-    pub fn build_exploration_until<M>(
-        &self,
-        ty: &Type,
-        config: &ExploreConfig,
-        monitor: M,
-    ) -> Exploration<TyRef, TypeLabel>
-    where
-        M: Fn(&TyRef, &[(TypeLabel, usize)]) -> bool + Sync,
-    {
         let initial = self.canonical_ref(&TyRef::intern(ty));
-        // Only a beam run reads priorities: skip the heuristic walk entirely
-        // everywhere else (the constant closure keeps BFS's hot path intact).
-        let guided =
-            matches!(config.strategy, Strategy::Beam { .. }) && !self.priority_targets.is_empty();
-        let targets = &self.priority_targets;
-        explore::run::<IdTable<TyRef>, _, _, _, _, _>(
+        explore::run::<IdTable<TyRef>, _, _, _>(
             initial,
             |s: &TyRef| self.visible_successors(s),
             config,
-            monitor,
-            move |s: &TyRef| {
-                if guided {
-                    type_priority(s, targets)
-                } else {
-                    0
-                }
-            },
         )
     }
 }
@@ -370,51 +322,6 @@ fn continuation_body(cont: &Type) -> Type {
         Type::Pi(_, _, body) => (**body).clone(),
         other => other.clone(),
     }
-}
-
-/// The property-aware beam heuristic (lower = expanded sooner): a state whose
-/// type *syntactically contains* an output on one of the `targets` ranks by
-/// the depth of the shallowest such occurrence — the closer a target output
-/// is to firing, the sooner the state is expanded — while states without one
-/// rank after every containing state, smaller types first (they normalise
-/// toward termination and are cheap to rule out).
-///
-/// Purely syntactic on purpose: the heuristic runs once per *discovered*
-/// state, before the state is ever expanded, so it must not pay for subtyping
-/// queries. It only steers the search order; soundness and completeness come
-/// from the engine (a beam parks states, it never discards them).
-pub(crate) fn type_priority(state: &TyRef, targets: &[Name]) -> u64 {
-    match shallowest_target_out(state.as_type(), targets, 0) {
-        Some(depth) => depth,
-        None => 1_000 + state.as_type().size().min(1_000_000) as u64,
-    }
-}
-
-fn shallowest_target_out(ty: &Type, targets: &[Name], depth: u64) -> Option<u64> {
-    let mut best: Option<u64> = None;
-    let mut consider = |candidate: Option<u64>| {
-        if let Some(d) = candidate {
-            best = Some(best.map_or(d, |b| b.min(d)));
-        }
-    };
-    match ty {
-        Type::Out(subject, _, cont) => {
-            if matches!(&**subject, Type::Var(x) if targets.contains(x)) {
-                consider(Some(depth));
-            }
-            consider(shallowest_target_out(cont, targets, depth + 1));
-        }
-        Type::In(_, cont) => consider(shallowest_target_out(cont, targets, depth + 1)),
-        Type::Par(a, b) | Type::Union(a, b) => {
-            consider(shallowest_target_out(a, targets, depth + 1));
-            consider(shallowest_target_out(b, targets, depth + 1));
-        }
-        Type::Rec(_, body) | Type::Pi(_, _, body) => {
-            consider(shallowest_target_out(body, targets, depth + 1))
-        }
-        _ => {}
-    }
-    best
 }
 
 // ---------------------------------------------------------------------------

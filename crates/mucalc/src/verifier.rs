@@ -127,18 +127,15 @@ pub struct Verifier {
     pub visible: Option<Vec<Name>>,
     /// How the LTS construction explores: state bound (exceeding it fails
     /// the run with [`VerifyError::StateSpaceTooLarge`]), worker count,
-    /// strategy, cancellation token (flipping it fails the run with
+    /// cancellation token (flipping it fails the run with
     /// [`VerifyError::Cancelled`]), memory budget and spill directory — see
     /// [`ExploreConfig`].
     ///
-    /// Only the bound and, on runs that trip it, the strategy can show in a
-    /// result: on every successful verification the LTS — and hence every
-    /// verdict, state count, transition count and witness — is the canonical
-    /// one whatever the worker count, strategy or budget, by the renumbering
-    /// of `lts::explore`, and bound trips surface as the same clamped error.
-    /// A guided [`lts::Strategy::Beam`] search steers towards outputs on the
-    /// property's interface variables and can reach a violation orders of
-    /// magnitude earlier than BFS on a state space too large to finish.
+    /// Only the bound can show in a result: on every successful verification
+    /// the LTS — and hence every verdict, state count, transition count and
+    /// witness — is the canonical one whatever the worker count or budget,
+    /// by the renumbering of `lts::explore`, and bound trips surface as the
+    /// same clamped error. Every property is decided on the finished LTS.
     pub explore: ExploreConfig,
 }
 
@@ -243,20 +240,6 @@ impl Verifier {
         env: &TypeEnv,
         ty: &Type,
     ) -> Result<(TypeEnv, Lts<TyRef, TypeLabel>), VerifyError> {
-        self.build_lts_for(env, ty, &[])
-    }
-
-    /// Like [`Verifier::build_lts`], but with a set of *priority target*
-    /// variables that a guided [`lts::Strategy::Beam`] exploration steers towards
-    /// (states syntactically closer to an output on one of `targets` are
-    /// expanded first). All other strategies ignore the targets, and on
-    /// complete runs the resulting LTS is canonical regardless of them.
-    pub fn build_lts_for(
-        &self,
-        env: &TypeEnv,
-        ty: &Type,
-        targets: &[Name],
-    ) -> Result<(TypeEnv, Lts<TyRef, TypeLabel>), VerifyError> {
         let (env, probes) = if self.auto_probe {
             self.probe_env(env, ty)
         } else {
@@ -275,8 +258,7 @@ impl Verifier {
         });
         let builder = TypeLts::with_checker(env.clone(), self.checker.clone())
             .with_candidate_policy(lts::CandidatePolicy::Only(probes))
-            .with_visible_subjects(visible)
-            .with_priority_targets(targets.to_vec());
+            .with_visible_subjects(visible);
         let exploration = {
             let _span = obs::span("explore");
             builder.build_exploration(ty, &self.explore)
@@ -311,7 +293,7 @@ impl Verifier {
     ) -> Result<VerificationOutcome, VerifyError> {
         self.check_applicable(env, ty)?;
         let start = Instant::now();
-        let (probed_env, lts) = self.build_lts_for(env, ty, &property.interfaces())?;
+        let (probed_env, lts) = self.build_lts(env, ty)?;
         let _span = obs::span("check");
         let holds = property.holds(&self.checker, &probed_env, &lts);
         let trace = if holds {
@@ -340,15 +322,7 @@ impl Verifier {
     ) -> Result<Vec<VerificationOutcome>, VerifyError> {
         self.check_applicable(env, ty)?;
         let build_start = Instant::now();
-        let mut targets: Vec<Name> = Vec::new();
-        for p in properties {
-            for x in p.interfaces() {
-                if !targets.contains(&x) {
-                    targets.push(x);
-                }
-            }
-        }
-        let (probed_env, lts) = self.build_lts_for(env, ty, &targets)?;
+        let (probed_env, lts) = self.build_lts(env, ty)?;
         let build_time = build_start.elapsed();
         let _span = obs::span("check");
         let mut out = Vec::with_capacity(properties.len());
@@ -619,8 +593,8 @@ mod tests {
             .expect("failed safety property carries a trace");
         assert!(trace.violation.contains("aud"), "{}", trace.violation);
         // Replay on the LTS the property was decided on (non-usage is decided
-        // on the unrestricted LTS, so build_lts_for reproduces it exactly).
-        let (_, lts) = verifier.build_lts_for(&env, &ty, &p.interfaces()).unwrap();
+        // on the unrestricted LTS, so build_lts reproduces it exactly).
+        let (_, lts) = verifier.build_lts(&env, &ty).unwrap();
         let mut at = lts.initial();
         for step in &trace.steps {
             assert_eq!(step.from, at);
@@ -645,34 +619,6 @@ mod tests {
             .verify(&live_env, &only_x, &Property::eventual_output(["y"]))
             .unwrap();
         assert!(!live.holds && live.trace.is_none());
-    }
-
-    #[test]
-    fn every_strategy_agrees_on_complete_run_verdicts() {
-        let env = payment_env();
-        let ty = payment_applied();
-        let props = [
-            Property::non_usage(["aud"]),
-            Property::deadlock_free(["self", "aud", "client"]),
-            Property::reactive("self"),
-        ];
-        let baseline = Verifier::new();
-        for strategy in [
-            lts::Strategy::Dfs,
-            lts::Strategy::Beam { width: 8 },
-            lts::Strategy::RandomWalk { seed: 42 },
-        ] {
-            let mut verifier = Verifier::new();
-            verifier.explore.strategy = strategy;
-            for p in &props {
-                let b = baseline.verify(&env, &ty, p).unwrap();
-                let v = verifier.verify(&env, &ty, p).unwrap();
-                assert_eq!(b.holds, v.holds, "{strategy}: {p}");
-                assert_eq!(b.states, v.states, "{strategy}: {p}");
-                assert_eq!(b.transitions, v.transitions, "{strategy}: {p}");
-                assert_eq!(b.trace, v.trace, "{strategy}: {p}");
-            }
-        }
     }
 
     #[test]

@@ -19,7 +19,6 @@
 use std::fmt;
 use std::io::{self, Write};
 
-use effpi::Strategy;
 use wire::Json;
 
 /// The closed set of `error.kind` values a response can carry.
@@ -81,11 +80,6 @@ pub struct VerifyOptions {
     pub max_unfold: Option<usize>,
     /// Overrides automatic payload probing.
     pub auto_probe: Option<bool>,
-    /// Overrides the exploration strategy (wire spelling of
-    /// [`Strategy::parse`], e.g. `"dfs"` or `"beam:32"`). Part of the cache
-    /// key whenever it is not the default `"bfs"`, so bounded runs explored
-    /// under different disciplines never share a verdict.
-    pub strategy: Option<Strategy>,
     /// When `true`, the response frame carries a `"phases"` object with the
     /// per-phase timing breakdown of *this* request (parse, fingerprint,
     /// cache probes, exploration, checking, rendering — microseconds).
@@ -215,15 +209,6 @@ impl Request {
                             .ok_or_else(|| err("\"auto_probe\" must be a boolean".into()))?,
                     ),
                 };
-                let strategy = match root.get("strategy") {
-                    None | Some(Json::Null) => None,
-                    Some(v) => {
-                        let text = v
-                            .as_str()
-                            .ok_or_else(|| err("\"strategy\" must be a string".into()))?;
-                        Some(Strategy::parse(text).map_err(|e| err(format!("\"strategy\": {e}")))?)
-                    }
-                };
                 let profile = match root.get("profile") {
                     None | Some(Json::Null) => false,
                     Some(v) => v
@@ -238,7 +223,6 @@ impl Request {
                         max_depth: field("max_depth")?,
                         max_unfold: field("max_unfold")?,
                         auto_probe,
-                        strategy,
                         profile,
                         deadline_ms: field("deadline_ms")?.map(|v| v as u64),
                         memory_budget: field("memory_budget")?.map(|v| v as u64),
@@ -290,9 +274,6 @@ impl Request {
                 num("max_unfold", options.max_unfold);
                 if let Some(p) = options.auto_probe {
                     fields.push(("auto_probe".to_string(), Json::Bool(p)));
-                }
-                if let Some(s) = options.strategy {
-                    fields.push(("strategy".to_string(), Json::str(s.to_string())));
                 }
                 if options.profile {
                     fields.push(("profile".to_string(), Json::Bool(true)));
@@ -533,14 +514,6 @@ mod tests {
                 },
             },
             Request::Verify {
-                id: 8,
-                spec: "env x : cio[int]\ntype i[x, Pi(v: int) nil]".into(),
-                options: VerifyOptions {
-                    strategy: Some(Strategy::Beam { width: 32 }),
-                    ..VerifyOptions::default()
-                },
-            },
-            Request::Verify {
                 id: 9,
                 spec: "env x : cio[int]\ntype i[x, Pi(v: int) nil]".into(),
                 options: VerifyOptions {
@@ -607,16 +580,21 @@ mod tests {
             Request::parse("{\"op\":\"verify\",\"id\":3,\"spec\":\"\",\"max_states\":\"a\"}")
                 .unwrap_err();
         assert!(msg.contains("max_states"), "{msg}");
-        // unknown strategy spelling.
-        let (id, msg) =
-            Request::parse("{\"op\":\"verify\",\"id\":4,\"spec\":\"\",\"strategy\":\"best\"}")
-                .unwrap_err();
-        assert_eq!(id, Some(4));
-        assert!(msg.contains("unknown strategy"), "{msg}");
-        // strategy must be a string, not a number.
-        let (_, msg) = Request::parse("{\"op\":\"verify\",\"id\":5,\"spec\":\"\",\"strategy\":3}")
-            .unwrap_err();
-        assert!(msg.contains("strategy"), "{msg}");
+        // A `strategy` member is an unknown field like any other: ignored,
+        // whatever its value.
+        for strategy in ["\"dfs\"", "3"] {
+            let line =
+                format!("{{\"op\":\"verify\",\"id\":4,\"spec\":\"\",\"strategy\":{strategy}}}");
+            assert_eq!(
+                Request::parse(&line),
+                Ok(Request::Verify {
+                    id: 4,
+                    spec: String::new(),
+                    options: VerifyOptions::default(),
+                }),
+                "{line}"
+            );
+        }
     }
 
     #[test]

@@ -1501,9 +1501,6 @@ fn verify_response(shared: &Shared, job: &Job) -> Verdict {
     if let Some(probe) = options.auto_probe {
         builder = builder.auto_probe(probe);
     }
-    if let Some(strategy) = options.strategy {
-        builder = builder.strategy(strategy);
-    }
     // Per-request budget wins over the server default. Operational only:
     // `Session::cache_key` excludes it (a budgeted run's report is
     // byte-identical to an unbudgeted one), so hits below stay valid

@@ -21,15 +21,12 @@
 //! that a budgeted verification really spills and reloads. (Corrupt or
 //! truncated spill segments failing *loudly* is pinned at the unit level in
 //! `lts`'s `memory` module, where a segment file can be torn byte by byte.)
-//!
-//! Beside the strategy leg sits the one place where strategies *should*
-//! differ: how soon a bounded hunt reaches a seeded safety violation.
 
 use effpi::protocols::{fig9_specs, mobile_code, open_terms};
 use effpi::spec::{parse_spec, Spec};
 use effpi::{
-    ExploreConfig, Name, Session, SessionBuilder, Strategy, TermLabel, TermLts, TermRef, TyRef,
-    Type, TypeEnv, TypeLts, Verifier,
+    ExploreConfig, Session, SessionBuilder, TermLabel, TermLts, TermRef, TyRef, Type, TypeLts,
+    Verifier,
 };
 use lts::{CandidatePolicy, Exploration, ExploreStatus, Lts};
 
@@ -100,117 +97,33 @@ fn every_shipped_spec_reports_identically_serial_and_parallel() {
 }
 
 #[test]
-fn every_strategy_reports_identically_on_complete_runs() {
-    // The canonical-renumbering contract extends to the frontier discipline:
-    // a *complete* run visits the whole space whatever the visit order, and
-    // renumbering into BFS discovery order erases the order again — so every
-    // strategy, serial or parallel, must reproduce the serial BFS report
-    // byte for byte. (Only bounded runs may differ per strategy, and those
-    // say so in the report.) Likewise under a 1-byte memory budget: BFS and
-    // the parallel runs spill, the serial in-RAM disciplines ignore it.
-    let strategies = [
-        Strategy::Bfs,
-        Strategy::Dfs,
-        Strategy::Beam { width: 64 },
-        Strategy::RandomWalk { seed: 7 },
-    ];
+fn every_worker_count_and_budget_reports_identically_on_complete_runs() {
+    // A complete run, serial or parallel, with or without a 1-byte memory
+    // budget (under which every run spills), must reproduce the serial
+    // unbudgeted report byte for byte.
     let baseline = session(1);
     for (name, spec) in &protocol_specs() {
         let expect = baseline.run_spec(spec).summary().stable_line();
         assert!(
             !expect.contains("error="),
-            "{name}: the strategy contract only covers complete runs"
+            "{name}: the contract only covers complete runs"
         );
-        for strategy in strategies {
-            for workers in [1, WORKERS] {
-                for budgeted in [false, true] {
-                    let mut builder = Session::builder()
-                        .max_states(MAX_STATES)
-                        .parallelism(workers)
-                        .strategy(strategy);
-                    if budgeted {
-                        builder = builder.memory_budget(1);
-                    }
-                    let line = builder.build().run_spec(spec).summary().stable_line();
-                    assert_eq!(
-                        expect, line,
-                        "{name}: {strategy} x{workers} workers (budgeted: {budgeted}) differs \
-                         from serial BFS"
-                    );
+        for workers in [1, WORKERS] {
+            for budgeted in [false, true] {
+                let mut builder = Session::builder()
+                    .max_states(MAX_STATES)
+                    .parallelism(workers);
+                if budgeted {
+                    builder = builder.memory_budget(1);
                 }
+                let line = builder.build().run_spec(spec).summary().stable_line();
+                assert_eq!(
+                    expect, line,
+                    "{name}: x{workers} workers (budgeted: {budgeted}) differs from serial"
+                );
             }
         }
     }
-}
-
-/// A chain of `depth` outputs on `var`, then `tail`.
-fn chain(var: &str, depth: usize, tail: Type) -> Type {
-    let mut ty = tail;
-    for _ in 0..depth {
-        ty = Type::out(Type::var(var), Type::Int, Type::thunk(ty));
-    }
-    ty
-}
-
-/// A seeded safety violation in a space hostile to breadth-first search:
-/// `needle ∨ (hay_0 | hay_1 | …)`, every channel bound to `co[int]`. The
-/// needle is `needle_depth` outputs on `step`, then one on the forbidden
-/// `leak`; the hay is `hay_chains` independent chains of `hay_depth` outputs,
-/// interleaving into `(hay_depth + 1)^hay_chains` states, all shallower than
-/// the needle's end.
-fn needle_in_hay(needle_depth: usize, hay_chains: usize, hay_depth: usize) -> (TypeEnv, Type) {
-    let mut env = TypeEnv::new()
-        .bind("step", Type::chan_out(Type::Int))
-        .bind("leak", Type::chan_out(Type::Int));
-    let needle = chain(
-        "step",
-        needle_depth,
-        Type::out(Type::var("leak"), Type::Int, Type::thunk(Type::Nil)),
-    );
-    let mut hay = Vec::new();
-    for i in 0..hay_chains {
-        let var = format!("hay_{i}");
-        env = env.bind(var.clone(), Type::chan_out(Type::Int));
-        hay.push(chain(&var, hay_depth, Type::Nil));
-    }
-    (env, Type::union(needle, Type::par_all(hay)))
-}
-
-#[test]
-fn the_guided_beam_finds_a_seeded_violation_in_a_tenth_of_the_bfs_states() {
-    // Every strategy hunts with the same monitor — stop at the first
-    // expanded state offering an output on `leak` — so a run's state count
-    // is "states explored until the violation was found". BFS must drain
-    // nearly all 11^4 = 14 641 hay states first; the beam, steered towards
-    // outputs on `leak` by the builder's priority targets, walks down the
-    // needle.
-    let (needle_depth, hay_chains, hay_depth) = (60, 4, 10);
-    let (env, ty) = needle_in_hay(needle_depth, hay_chains, hay_depth);
-    let leak = Name::new("leak");
-    let builder = TypeLts::new(env).with_priority_targets(vec![leak.clone()]);
-    // Room for the whole hay plus the needle: every strategy can finish.
-    let max_states = (hay_depth + 1).pow(hay_chains as u32) + 2 * needle_depth + 16;
-    let hunt = |strategy: Strategy| {
-        let config = ExploreConfig::serial(max_states).with_strategy(strategy);
-        let exploration = builder.build_exploration_until(&ty, &config, |_, out| {
-            out.iter().any(|(label, _)| label.is_output_on(&leak))
-        });
-        assert_eq!(
-            exploration.status,
-            ExploreStatus::Cancelled,
-            "{strategy} did not find the seeded violation within the bound"
-        );
-        exploration.lts.num_states()
-    };
-    let bfs = hunt(Strategy::Bfs);
-    assert_eq!(bfs, 14_703);
-    let beam = hunt(Strategy::Beam { width: 64 });
-    assert!(
-        beam * 10 <= bfs,
-        "beam:64 needed {beam} states vs BFS's {bfs}"
-    );
-    hunt(Strategy::Dfs);
-    hunt(Strategy::RandomWalk { seed: 1 });
 }
 
 #[test]
@@ -339,8 +252,7 @@ fn memory_corpus_lines(configure: impl Fn(SessionBuilder) -> SessionBuilder) -> 
 }
 
 /// Asserts that two explorations agree on everything a run produces: how it
-/// ended, the states in canonical numbering, every transition, and the
-/// discovery tree witnesses are read from.
+/// ended, the states in canonical numbering and every transition.
 fn assert_same_exploration<S, L>(a: &Exploration<S, L>, b: &Exploration<S, L>, what: &str)
 where
     S: Clone + Eq + std::hash::Hash + std::fmt::Debug,
@@ -356,7 +268,6 @@ where
             "{what}: transitions of state {i}"
         );
     }
-    assert_eq!(a.parents, b.parents, "{what}: discovery tree");
 }
 
 /// The type `spec` verifies.
