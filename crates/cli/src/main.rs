@@ -477,17 +477,13 @@ fn cmd_client(args: &[String]) -> ExitCode {
         );
         return ExitCode::from(2);
     };
-    let mut client = match connect(addr) {
-        Ok(client) => client,
-        Err(e) => {
-            eprintln!("cannot connect to {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let outcome = match action.as_str() {
+    // The action and its arguments are checked before connecting, so a
+    // usage error exits 2 whether or not a daemon is listening.
+    type Exchange = Box<dyn FnOnce(&mut Client) -> Result<bool, serve::ClientError>>;
+    let exchange: Exchange = match action.as_str() {
         "verify" => {
             let Some(path) = args.get(3) else {
-                eprintln!("missing specification file");
+                eprintln!("missing specification file\n{USAGE}");
                 return ExitCode::from(2);
             };
             let flags: Result<_, String> = (|| {
@@ -519,70 +515,85 @@ fn cmd_client(args: &[String]) -> ExitCode {
                 memory_budget: memory_budget.map(|bytes| bytes as u64),
                 ..VerifyOptions::default()
             };
-            // `--retries`/`--timeout-ms` switch to the resilient path: an
-            // `overloaded` or transport failure is retried with capped
-            // exponential backoff (verification is idempotent by cache key).
-            let reply = if retries.is_some() || timeout_ms.is_some() {
-                let policy = serve::RetryPolicy {
-                    attempts: retries.map_or(4, |n| n as u32),
-                    timeout: timeout_ms.map(|ms| std::time::Duration::from_millis(ms as u64)),
-                    ..serve::RetryPolicy::default()
+            Box::new(move |client| {
+                // `--retries`/`--timeout-ms` switch to the resilient path: an
+                // `overloaded` or transport failure is retried with capped
+                // exponential backoff (verification is idempotent by cache
+                // key).
+                let reply = if retries.is_some() || timeout_ms.is_some() {
+                    let policy = serve::RetryPolicy {
+                        attempts: retries.map_or(4, |n| n as u32),
+                        timeout: timeout_ms.map(|ms| std::time::Duration::from_millis(ms as u64)),
+                        ..serve::RetryPolicy::default()
+                    };
+                    client.verify_retrying(&text, options, &policy)
+                } else {
+                    client.verify(&text, options)
                 };
-                client.verify_retrying(&text, options, &policy)
-            } else {
-                client.verify(&text, options)
-            };
-            reply.map(|reply| {
-                say!(
-                    "cached: {}  key: {}",
-                    if reply.cached { "hit" } else { "miss" },
-                    reply.key
-                );
-                for (name, holds) in &reply.report.verdicts {
-                    say!("{name}: {holds}");
-                }
-                if let Some(e) = &reply.report.error {
-                    say!("error: {e}");
-                }
-                say!("{}", reply.report.stable_line);
-                reply.report.passed
+                reply.map(|reply| {
+                    say!(
+                        "cached: {}  key: {}",
+                        if reply.cached { "hit" } else { "miss" },
+                        reply.key
+                    );
+                    for (name, holds) in &reply.report.verdicts {
+                        say!("{name}: {holds}");
+                    }
+                    if let Some(e) = &reply.report.error {
+                        say!("error: {e}");
+                    }
+                    say!("{}", reply.report.stable_line);
+                    reply.report.passed
+                })
             })
         }
-        "stats" => client.stats().map(|stats| {
-            say!("{stats}");
-            true
+        "stats" => Box::new(|client| {
+            client.stats().map(|stats| {
+                say!("{stats}");
+                true
+            })
         }),
         // `metrics` prints the server's telemetry snapshot: the JSON object
         // by default, the Prometheus-style text exposition with `--text`.
-        "metrics" => {
-            if bool_flag(args, "--text") {
-                client.metrics_text().map(|text| {
-                    use std::io::Write as _;
-                    // The exposition already ends in a newline.
-                    let _ = write!(std::io::stdout(), "{text}");
-                    true
-                })
-            } else {
-                client.metrics().map(|metrics| {
-                    say!("{metrics}");
-                    true
-                })
-            }
-        }
-        "ping" => client.ping().map(|()| {
-            say!("pong");
-            true
+        "metrics" if bool_flag(args, "--text") => Box::new(|client| {
+            client.metrics_text().map(|text| {
+                use std::io::Write as _;
+                // The exposition already ends in a newline.
+                let _ = write!(std::io::stdout(), "{text}");
+                true
+            })
         }),
-        "shutdown" => client.shutdown_server().map(|()| {
-            say!("server is shutting down");
-            true
+        "metrics" => Box::new(|client| {
+            client.metrics().map(|metrics| {
+                say!("{metrics}");
+                true
+            })
+        }),
+        "ping" => Box::new(|client| {
+            client.ping().map(|()| {
+                say!("pong");
+                true
+            })
+        }),
+        "shutdown" => Box::new(|client| {
+            client.shutdown_server().map(|()| {
+                say!("server is shutting down");
+                true
+            })
         }),
         other => {
-            eprintln!("unknown client action {other:?}");
+            eprintln!("unknown client action {other:?}\n{USAGE}");
             return ExitCode::from(2);
         }
     };
-    match outcome {
+    let mut client = match connect(addr) {
+        Ok(client) => client,
+        Err(e) => {
+            eprintln!("cannot connect to {addr}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    match exchange(&mut client) {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,
         Err(e) => {

@@ -134,3 +134,26 @@ fn a_second_type_statement_is_a_line_numbered_spec_error() {
     );
     assert!(stderr(&out).contains("line 2"), "{}", stderr(&out));
 }
+
+#[test]
+fn client_usage_errors_exit_two_before_connecting() {
+    // Nothing listens on port 1: a usage error must not surface as a
+    // connection failure.
+    for args in [
+        vec!["client", "127.0.0.1:1", "verify"],
+        vec!["client", "127.0.0.1:1", "bogus"],
+    ] {
+        let out = cli(&args);
+        assert_eq!(code(&out), 2, "{args:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("usage: effpi-cli"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+        assert!(
+            !stderr(&out).contains("cannot connect"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+    }
+}

@@ -173,13 +173,14 @@ impl VerdictCache {
     /// Evicts least-recently-used entries until both bounds hold.
     fn evict_until(&mut self, max_entries: usize, max_states: usize) {
         while self.stats.entries > max_entries || self.stats.states > max_states {
-            let (&oldest, &victim) = self
-                .recency
-                .iter()
-                .next()
-                .expect("bounds exceeded implies at least one entry");
-            self.recency.remove(&oldest);
-            let evicted = self.map.remove(&victim).expect("recency index in sync");
+            // Exceeded bounds imply an entry, and the recency index is in
+            // sync with the map; either way an empty index ends the loop.
+            let Some((_, victim)) = self.recency.pop_first() else {
+                break;
+            };
+            let Some(evicted) = self.map.remove(&victim) else {
+                continue;
+            };
             self.stats.entries -= 1;
             self.stats.states -= evicted.states;
             self.stats.evictions += 1;

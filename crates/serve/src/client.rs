@@ -360,8 +360,8 @@ impl Client {
     /// *other* in-flight requests may arrive first — they are buffered for
     /// the next [`Client::recv`], never dropped.
     fn recv_for(&mut self, id: u64) -> Result<Json, ClientError> {
-        if let Some(at) = self.buffered.iter().position(|r| r.id == Some(id)) {
-            let response = self.buffered.remove(at).expect("position just found");
+        let at = self.buffered.iter().position(|r| r.id == Some(id));
+        if let Some(response) = at.and_then(|at| self.buffered.remove(at)) {
             return response.into_ok();
         }
         loop {

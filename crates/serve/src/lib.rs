@@ -52,6 +52,15 @@
 //! dependencies, consistent with the offline build environment.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod cache;

@@ -68,12 +68,12 @@
 //!   refuses only *larger-than-default* jobs with `overloaded` — small
 //!   requests keep being served.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -274,48 +274,48 @@ impl Server {
         };
 
         let workers = config.workers.max(1);
-        let shared = Arc::new(Shared::new(config, disk));
-        let mut threads = Vec::new();
-        let mut tcp_addr = None;
+        let tcp_addr = tcp.as_ref().map(TcpListener::local_addr).transpose()?;
+        let mut handle = ServerHandle {
+            shared: Arc::new(Shared::new(config, disk)),
+            threads: Vec::new(),
+            tcp_addr,
+            unix_path,
+        };
+        // The workers and the housekeeper (which owns the time-driven duties
+        // no request thread should block on: expiring deadlines and watching
+        // memory pressure) start before any acceptor. A failed spawn stops
+        // and joins the threads already started before the `Err` returns,
+        // for the same leak-on-error reason as the binds.
+        let mut spawn = |name: String, body: fn(&Arc<Shared>)| -> io::Result<()> {
+            let shared = Arc::clone(&handle.shared);
+            let thread = thread::Builder::new()
+                .name(name)
+                .spawn(move || body(&shared))?;
+            handle.threads.push(thread);
+            Ok(())
+        };
+        let spawned = (0..workers)
+            .try_for_each(|worker| spawn(format!("effpi-serve-worker-{worker}"), worker_loop))
+            .and_then(|()| spawn("effpi-serve-housekeeper".to_string(), housekeeper_loop));
+        if let Err(e) = spawned {
+            handle.shutdown();
+            return Err(e);
+        }
+
         if let Some(listener) = tcp {
-            tcp_addr = Some(listener.local_addr()?);
-            let shared = Arc::clone(&shared);
-            threads.push(thread::spawn(move || accept_loop(&shared, &listener)));
+            let shared = Arc::clone(&handle.shared);
+            handle
+                .threads
+                .push(thread::spawn(move || accept_loop(&shared, &listener)));
         }
         #[cfg(unix)]
         if let Some(listener) = unix {
-            let shared = Arc::clone(&shared);
-            threads.push(thread::spawn(move || accept_loop(&shared, &listener)));
+            let shared = Arc::clone(&handle.shared);
+            handle
+                .threads
+                .push(thread::spawn(move || accept_loop(&shared, &listener)));
         }
-
-        for worker in 0..workers {
-            let shared = Arc::clone(&shared);
-            threads.push(
-                thread::Builder::new()
-                    .name(format!("effpi-serve-worker-{worker}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn worker thread"),
-            );
-        }
-
-        // The housekeeper owns the time-driven duties no request thread
-        // should block on: expiring deadlines and watching memory pressure.
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(
-                thread::Builder::new()
-                    .name("effpi-serve-housekeeper".to_string())
-                    .spawn(move || housekeeper_loop(&shared))
-                    .expect("spawn housekeeper thread"),
-            );
-        }
-
-        Ok(ServerHandle {
-            shared,
-            threads,
-            tcp_addr,
-            unix_path,
-        })
+        Ok(handle)
     }
 }
 
@@ -387,15 +387,19 @@ struct JobFlags {
     /// Set once the job's response is sent; lets the housekeeper drop its
     /// deadline watch without racing the worker.
     finished: AtomicBool,
+    /// The absolute expiry of the request's `deadline_ms`, fixed at
+    /// admission (queue wait counts against the budget).
+    deadline: Option<Instant>,
 }
 
 impl JobFlags {
-    fn new() -> JobFlags {
+    fn new(deadline: Option<Instant>) -> JobFlags {
         JobFlags {
             cancel: CancelToken::new(),
             started: AtomicBool::new(false),
             deadline_exceeded: AtomicBool::new(false),
             finished: AtomicBool::new(false),
+            deadline,
         }
     }
 }
@@ -406,9 +410,6 @@ struct Job {
     flags: Arc<JobFlags>,
     spec: String,
     options: VerifyOptions,
-    /// The absolute expiry of the request's `deadline_ms`, fixed at
-    /// admission (queue wait counts against the budget).
-    deadline: Option<Instant>,
 }
 
 /// The live half of a [`FaultPlan`]: per-point pass counters, so the *n*-th
@@ -435,16 +436,33 @@ impl FaultHook {
         }))
     }
 
-    /// Counts one pass through `point` and reports whether it fails.
-    fn inject(&self, point: FaultPoint) -> Option<FaultAction> {
+    /// Counts one pass through `point` and acts out its fault: sleeps
+    /// through a `Delay`, panics on a `Panic`, and returns whether the
+    /// operation fails. At `SocketWrite` a `Panic` is downgraded to failing:
+    /// sends run on reader threads too, which carry no panic isolation, and
+    /// a real failed write severs the connection exactly like this.
+    #[expect(
+        clippy::panic,
+        reason = "an injected Panic exercises the worker's catch_unwind isolation"
+    )]
+    fn fails(&self, point: FaultPoint) -> bool {
         let counter = match point {
             FaultPoint::StoreRead => &self.store_read,
             FaultPoint::StoreWrite => &self.store_write,
             FaultPoint::SocketWrite => &self.socket_write,
             FaultPoint::Worker => &self.worker,
         };
-        let n = counter.fetch_add(1, Ordering::SeqCst);
-        self.plan.decide(point, n)
+        let pass = counter.fetch_add(1, Ordering::SeqCst);
+        match self.plan.decide(point, pass) {
+            None => false,
+            Some(FaultAction::Delay { ms }) => {
+                thread::sleep(Duration::from_millis(ms));
+                false
+            }
+            Some(FaultAction::Error) => true,
+            Some(FaultAction::Panic) if point == FaultPoint::SocketWrite => true,
+            Some(FaultAction::Panic) => panic!("injected {point} fault"),
+        }
     }
 }
 
@@ -467,18 +485,14 @@ struct Conn {
 
 impl Conn {
     fn send(&self, line: &str) {
-        // Injection decides before the writer lock is taken, and `Panic` is
-        // downgraded to `Error`: reader threads carry no panic isolation, and
-        // a real failed write severs the connection exactly like this.
-        if let Some(hook) = &self.faults {
-            match hook.inject(FaultPoint::SocketWrite) {
-                None => {}
-                Some(FaultAction::Delay { ms }) => thread::sleep(Duration::from_millis(ms)),
-                Some(FaultAction::Error | FaultAction::Panic) => {
-                    self.dead.store(true, Ordering::SeqCst);
-                    return;
-                }
-            }
+        // Injection decides before the writer lock is taken.
+        if self
+            .faults
+            .as_ref()
+            .is_some_and(|hook| hook.fails(FaultPoint::SocketWrite))
+        {
+            self.dead.store(true, Ordering::SeqCst);
+            return;
         }
         let mut writer = self.writer.lock();
         if self.dead.load(Ordering::SeqCst) {
@@ -504,7 +518,7 @@ impl Conn {
 #[derive(Default)]
 struct Counters {
     connections: AtomicU64,
-    in_flight: AtomicUsize,
+    in_flight: AtomicU64,
     completed: AtomicU64,
     cancelled: AtomicU64,
     failed: AtomicU64,
@@ -525,9 +539,35 @@ struct Counters {
     /// Requests refused with `deadline-exceeded` (their `deadline_ms`
     /// elapsed while queued or executing).
     deadline_exceeded: AtomicU64,
+    /// Requests refused with `shutting-down` (they arrived during the drain).
+    shutting_down: AtomicU64,
     /// Verifications that panicked and were absorbed at the worker boundary
     /// (each one answered `internal-error`; the worker survived).
     panics_caught: AtomicU64,
+}
+
+impl Counters {
+    /// Counts one answered `verify` in the one request bucket its reply
+    /// lands in — the only place a bucket moves. `protocol` never answers a
+    /// verify (a frame that fails to parse never becomes one); it sits with
+    /// `failed` only to keep the map total.
+    fn count(&self, verdict: &Verdict) {
+        if let Verdict::Done {
+            tier: Tier::Disk, ..
+        } = verdict
+        {
+            self.disk_hits.fetch_add(1, Ordering::SeqCst);
+        }
+        let bucket = match verdict.kind() {
+            None => &self.completed,
+            Some(ErrorKind::Spec | ErrorKind::Internal | ErrorKind::Protocol) => &self.failed,
+            Some(ErrorKind::Cancelled) => &self.cancelled,
+            Some(ErrorKind::DeadlineExceeded) => &self.deadline_exceeded,
+            Some(ErrorKind::Overloaded) => &self.shed,
+            Some(ErrorKind::ShuttingDown) => &self.shutting_down,
+        };
+        bucket.fetch_add(1, Ordering::SeqCst);
+    }
 }
 
 struct Shared {
@@ -547,9 +587,9 @@ struct Shared {
     counters: Counters,
     /// The live fault-injection hook (`None` when `config.faults` is empty).
     faults: Option<Arc<FaultHook>>,
-    /// Deadline watch list: `(expiry, flags)` of admitted jobs that carry a
+    /// Deadline watch list: the flags of admitted jobs that carry a
     /// `deadline_ms`, swept by the housekeeper every poll interval.
-    deadlines: Mutex<Vec<(Instant, Arc<JobFlags>)>>,
+    deadlines: Mutex<Vec<Arc<JobFlags>>>,
     /// Sticky memory-pressure mode: once the interner crosses the budget,
     /// larger-than-default jobs are refused (the arenas are append-only, so
     /// there is no way back down short of a restart).
@@ -726,6 +766,12 @@ fn accept_loop<L: Acceptor>(shared: &Arc<Shared>, listener: &L) {
 /// streaming an endless newline-free "frame" into server memory.
 const MAX_FRAME_BYTES: usize = 4 * 1024 * 1024;
 
+/// How long a reader keeps consuming frames after shutdown began, so that
+/// requests already in flight from the client get their typed
+/// `shutting-down` refusal instead of a silent EOF. Bounded, so a client
+/// that keeps frames flowing cannot postpone the shutdown indefinitely.
+const DRAIN_GRACE: Duration = Duration::from_millis(250);
+
 /// Reads frames with `fill_buf`/`consume` rather than `read_line`: the
 /// accumulated frame is checked against [`MAX_FRAME_BYTES`] *between buffer
 /// refills* (growth per iteration is one `BufReader` buffer), so a client
@@ -734,12 +780,6 @@ const MAX_FRAME_BYTES: usize = 4 * 1024 * 1024;
 /// newline that never comes. Bytes are accumulated raw and UTF-8-validated
 /// once per complete frame, so multi-byte characters split across refills
 /// (µ, Π in spec texts) survive intact.
-/// How long a reader keeps consuming frames after shutdown began, so that
-/// requests already in flight from the client get their typed
-/// `shutting-down` refusal instead of a silent EOF. Bounded, so a client
-/// that keeps frames flowing cannot postpone the shutdown indefinitely.
-const DRAIN_GRACE: Duration = Duration::from_millis(250);
-
 fn reader_loop(shared: &Arc<Shared>, reader: BoxedRead, conn: &Arc<Conn>) {
     let mut reader = BufReader::new(reader);
     let mut frame: Vec<u8> = Vec::new();
@@ -826,21 +866,12 @@ fn handle_frame(shared: &Arc<Shared>, conn: &Arc<Conn>, frame: &str) {
     };
     match request {
         Request::Verify { id, spec, options } => {
-            let flags = Arc::new(JobFlags::new());
-            conn.pending.lock().insert(id, Arc::clone(&flags));
             let deadline = options
                 .deadline_ms
                 .map(|ms| Instant::now() + Duration::from_millis(ms));
-            enum Admission {
-                Accepted,
-                ShuttingDown,
-                /// Typed `overloaded` refusal with its backoff hint.
-                Shed {
-                    retry_after_ms: u64,
-                    why: &'static str,
-                },
-            }
-            let admission = {
+            let flags = Arc::new(JobFlags::new(deadline));
+            conn.pending.lock().insert(id, Arc::clone(&flags));
+            let refusal = {
                 // Accept-or-refuse is decided under the queue lock, where
                 // `begin_shutdown` also flips the flag: a job can never be
                 // pushed after the workers were told to drain-and-exit (it
@@ -849,12 +880,15 @@ fn handle_frame(shared: &Arc<Shared>, conn: &Arc<Conn>, frame: &str) {
                 // so `queued` vs `max_queue_depth` is race-free.
                 let mut queue = shared.queue.lock();
                 if shared.shutting_down() {
-                    Admission::ShuttingDown
+                    Some(Verdict::refused(
+                        ErrorKind::ShuttingDown,
+                        "server is draining; no new work accepted",
+                    ))
                 } else if queue.len() >= shared.config.max_queue_depth {
-                    Admission::Shed {
+                    Some(Verdict::Shed {
                         retry_after_ms: shared.retry_after_hint(queue.len()),
                         why: "admission queue is full",
-                    }
+                    })
                 } else if shared.degraded.load(Ordering::SeqCst)
                     && options
                         .max_states
@@ -863,11 +897,11 @@ fn handle_frame(shared: &Arc<Shared>, conn: &Arc<Conn>, frame: &str) {
                     // The degradation ladder's last rung: under memory
                     // pressure only larger-than-default jobs are refused;
                     // ordinary traffic keeps flowing.
-                    Admission::Shed {
+                    Some(Verdict::Shed {
                         retry_after_ms: 5_000,
                         why: "server is degraded under memory pressure; \
                               large max_states jobs are refused",
-                    }
+                    })
                 } else {
                     queue.push_back(Job {
                         conn: Arc::clone(conn),
@@ -875,39 +909,31 @@ fn handle_frame(shared: &Arc<Shared>, conn: &Arc<Conn>, frame: &str) {
                         flags: Arc::clone(&flags),
                         spec,
                         options,
-                        deadline,
                     });
-                    Admission::Accepted
+                    None
                 }
             };
-            match admission {
-                Admission::Accepted => {
-                    if let Some(deadline) = deadline {
-                        shared.deadlines.lock().push((deadline, Arc::clone(&flags)));
+            match refusal {
+                None => {
+                    if deadline.is_some() {
+                        shared.deadlines.lock().push(flags);
                     }
                     shared.work_cv.notify_one();
                 }
-                Admission::ShuttingDown => {
+                Some(verdict) => {
+                    shared.counters.count(&verdict);
                     conn.settle(id, &flags);
-                    conn.send(&err_response(
-                        Some(id),
-                        ErrorKind::ShuttingDown,
-                        "server is draining; no new work accepted",
-                    ));
-                }
-                Admission::Shed {
-                    retry_after_ms,
-                    why,
-                } => {
-                    shared.counters.shed.fetch_add(1, Ordering::SeqCst);
-                    conn.settle(id, &flags);
-                    conn.send(&overloaded_response(id, why, retry_after_ms));
+                    conn.send(&verdict.reply(id, None));
                 }
             }
         }
         Request::Stats { id } => conn.send(&ok_response(id, [("stats", stats_json(shared))])),
         Request::Metrics { id, format } => {
-            let snapshot = synced_snapshot(shared);
+            // The registry's own metrics, with this server's stats values
+            // added as `{section}_{field}` gauges.
+            let mut snapshot = obs::global().snapshot();
+            let values = stats_values(shared, &snapshot);
+            snapshot.gauges.extend(values);
             match format {
                 MetricsFormat::Json => {
                     conn.send(&metrics_response_line(id, &snapshot.to_json_text()));
@@ -942,12 +968,13 @@ fn handle_frame(shared: &Arc<Shared>, conn: &Arc<Conn>, frame: &str) {
 }
 
 /// The shape of the `stats` reply: every section and every field it carries.
-/// Each field is backed by a registry gauge named `{section}_{field}`,
-/// refreshed from the live subsystems by `sync_registry`; `stats_json`
-/// renders *exactly* this table from the registry snapshot, the `metrics`
-/// surfaces export the same gauges, and the serve end-to-end tests assert
-/// stats replies against this same table in both directions — one source of
-/// truth for the stats shape.
+/// `stats_values` reads each field's value from the subsystem that owns it
+/// (the server's counters and config, the verdict cache, the store, the
+/// interner, the checker, the engine's `explore_*`/`spill_*` metrics) under
+/// the name `{section}_{field}`. `stats_json` renders *exactly* this table
+/// from those values, `metrics` adds the same values to its gauges, and the
+/// serve end-to-end tests assert stats replies against this same table in
+/// both directions — one source of truth for the stats shape.
 pub const STATS_SCHEMA: &[(&str, &[&str])] = &[
     (
         "cache",
@@ -986,10 +1013,11 @@ pub const STATS_SCHEMA: &[(&str, &[&str])] = &[
         ],
     ),
     (
-        // `completed + failed + cancelled + shed + deadline_exceeded` sums
-        // to the `verify` requests answered; `failed` includes the
-        // `internal-error` replies of caught panics, which are additionally
-        // broken out in `panics_caught`.
+        // `completed + failed + cancelled + shed + deadline_exceeded +
+        // shutting_down` sums to the `verify` requests answered (see
+        // `Counters::count`); `failed` includes the `internal-error` replies
+        // of caught panics, which are additionally broken out in
+        // `panics_caught`.
         "requests",
         &[
             "queued",
@@ -999,6 +1027,7 @@ pub const STATS_SCHEMA: &[(&str, &[&str])] = &[
             "failed",
             "shed",
             "deadline_exceeded",
+            "shutting_down",
             "panics_caught",
         ],
     ),
@@ -1063,192 +1092,137 @@ pub const STATS_SCHEMA: &[(&str, &[&str])] = &[
     ),
 ];
 
-/// Copies every live subsystem statistic into its `{section}_{field}` gauge
-/// of the process-wide metric registry, making the registry snapshot the one
-/// place both `stats` and `metrics` render from.
-fn sync_registry(shared: &Shared) {
-    let registry = obs::global();
-    let set = |section: &str, field: &str, value: u64| {
-        registry.gauge(&format!("{section}_{field}")).set(value);
+/// Every `{section}_{field}` value of [`STATS_SCHEMA`], read from the
+/// subsystem that owns it; `registry` supplies the engine's process-wide
+/// `explore_*`/`spill_*` metrics. The `store` values are absent when no disk
+/// tier is configured. Reads only: nothing here writes the global registry,
+/// so several servers in one process never see each other's values.
+fn stats_values(shared: &Shared, registry: &obs::Snapshot) -> BTreeMap<String, u64> {
+    let mut values = BTreeMap::new();
+    let mut section = |name: &str, fields: &[(&str, u64)]| {
+        for (field, value) in fields {
+            values.insert(format!("{name}_{field}"), *value);
+        }
     };
-    let config = &shared.config;
-    let counters = &shared.counters;
+    let load = |counter: &AtomicU64| counter.load(Ordering::SeqCst);
+    let (config, counters) = (&shared.config, &shared.counters);
 
     let cache = shared.cache.lock().stats();
-    set("cache", "hits", cache.hits);
-    set("cache", "misses", cache.misses);
-    set(
+    section(
         "cache",
-        "disk_hits",
-        counters.disk_hits.load(Ordering::SeqCst),
+        &[
+            ("hits", cache.hits),
+            ("misses", cache.misses),
+            ("disk_hits", load(&counters.disk_hits)),
+            ("insertions", cache.insertions),
+            ("evictions", cache.evictions),
+            ("uncacheable", cache.uncacheable),
+            ("entries", cache.entries as u64),
+            ("states", cache.states as u64),
+            ("capacity_entries", config.cache.max_entries as u64),
+            ("capacity_states", config.cache.max_states as u64),
+        ],
     );
-    set("cache", "insertions", cache.insertions);
-    set("cache", "evictions", cache.evictions);
-    set("cache", "uncacheable", cache.uncacheable);
-    set("cache", "entries", cache.entries as u64);
-    set("cache", "states", cache.states as u64);
-    set("cache", "capacity_entries", config.cache.max_entries as u64);
-    set("cache", "capacity_states", config.cache.max_states as u64);
-
     if let Some(disk) = &shared.store {
-        let s = disk.lock().stats();
-        set("store", "entries", s.entries as u64);
-        set("store", "states", s.states as u64);
-        set("store", "file_bytes", s.file_bytes);
-        set("store", "live_bytes", s.live_bytes);
-        set("store", "hits", s.hits);
-        set("store", "misses", s.misses);
-        set("store", "insertions", s.insertions);
-        set("store", "evictions", s.evictions);
-        set("store", "corrupt_rejected", s.corrupt_rejected);
-        set(
+        let store = disk.lock().stats();
+        section(
             "store",
-            "recovered_bytes_dropped",
-            s.recovered_bytes_dropped,
-        );
-        set("store", "compactions", s.compactions);
-        set(
-            "store",
-            "last_compaction_unix_ms",
-            s.last_compaction_unix_ms,
-        );
-        set(
-            "store",
-            "errors",
-            counters.store_errors.load(Ordering::SeqCst),
+            &[
+                ("entries", store.entries as u64),
+                ("states", store.states as u64),
+                ("file_bytes", store.file_bytes),
+                ("live_bytes", store.live_bytes),
+                ("hits", store.hits),
+                ("misses", store.misses),
+                ("insertions", store.insertions),
+                ("evictions", store.evictions),
+                ("corrupt_rejected", store.corrupt_rejected),
+                ("recovered_bytes_dropped", store.recovered_bytes_dropped),
+                ("compactions", store.compactions),
+                ("last_compaction_unix_ms", store.last_compaction_unix_ms),
+                ("errors", load(&counters.store_errors)),
+            ],
         );
     }
-
-    set("requests", "queued", shared.queue.lock().len() as u64);
-    set(
+    section(
         "requests",
-        "in_flight",
-        counters.in_flight.load(Ordering::SeqCst) as u64,
+        &[
+            ("queued", shared.queue.lock().len() as u64),
+            ("in_flight", load(&counters.in_flight)),
+            ("completed", load(&counters.completed)),
+            ("cancelled", load(&counters.cancelled)),
+            ("failed", load(&counters.failed)),
+            ("shed", load(&counters.shed)),
+            ("deadline_exceeded", load(&counters.deadline_exceeded)),
+            ("shutting_down", load(&counters.shutting_down)),
+            ("panics_caught", load(&counters.panics_caught)),
+        ],
     );
-    set(
-        "requests",
-        "completed",
-        counters.completed.load(Ordering::SeqCst),
-    );
-    set(
-        "requests",
-        "cancelled",
-        counters.cancelled.load(Ordering::SeqCst),
-    );
-    set("requests", "failed", counters.failed.load(Ordering::SeqCst));
-    set("requests", "shed", counters.shed.load(Ordering::SeqCst));
-    set(
-        "requests",
-        "deadline_exceeded",
-        counters.deadline_exceeded.load(Ordering::SeqCst),
-    );
-    set(
-        "requests",
-        "panics_caught",
-        counters.panics_caught.load(Ordering::SeqCst),
-    );
-
-    set("engine", "workers", config.workers as u64);
-    set("engine", "jobs", config.jobs as u64);
-    set(
+    section(
         "engine",
-        "per_request_jobs",
-        config.per_request_jobs() as u64,
+        &[
+            ("workers", config.workers as u64),
+            ("jobs", config.jobs as u64),
+            ("per_request_jobs", config.per_request_jobs() as u64),
+            ("states_explored", load(&counters.states_explored)),
+            ("connections", load(&counters.connections)),
+            ("queue_capacity", config.max_queue_depth as u64),
+            ("degraded", shared.degraded.load(Ordering::SeqCst).into()),
+        ],
     );
-    set(
-        "engine",
-        "states_explored",
-        counters.states_explored.load(Ordering::SeqCst),
-    );
-    set(
-        "engine",
-        "connections",
-        counters.connections.load(Ordering::SeqCst),
-    );
-    set("engine", "queue_capacity", config.max_queue_depth as u64);
-    set(
-        "engine",
-        "degraded",
-        u64::from(shared.degraded.load(Ordering::SeqCst)),
-    );
-
-    // The memory layer publishes its gauge/counters directly under the
-    // engine's own names; re-reading them here folds the `explore` section
-    // into the same `{section}_{field}` schema `stats_json` renders from
-    // (the resident-bytes re-set is an identity write).
-    set(
+    let gauge = |name: &str| registry.gauges.get(name).copied().unwrap_or(0);
+    let counter = |name: &str| registry.counters.get(name).copied().unwrap_or(0);
+    section(
         "explore",
-        "resident_bytes",
-        registry.gauge("explore_resident_bytes").get(),
+        &[
+            ("resident_bytes", gauge("explore_resident_bytes")),
+            ("spill_segments", counter("spill_segments")),
+            ("spill_bytes", counter("spill_bytes")),
+            ("spill_reloads", counter("spill_reloads")),
+        ],
     );
-    set(
-        "explore",
-        "spill_segments",
-        registry.counter("spill_segments").get(),
-    );
-    set(
-        "explore",
-        "spill_bytes",
-        registry.counter("spill_bytes").get(),
-    );
-    set(
-        "explore",
-        "spill_reloads",
-        registry.counter("spill_reloads").get(),
-    );
-
     let intern = effpi::intern_stats();
-    set("interner", "types", intern.types as u64);
-    set("interner", "terms", intern.terms as u64);
-    set("interner", "normalize_hits", intern.normalize_hits);
-    set("interner", "normalize_misses", intern.normalize_misses);
-    set("interner", "canonical_hits", intern.canonical_hits);
-    set("interner", "canonical_misses", intern.canonical_misses);
-    set("interner", "par_hits", intern.par_hits);
-    set("interner", "par_misses", intern.par_misses);
-    set("interner", "fv_hits", intern.fv_hits);
-    set("interner", "fv_misses", intern.fv_misses);
-
+    section(
+        "interner",
+        &[
+            ("types", intern.types as u64),
+            ("terms", intern.terms as u64),
+            ("normalize_hits", intern.normalize_hits),
+            ("normalize_misses", intern.normalize_misses),
+            ("canonical_hits", intern.canonical_hits),
+            ("canonical_misses", intern.canonical_misses),
+            ("par_hits", intern.par_hits),
+            ("par_misses", intern.par_misses),
+            ("fv_hits", intern.fv_hits),
+            ("fv_misses", intern.fv_misses),
+        ],
+    );
     let checker = effpi::checker_stats();
-    set("checker", "subtype_hits", checker.subtype_hits);
-    set("checker", "subtype_misses", checker.subtype_misses);
-    set("checker", "interact_hits", checker.interact_hits);
-    set("checker", "interact_misses", checker.interact_misses);
-    set("checker", "typing_hits", checker.typing_hits);
-    set("checker", "typing_misses", checker.typing_misses);
-}
-
-/// Refreshes the registry from this server's live stats and snapshots it.
-/// The sync-then-snapshot pair runs under a process-wide lock: several
-/// servers in one process (the test suites do this) share the global
-/// registry, and an interleaved sync from another server must not bleed its
-/// values into this server's snapshot.
-fn synced_snapshot(shared: &Shared) -> obs::Snapshot {
-    static SYNC: Mutex<()> = Mutex::new(());
-    let _guard = SYNC.lock();
-    sync_registry(shared);
-    obs::global().snapshot()
+    section(
+        "checker",
+        &[
+            ("subtype_hits", checker.subtype_hits),
+            ("subtype_misses", checker.subtype_misses),
+            ("interact_hits", checker.interact_hits),
+            ("interact_misses", checker.interact_misses),
+            ("typing_hits", checker.typing_hits),
+            ("typing_misses", checker.typing_misses),
+        ],
+    );
+    values
 }
 
 fn stats_json(shared: &Shared) -> Json {
-    let snapshot = synced_snapshot(shared);
-    let field_json = |section: &str, field: &str| {
-        let name = format!("{section}_{field}");
-        Json::Num(snapshot.gauges.get(&name).copied().unwrap_or(0) as f64)
-    };
+    let values = stats_values(shared, &obs::global().snapshot());
     Json::obj(STATS_SCHEMA.iter().map(|(section, fields)| {
         if *section == "store" && shared.store.is_none() {
-            (*section, Json::Null)
-        } else {
-            (
-                *section,
-                Json::obj(
-                    fields
-                        .iter()
-                        .map(|field| (*field, field_json(section, field))),
-                ),
-            )
+            return (*section, Json::Null);
         }
+        let field_json = |field: &'static str| {
+            let value = values.get(&format!("{section}_{field}")).copied();
+            (field, Json::Num(value.unwrap_or(0) as f64))
+        };
+        (*section, Json::obj(fields.iter().copied().map(field_json)))
     }))
 }
 
@@ -1292,11 +1266,11 @@ fn housekeeper_loop(shared: &Arc<Shared>) {
         {
             let now = Instant::now();
             let mut deadlines = shared.deadlines.lock();
-            deadlines.retain(|(deadline, flags)| {
+            deadlines.retain(|flags| {
                 if flags.finished.load(Ordering::SeqCst) {
                     return false; // answered in time; stop watching
                 }
-                if now >= *deadline {
+                if flags.deadline.is_some_and(|deadline| now >= deadline) {
                     // Order matters: the worker reads `deadline_exceeded`
                     // only after observing the cancel, so flag first.
                     flags.deadline_exceeded.store(true, Ordering::SeqCst);
@@ -1350,9 +1324,9 @@ impl Tier {
     }
 }
 
-/// How one `verify` job resolved, before the response frame is assembled
-/// (the split lets `process` splice per-request phases into successful
-/// frames and emit the `--log-requests` line from one place).
+/// How one `verify` request was answered: the one value its reply frame, its
+/// `--log-requests` line and its request bucket ([`Counters::count`]) are
+/// all derived from.
 enum Verdict {
     Done {
         tier: Tier,
@@ -1363,51 +1337,66 @@ enum Verdict {
         kind: ErrorKind,
         message: String,
     },
+    /// A typed `overloaded` refusal with its backoff hint.
+    Shed {
+        why: &'static str,
+        retry_after_ms: u64,
+    },
 }
 
+impl Verdict {
+    fn refused(kind: ErrorKind, message: impl Into<String>) -> Verdict {
+        Verdict::Refused {
+            kind,
+            message: message.into(),
+        }
+    }
+
+    /// The reply's `error.kind`; `None` for a verdict.
+    fn kind(&self) -> Option<ErrorKind> {
+        match self {
+            Verdict::Done { .. } => None,
+            Verdict::Refused { kind, .. } => Some(*kind),
+            Verdict::Shed { .. } => Some(ErrorKind::Overloaded),
+        }
+    }
+
+    /// The reply frame; `profiled` splices a verdict's phase breakdown in.
+    fn reply(&self, id: u64, profiled: Option<&obs::phases::Phases>) -> String {
+        match self {
+            Verdict::Done { tier, key, report } => {
+                let cached = *tier != Tier::Cold;
+                match profiled {
+                    Some(phases) => verify_response_line_profiled(
+                        id,
+                        cached,
+                        key,
+                        report,
+                        &phases.to_json_text(),
+                    ),
+                    None => verify_response_line(id, cached, key, report),
+                }
+            }
+            Verdict::Refused { kind, message } => err_response(Some(id), *kind, message),
+            Verdict::Shed {
+                why,
+                retry_after_ms,
+            } => overloaded_response(id, why, *retry_after_ms),
+        }
+    }
+}
+
+/// Runs one dequeued job and answers it: the only place a worker settles,
+/// counts, logs and sends a `verify` reply.
 fn process(shared: &Shared, job: Job) {
-    job.flags.started.store(true, Ordering::SeqCst);
-    // A deadline that elapsed while the job sat in the queue (whether or not
-    // the housekeeper already swept it) refuses before any work is spent.
-    let expired = job.deadline.is_some_and(|d| Instant::now() >= d)
-        || (job.flags.cancel.is_cancelled() && job.flags.deadline_exceeded.load(Ordering::SeqCst));
-    if expired {
-        shared
-            .counters
-            .deadline_exceeded
-            .fetch_add(1, Ordering::SeqCst);
-        job.flags.finished.store(true, Ordering::SeqCst);
-        job.conn.settle(job.id, &job.flags);
-        if shared.config.log_requests {
-            eprintln!(
-                "[effpi-serve] verify id={} key=- tier=- outcome=deadline-exceeded total=0us",
-                job.id
-            );
-        }
-        job.conn.send(&err_response(
-            Some(job.id),
-            ErrorKind::DeadlineExceeded,
-            "deadline_ms elapsed before the request started",
-        ));
-        return;
-    }
-    if job.flags.cancel.is_cancelled() {
-        shared.counters.cancelled.fetch_add(1, Ordering::SeqCst);
-        job.flags.finished.store(true, Ordering::SeqCst);
-        job.conn.settle(job.id, &job.flags);
-        if shared.config.log_requests {
-            eprintln!(
-                "[effpi-serve] verify id={} key=- tier=- outcome=cancelled total=0us",
-                job.id
-            );
-        }
-        job.conn.send(&err_response(
-            Some(job.id),
-            ErrorKind::Cancelled,
-            "request cancelled before it started",
-        ));
-        return;
-    }
+    let Job {
+        conn,
+        id,
+        flags,
+        spec,
+        options,
+    } = job;
+    flags.started.store(true, Ordering::SeqCst);
     shared.counters.in_flight.fetch_add(1, Ordering::SeqCst);
     // Every span closed on this thread during the verification — parse,
     // fingerprint, cache probes, typecheck, explore, check, render — lands
@@ -1419,79 +1408,76 @@ fn process(shared: &Shared, job: Job) {
     // `obs::sync::Mutex` recovers poisoned guards, so an unwound lock
     // can never wedge later requests.)
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-        obs::phases::collect(|| verify_response(shared, &job))
+        obs::phases::collect(|| verify_response(shared, &spec, options, &flags))
     }));
     let (verdict, phases) = outcome.unwrap_or_else(|_| {
         shared.counters.panics_caught.fetch_add(1, Ordering::SeqCst);
-        shared.counters.failed.fetch_add(1, Ordering::SeqCst);
         // Chaos-run traces must be debuggable: flush the span sink now, the
         // way a clean exit would.
         obs::global().flush_trace();
         (
-            Verdict::Refused {
-                kind: ErrorKind::Internal,
-                message: "verification panicked; the worker survived and the daemon is healthy"
-                    .into(),
-            },
+            Verdict::refused(
+                ErrorKind::Internal,
+                "verification panicked; the worker survived and the daemon is healthy",
+            ),
             obs::phases::Phases::default(),
         )
     });
     shared.counters.in_flight.fetch_sub(1, Ordering::SeqCst);
-    job.flags.finished.store(true, Ordering::SeqCst);
-    job.conn.settle(job.id, &job.flags);
+    flags.finished.store(true, Ordering::SeqCst);
+    conn.settle(id, &flags);
+    shared.counters.count(&verdict);
     if shared.config.log_requests {
-        let (key, tier, outcome) = match &verdict {
-            Verdict::Done { tier, key, .. } => (key.as_str(), tier.as_str(), "ok"),
-            Verdict::Refused { kind, .. } => ("-", "-", kind.as_str()),
+        let (key, tier) = match &verdict {
+            Verdict::Done { tier, key, .. } => (key.as_str(), tier.as_str()),
+            _ => ("-", "-"),
         };
         let fragment = phases.to_log_fragment();
         eprintln!(
-            "[effpi-serve] verify id={} key={key} tier={tier} outcome={outcome} total={}{}{}",
-            job.id,
+            "[effpi-serve] verify id={id} key={key} tier={tier} outcome={} total={}{}{}",
+            verdict.kind().map_or("ok", ErrorKind::as_str),
             obs::phases::format_us(phases.total_us()),
             if fragment.is_empty() { "" } else { " " },
             fragment,
         );
     }
-    let response = match verdict {
-        Verdict::Done { tier, key, report } => {
-            let cached = tier != Tier::Cold;
-            if job.options.profile {
-                verify_response_line_profiled(job.id, cached, &key, &report, &phases.to_json_text())
-            } else {
-                verify_response_line(job.id, cached, &key, &report)
-            }
-        }
-        Verdict::Refused { kind, message } => err_response(Some(job.id), kind, &message),
-    };
-    job.conn.send(&response);
+    conn.send(&verdict.reply(id, options.profile.then_some(&phases)));
 }
 
-fn verify_response(shared: &Shared, job: &Job) -> Verdict {
+/// The socket-free pipeline: what one `verify` of `spec` answers, from the
+/// queue-level refusals through the cache tiers to a cold verification.
+fn verify_response(
+    shared: &Shared,
+    spec: &str,
+    options: VerifyOptions,
+    flags: &JobFlags,
+) -> Verdict {
+    // A deadline that elapsed while the job sat in the queue (whether or not
+    // the housekeeper already swept it) refuses before any work is spent.
+    if flags.deadline.is_some_and(|d| Instant::now() >= d)
+        || (flags.cancel.is_cancelled() && flags.deadline_exceeded.load(Ordering::SeqCst))
+    {
+        return Verdict::refused(
+            ErrorKind::DeadlineExceeded,
+            "deadline_ms elapsed before the request started",
+        );
+    }
+    if flags.cancel.is_cancelled() {
+        return Verdict::refused(ErrorKind::Cancelled, "request cancelled before it started");
+    }
     let parsed = {
         let _span = obs::span("parse");
-        parse_spec(&job.spec)
+        parse_spec(spec)
     };
     let spec = match parsed {
         Ok(spec) => spec,
-        Err(e) => {
-            // `failed` and `completed` are disjoint buckets: a refused spec
-            // counts only here, an answered verdict (holding or not) only
-            // below — so completed + failed + cancelled sums to the requests
-            // answered.
-            shared.counters.failed.fetch_add(1, Ordering::SeqCst);
-            return Verdict::Refused {
-                kind: ErrorKind::Spec,
-                message: e.to_string(),
-            };
-        }
+        Err(e) => return Verdict::refused(ErrorKind::Spec, e.to_string()),
     };
     let config = &shared.config;
-    let options = job.options;
     let mut builder = Session::builder()
         .max_states(options.max_states.unwrap_or(config.default_max_states))
         .parallelism(config.per_request_jobs())
-        .cancel_token(job.flags.cancel.clone());
+        .cancel_token(flags.cancel.clone());
     if let Some(depth) = options.max_depth {
         builder = builder.max_depth(depth);
     }
@@ -1523,7 +1509,6 @@ fn verify_response(shared: &Shared, job: &Job) -> Verdict {
         shared.cache.lock().get(key)
     };
     if let Some(report) = lru_hit {
-        shared.counters.completed.fetch_add(1, Ordering::SeqCst);
         return Verdict::Done {
             tier: Tier::Lru,
             key: key.to_string(),
@@ -1544,8 +1529,6 @@ fn verify_response(shared: &Shared, job: &Job) -> Verdict {
                 .cache
                 .lock()
                 .insert(key, states, Arc::clone(&rendered));
-            shared.counters.disk_hits.fetch_add(1, Ordering::SeqCst);
-            shared.counters.completed.fetch_add(1, Ordering::SeqCst);
             return Verdict::Done {
                 tier: Tier::Disk,
                 key: key.to_string(),
@@ -1558,19 +1541,12 @@ fn verify_response(shared: &Shared, job: &Job) -> Verdict {
     // unwinding. It sits *below* both cache probes — a cache hit replays
     // stored bytes and exercises no engine, so only cold verifications tick
     // the pass counter — and is decided while no lock is held.
-    if let Some(hook) = &shared.faults {
-        match hook.inject(FaultPoint::Worker) {
-            None => {}
-            Some(FaultAction::Delay { ms }) => thread::sleep(Duration::from_millis(ms)),
-            Some(FaultAction::Panic) => panic!("injected worker fault"),
-            Some(FaultAction::Error) => {
-                shared.counters.failed.fetch_add(1, Ordering::SeqCst);
-                return Verdict::Refused {
-                    kind: ErrorKind::Internal,
-                    message: "injected worker error".into(),
-                };
-            }
-        }
+    if shared
+        .faults
+        .as_ref()
+        .is_some_and(|hook| hook.fails(FaultPoint::Worker))
+    {
+        return Verdict::refused(ErrorKind::Internal, "injected worker error");
     }
     // The cache lock is NOT held across the verification: concurrent misses
     // on one key may verify twice (the later insert refreshes in place) —
@@ -1586,21 +1562,13 @@ fn verify_response(shared: &Shared, job: &Job) -> Verdict {
         // cached — an aborted prefix is scheduling-dependent) and the verify
         // gets its typed refusal. The housekeeper flips the same token for
         // an elapsed deadline, which reports under its own name and bucket.
-        if job.flags.deadline_exceeded.load(Ordering::SeqCst) {
-            shared
-                .counters
-                .deadline_exceeded
-                .fetch_add(1, Ordering::SeqCst);
-            return Verdict::Refused {
-                kind: ErrorKind::DeadlineExceeded,
-                message: "deadline_ms elapsed during exploration".into(),
-            };
+        if flags.deadline_exceeded.load(Ordering::SeqCst) {
+            return Verdict::refused(
+                ErrorKind::DeadlineExceeded,
+                "deadline_ms elapsed during exploration",
+            );
         }
-        shared.counters.cancelled.fetch_add(1, Ordering::SeqCst);
-        return Verdict::Refused {
-            kind: ErrorKind::Cancelled,
-            message: "request cancelled during exploration".into(),
-        };
+        return Verdict::refused(ErrorKind::Cancelled, "request cancelled during exploration");
     }
     let states = report.states();
     shared
@@ -1618,24 +1586,14 @@ fn verify_response(shared: &Shared, job: &Job) -> Verdict {
     // daemon. A failed append degrades to a warm-memory-only entry — which
     // is exactly what an injected store-write `Error` models.
     if let Some(disk) = &shared.store {
-        let injected = match shared
+        let injected = shared
             .faults
             .as_ref()
-            .and_then(|hook| hook.inject(FaultPoint::StoreWrite))
-        {
-            None => false,
-            Some(FaultAction::Delay { ms }) => {
-                thread::sleep(Duration::from_millis(ms));
-                false
-            }
-            Some(FaultAction::Panic) => panic!("injected store-write fault"),
-            Some(FaultAction::Error) => true,
-        };
+            .is_some_and(|hook| hook.fails(FaultPoint::StoreWrite));
         if injected || disk.lock().put(key, states, &rendered).is_err() {
             shared.counters.store_errors.fetch_add(1, Ordering::SeqCst);
         }
     }
-    shared.counters.completed.fetch_add(1, Ordering::SeqCst);
     Verdict::Done {
         tier: Tier::Cold,
         key: key.to_string(),
@@ -1658,16 +1616,13 @@ fn probe_disk(
     disk: &Mutex<VerdictStore>,
     key: effpi::CacheKey,
 ) -> Option<(usize, String)> {
-    if let Some(hook) = &shared.faults {
-        match hook.inject(FaultPoint::StoreRead) {
-            None => {}
-            Some(FaultAction::Delay { ms }) => thread::sleep(Duration::from_millis(ms)),
-            Some(FaultAction::Panic) => panic!("injected store-read fault"),
-            Some(FaultAction::Error) => {
-                shared.counters.store_errors.fetch_add(1, Ordering::SeqCst);
-                return None;
-            }
-        }
+    if shared
+        .faults
+        .as_ref()
+        .is_some_and(|hook| hook.fails(FaultPoint::StoreRead))
+    {
+        shared.counters.store_errors.fetch_add(1, Ordering::SeqCst);
+        return None;
     }
     let plan = disk.lock().plan_read(key)?;
     match plan.read(key) {
@@ -1742,5 +1697,91 @@ mod tests {
             *client_writes.lock(),
             [format!("{}\n", request.to_line()).into_bytes()]
         );
+    }
+
+    const SPEC: &str = "env x : cio[int]\ntype i[x, Pi(v: int) nil]\ncheck deadlock_free [x]";
+
+    /// A server with no socket and no thread: jobs go straight to `process`.
+    fn socket_free(faults: FaultPlan) -> Shared {
+        let config = ServerConfig {
+            workers: 1,
+            jobs: 1,
+            faults,
+            ..ServerConfig::default()
+        };
+        Shared::new(config, None)
+    }
+
+    /// Answers one `verify` of `spec` through `process`; returns the reply.
+    fn answer(shared: &Shared, spec: &str, flags: JobFlags) -> String {
+        let writes = Arc::new(Mutex::new(Vec::new()));
+        let conn = Arc::new(Conn {
+            writer: Mutex::new(Box::new(WriteLog(Arc::clone(&writes)))),
+            pending: Mutex::new(HashMap::new()),
+            dead: AtomicBool::new(false),
+            faults: None,
+        });
+        let job = Job {
+            conn,
+            id: 1,
+            flags: Arc::new(flags),
+            spec: spec.to_string(),
+            options: VerifyOptions::default(),
+        };
+        process(shared, job);
+        let frame = writes.lock().concat();
+        String::from_utf8(frame).expect("replies are UTF-8")
+    }
+
+    /// `[completed, failed, cancelled, deadline_exceeded]`.
+    fn buckets(shared: &Shared) -> [u64; 4] {
+        let c = &shared.counters;
+        [&c.completed, &c.failed, &c.cancelled, &c.deadline_exceeded]
+            .map(|bucket| bucket.load(Ordering::SeqCst))
+    }
+
+    #[test]
+    fn the_socket_free_pipeline_counts_each_reply_in_its_bucket() {
+        let shared = socket_free(FaultPlan::default());
+        let cold = answer(&shared, SPEC, JobFlags::new(None));
+        assert!(cold.contains("\"cached\":false"), "{cold}");
+        let hit = answer(&shared, SPEC, JobFlags::new(None));
+        assert!(hit.contains("\"cached\":true"), "{hit}");
+        assert_eq!(buckets(&shared), [2, 0, 0, 0]);
+
+        let malformed = answer(&shared, "type i[", JobFlags::new(None));
+        assert!(malformed.contains("\"kind\":\"spec\""), "{malformed}");
+        assert_eq!(buckets(&shared), [2, 1, 0, 0]);
+
+        let flags = JobFlags::new(None);
+        flags.cancel.cancel();
+        let cancelled = answer(&shared, SPEC, flags);
+        assert!(cancelled.contains("\"kind\":\"cancelled\""), "{cancelled}");
+        assert_eq!(buckets(&shared), [2, 1, 1, 0]);
+
+        let expired = answer(&shared, SPEC, JobFlags::new(Some(Instant::now())));
+        assert!(
+            expired.contains("\"kind\":\"deadline-exceeded\""),
+            "{expired}"
+        );
+        assert_eq!(buckets(&shared), [2, 1, 1, 1]);
+
+        // `stats` reads the same counters.
+        let stats = stats_json(&shared);
+        let completed = stats.get("requests").and_then(|r| r.get("completed"));
+        assert_eq!(completed.and_then(Json::as_usize), Some(2));
+
+        let faulty = socket_free(FaultPlan::single(
+            7,
+            FaultPoint::Worker,
+            FaultAction::Error,
+            1,
+        ));
+        let injected = answer(&faulty, SPEC, JobFlags::new(None));
+        assert!(
+            injected.contains("\"kind\":\"internal-error\""),
+            "{injected}"
+        );
+        assert_eq!(buckets(&faulty), [0, 1, 0, 0]);
     }
 }

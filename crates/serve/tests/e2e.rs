@@ -276,6 +276,47 @@ fn graceful_shutdown_drains_and_stops_via_the_protocol() {
 }
 
 #[test]
+fn a_verify_refused_during_the_drain_lands_in_the_shutting_down_bucket() {
+    let (handle, addr) = start_tcp();
+    let spec = &shipped_specs()[0].1;
+    let mut client = Client::connect_tcp(&addr).expect("connect");
+    client
+        .verify(spec, VerifyOptions::default())
+        .expect("verify before the drain");
+    client.shutdown_server().expect("shutdown ack");
+
+    // The drain window still reads frames: the verify gets its typed
+    // refusal, and `stats` still answers.
+    match client.verify(spec, VerifyOptions::default()) {
+        Err(ClientError::Server { kind, .. }) => assert_eq!(kind, "shutting-down"),
+        other => panic!("expected a shutting-down refusal, got {other:?}"),
+    }
+    let replies_seen = 2;
+    let stats = client.stats().expect("stats during the drain");
+    let requests = stats.get("requests").expect("requests section");
+    let bucket = |name: &str| {
+        requests
+            .get(name)
+            .and_then(Json::as_usize)
+            .unwrap_or_else(|| panic!("stats lacks requests.{name}"))
+    };
+    assert_eq!(bucket("shutting_down"), 1, "{requests}");
+    let answered: usize = [
+        "completed",
+        "failed",
+        "cancelled",
+        "shed",
+        "deadline_exceeded",
+        "shutting_down",
+    ]
+    .into_iter()
+    .map(bucket)
+    .sum();
+    assert_eq!(answered, replies_seen, "one bucket per reply: {requests}");
+    handle.join();
+}
+
+#[test]
 fn graceful_drain_completes_already_queued_work() {
     let (handle, addr) = start_tcp();
     let spec = &shipped_specs()[0].1;
